@@ -362,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("spectrum", help="Galerkin eigenvalues of the linearized operator")
     s.add_argument("--K", type=int, default=None)
     s.add_argument("--ntheta", type=int, default=None)
-    s.add_argument("--nphi", type=int, default=None)
+    s.add_argument("--nphi", type=int, default=None,
+                   help="azimuthal grid size; recorded in outputs, changes no value")
     _add_common(s)
 
     e = sub.add_parser("evolve", help="nonlinear surface evolution")
@@ -370,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--T", type=float, default=None)
     e.add_argument("--dt", type=float, default=None)
     e.add_argument("--ntheta", type=int, default=None)
-    e.add_argument("--nphi", type=int, default=None)
+    e.add_argument("--nphi", type=int, default=None,
+                   help="azimuthal grid size; recorded in outputs, changes no value")
     e.add_argument("--policy", type=str, default=None,
                    choices=("fixed_wave_speed", "transported", "prescribed"))
     e.add_argument("--prescribed-speed", dest="prescribed_speed", type=float, default=None)

@@ -1,9 +1,10 @@
 """Closed-form hydrodynamic kernels.
 
 The Oseen tensor and the drag/interior/exterior velocity fields are the
-microscopic building blocks; the chord-distance function and its bounded
-rewritten quotient are the surface-integral building blocks.  All functions
-are pure and broadcast over numpy arrays where that is useful.
+microscopic building blocks; the chord-distance function, its bounded
+rewritten quotient and the closed-form azimuthal moments of the inverse chord
+are the surface-integral building blocks.  All functions are pure and
+broadcast over numpy arrays where that is useful.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ellipe, ellipkm1
 
 __all__ = [
     "FluidParams",
@@ -22,12 +24,27 @@ __all__ = [
     "hadamard_rybczynski_velocity",
     "gamma",
     "desingularized_ratio",
+    "azimuthal_moments",
     "GAMMA_CLAMP",
+    "MOMENT_SERIES_MAX",
 ]
 
 # Negative chord-distance values beyond this magnitude indicate a genuine
 # bug rather than rounding; smaller ones are clamped to zero.
 GAMMA_CLAMP = 1e-12
+
+# Below this B/A the elliptic form of the first moment loses digits to the
+# cancellation in A K - (A + B) E (relative error ~ 1e-16 / (B/A)^2), and the
+# seven-term series, whose truncation error is ~ (B/A)^14, takes over.  Both
+# branches agree to ~1e-13 at the switch.
+MOMENT_SERIES_MAX = 0.1
+
+# I1 = (pi B / (2 A^1.5)) * sum_j c_j x^(2j) with x = B/A: the binomial series
+# of (1 - x cos phi)^(-1/2) against the mean of cos^(2j+2) phi.
+_I1_SERIES = np.array([
+    math.comb(4 * j + 2, 2 * j + 1) * math.comb(2 * j + 2, j + 1) / 4.0 ** (3 * j + 1)
+    for j in range(7)
+])
 
 
 @dataclass(frozen=True)
@@ -170,3 +187,35 @@ def desingularized_ratio(theta, thetabar, phi, return_pole_mask: bool = False):
     if return_pole_mask:
         return out, pole
     return out
+
+
+def azimuthal_moments(a, b, a_minus_b):
+    """Closed-form azimuthal integrals of the inverse chord, for A > B >= 0.
+
+    Returns ``(I0, I1)`` with I0 = integral over [0, 2 pi] of
+    dphi / sqrt(A - B cos phi) = 4 K(m) / sqrt(A + B) and I1 = integral of
+    cos(phi) dphi / sqrt(A - B cos phi) = 4 [A K(m) - (A + B) E(m)] / (B sqrt(A + B)),
+    where m = 2B / (A + B) and K, E are complete elliptic integrals (the
+    axisymmetric ring reduction of a surface integral).  K comes from the
+    complementary parameter (A - B) / (A + B), which callers pass through
+    ``a_minus_b`` in a cancellation-free form, so nearly coincident rings
+    keep full precision.  I1 switches to its power series in B/A below
+    MOMENT_SERIES_MAX.  Coincident points (A - B <= 0) have a divergent I0
+    and are rejected.
+    """
+    a, b, a_minus_b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, a_minus_b)))
+    if not (np.all(a_minus_b > 0) and np.all(b >= 0)):
+        raise ValueError("azimuthal moments need A > B >= 0; coincident points diverge")
+    a_plus_b = a + b
+    k = ellipkm1(a_minus_b / a_plus_b)
+    root = np.sqrt(a_plus_b)
+    i0 = 4.0 * k / root
+    i1 = np.empty_like(i0)
+    small = b < MOMENT_SERIES_MAX * a
+    x = b[small] / a[small]
+    series = np.polynomial.polynomial.polyval(x * x, _I1_SERIES)
+    i1[small] = (0.5 * math.pi) * x / np.sqrt(a[small]) * series
+    big = ~small
+    e = ellipe(2.0 * b[big] / a_plus_b[big])
+    i1[big] = 4.0 * (a[big] * k[big] - a_plus_b[big] * e) / (b[big] * root[big])
+    return i0, i1

@@ -7,6 +7,14 @@ whose characteristics are known in closed form.  The spectrum is
 approximated by projecting onto the shifted-Legendre basis and solving the
 resulting dense real nonsymmetric eigenproblem.
 
+The nonlocal kernel is the azimuthal integral of the bounded chord ratio on
+the unit sphere, taken in closed form with complete elliptic integrals, so
+it depends on the polar grid alone and is cached per node count.  The
+``phi_grid`` and ``n_phi`` arguments are still accepted, and ``n_phi`` is
+still recorded on :class:`GalerkinMatrix` and in CLI outputs, but they no
+longer change any value.  They stay because the tests, the CLI and the
+benchmark's trace hooks bind them by name.
+
 Normalization convention: the eigenvalue table this package reproduces was
 computed with basis functions of unit norm in the mapped Legendre variable
 on [-1, 1] ("legendre" normalization).  Those functions carry squared
@@ -21,12 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 from scipy.interpolate import CubicSpline
 
-from .kernels import desingularized_ratio
+from .kernels import azimuthal_moments
 from .quadrature import PhiGrid, ThetaGrid, basis_matrix, simpson_weights
 
 __all__ = [
@@ -126,38 +135,35 @@ def k_coefficient(theta):
     return float(out) if out.ndim == 0 else out
 
 
-def _phi_reduced_kernel(theta_eval: np.ndarray, theta_grid: ThetaGrid, phi_grid: PhiGrid) -> np.ndarray:
-    """Azimuthal Simpson contraction of the bounded chord-ratio kernel.
+def _sphere_kernel(theta_eval, thetabar) -> np.ndarray:
+    """Azimuthal integral of the bounded chord-ratio kernel on the unit sphere.
 
-    Returns the matrix R[m, l] = integral over phi of
-    ratio(theta_eval[m], tbar_l, phi), evaluated in row chunks to bound the
-    size of the (m, l, phi) intermediate.
+    R[m, l] = integral over phi of desingularized_ratio(theta_eval[m],
+    thetabar[l], phi) = cos t sin tb I0 - sin t cos tb I1, with the moments of
+    1/sqrt(A - B cos phi) for A = 2 - 2 cos t cos tb and B = 2 sin t sin tb
+    taken in closed form.  At coincident points the ratio reduces to
+    cos t |sin(phi/2)|, whose integral is 4 cos t; on a pole the ratio is
+    undefined for every phi and the pole-node policy gives 0.
     """
-    tb = theta_grid.nodes
-    phi = phi_grid.nodes
-    w_phi = phi_grid.weights()
-    out = np.empty((theta_eval.size, tb.size))
-    chunk = max(1, int(8_000_000 // max(tb.size * phi.size, 1)))
-    for i0 in range(0, theta_eval.size, chunk):
-        i1 = min(i0 + chunk, theta_eval.size)
-        vals = desingularized_ratio(
-            theta_eval[i0:i1, None, None], tb[None, :, None], phi[None, None, :]
-        )
-        out[i0:i1] = vals @ w_phi
-    return out
+    t = np.asarray(theta_eval, dtype=float)[:, None]
+    tb = np.asarray(thetabar, dtype=float)[None, :]
+    st, ct, stb, ctb = np.broadcast_arrays(np.sin(t), np.cos(t), np.sin(tb), np.cos(tb))
+    a_minus_b = 4.0 * np.sin(0.5 * (t - tb)) ** 2
+    b = 2.0 * st * stb
+    apart = a_minus_b > 0
+    i0, i1 = azimuthal_moments(a_minus_b[apart] + b[apart], b[apart], a_minus_b[apart])
+    R = np.where(4.0 * np.sin(0.5 * (t + tb)) ** 2 < 1e-24, 0.0, 4.0 * ct)
+    R[apart] = ct[apart] * stb[apart] * i0 - st[apart] * ctb[apart] * i1
+    return R
 
 
-_GRID_KERNELS: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _grid_kernel(theta_grid: ThetaGrid, phi_grid: PhiGrid) -> np.ndarray:
-    """Square phi-reduced kernel on the grid's own nodes, cached per grid pair."""
-    key = (theta_grid.n_theta, phi_grid.n_phi)
-    if key not in _GRID_KERNELS:
-        if len(_GRID_KERNELS) >= 4:
-            _GRID_KERNELS.pop(next(iter(_GRID_KERNELS)))
-        _GRID_KERNELS[key] = _phi_reduced_kernel(theta_grid.nodes, theta_grid, phi_grid)
-    return _GRID_KERNELS[key]
+@lru_cache(maxsize=4)
+def _grid_kernel(n_theta: int) -> np.ndarray:
+    """Square kernel on the uniform grid's own nodes, cached and read-only."""
+    nodes = ThetaGrid.uniform(n_theta).nodes
+    R = _sphere_kernel(nodes, nodes)
+    R.setflags(write=False)
+    return R
 
 
 def k_by_quadrature(theta, theta_grid: ThetaGrid, phi_grid: PhiGrid):
@@ -165,31 +171,34 @@ def k_by_quadrature(theta, theta_grid: ThetaGrid, phi_grid: PhiGrid):
 
     (1/(16 pi)) times the integral of sin(tbar)^2 against the chord-ratio
     kernel; must match :func:`k_coefficient` up to quadrature error.
+    ``phi_grid`` changes no value.
     """
-    theta_eval = np.atleast_1d(np.asarray(theta, dtype=float))
-    R = _phi_reduced_kernel(theta_eval, theta_grid, phi_grid)
     tb = theta_grid.nodes
+    R = _sphere_kernel(np.atleast_1d(theta), tb)
     out = (R @ (theta_grid.weights() * np.sin(tb) ** 2)) / (16.0 * math.pi)
     return float(out[0]) if np.ndim(theta) == 0 else out
 
 
 def sphere_vertical_chord_integral(theta_grid: ThetaGrid, phi_grid: PhiGrid) -> float:
-    """Surface integral of w3 |e3 - w| over the unit sphere (equals -16 pi / 15)."""
+    """Surface integral of w3 |e3 - w| over the unit sphere (equals -16 pi / 15).
+
+    The integrand does not depend on phi, so ``phi_grid`` changes no value.
+    """
     tb = theta_grid.nodes
     chord = np.sqrt(np.maximum(2.0 - 2.0 * np.cos(tb), 0.0))
     per_theta = np.cos(tb) * chord * np.sin(tb)
-    return float((theta_grid.weights() @ per_theta) * np.sum(phi_grid.weights()))
+    return float((theta_grid.weights() @ per_theta) * 2.0 * math.pi)
 
 
 def j_apply(h: Perturbation, theta, theta_grid: ThetaGrid, phi_grid: PhiGrid):
     """Nonlocal part of the linearized source at angle(s) theta.
 
     -(1/(8 pi)) times the double integral of the chord-ratio kernel against
-    sin(tbar) [ (5/2) h(tbar) sin(tbar) - h'(tbar) cos(tbar) ].
+    sin(tbar) [ (5/2) h(tbar) sin(tbar) - h'(tbar) cos(tbar) ].  ``phi_grid``
+    changes no value.
     """
-    theta_eval = np.atleast_1d(np.asarray(theta, dtype=float))
-    R = _phi_reduced_kernel(theta_eval, theta_grid, phi_grid)
     tb = theta_grid.nodes
+    R = _sphere_kernel(np.atleast_1d(theta), tb)
     load = np.sin(tb) * (2.5 * np.asarray(h(tb)) * np.sin(tb)
                          - np.asarray(h.derivative(tb)) * np.cos(tb))
     out = -(R @ (theta_grid.weights() * load)) / (8.0 * math.pi)
@@ -241,20 +250,20 @@ def assemble_galerkin(size: int, n_theta: int, n_phi: int | None = None,
 
     entries[i, j] is the Simpson projection of (L e_j) onto e_i over the
     n_theta-node grid; the inner double integral runs on the same polar grid
-    and an n_phi azimuthal grid (default 2 * n_theta).  Assembly is
-    deterministic.  The default "legendre" normalization reproduces the
-    published eigenvalue table; "interval" yields the intrinsic operator
-    spectrum, a global factor 2/pi smaller.
+    with the azimuthal integral in closed form.  ``n_phi`` (default
+    2 * n_theta) is only recorded on the result.  Assembly is deterministic.
+    The default "legendre" normalization reproduces the published eigenvalue
+    table; "interval" yields the intrinsic operator spectrum, a global factor
+    2/pi smaller.
     """
     if size < 1:
         raise ValueError(f"basis size must be >= 1, got {size}")
     if n_phi is None:
         n_phi = 2 * n_theta
     tg = ThetaGrid.uniform(n_theta)
-    pg = PhiGrid.uniform(n_phi)
     theta = tg.nodes
     w = tg.weights()
-    R = _grid_kernel(tg, pg)
+    R = _grid_kernel(n_theta)
     E, dE = basis_matrix(size, theta, normalization)
     st, ct = np.sin(theta), np.cos(theta)
     load = 2.5 * E * st[None, :] - dE * ct[None, :]
@@ -400,9 +409,9 @@ class LinearEvolution:
         return self.values[-1]
 
 
-def _l_operator_matrices(theta_grid: ThetaGrid, phi_grid: PhiGrid):
+def _l_operator_matrices(theta_grid: ThetaGrid):
     """Grid-sampled linearized source: value matrix, derivative matrix, diagonal."""
-    R = _grid_kernel(theta_grid, phi_grid)
+    R = _grid_kernel(theta_grid.n_theta)
     tb = theta_grid.nodes
     w = theta_grid.weights()
     on_h = -(1.0 / (8.0 * math.pi)) * R * (w * 2.5 * np.sin(tb) ** 2)[None, :]
@@ -418,12 +427,13 @@ def linearized_evolve(h0: Perturbation, t: float, theta_grid: ThetaGrid, phi_gri
     adds the source contribution with a trapezoidal corrector iterated to a
     fixed point; a corrector that stops contracting (dt too large) raises.
     Values off the grid are cubic-spline interpolated, and the derivative
-    consumed by the nonlocal term is the spline derivative.
+    consumed by the nonlocal term is the spline derivative.  ``phi_grid``
+    changes no value.
     """
     if not t >= 0 or not dt > 0:
         raise ValueError("need t >= 0 and dt > 0")
     theta = theta_grid.nodes
-    on_h, on_hp, k_diag = _l_operator_matrices(theta_grid, phi_grid)
+    on_h, on_hp, k_diag = _l_operator_matrices(theta_grid)
 
     def l_of(values: np.ndarray, spline: CubicSpline) -> np.ndarray:
         return on_h @ values + on_hp @ spline(theta, 1) + k_diag * values

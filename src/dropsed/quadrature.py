@@ -2,7 +2,7 @@
 
 Everything here is deterministic and stateless: grids are frozen dataclasses,
 rules are pure functions of their inputs.  Simpson is the production rule
-throughout the package (the grid-refinement helpers exist for diagnostics
+throughout the package (the grid-refinement helper exists for diagnostics
 only, never as the main integration path).
 """
 
@@ -22,7 +22,6 @@ __all__ = [
     "simpson_weights",
     "simpson_1d",
     "simpson_2d",
-    "refine_simpson_1d",
     "refine_simpson_2d",
     "basis_eval",
     "basis_matrix",
@@ -204,24 +203,6 @@ def simpson_2d(f, theta_grid: ThetaGrid, phi_grid: PhiGrid, exclude_poles: bool 
     wt = theta_grid.weights()
     wp = phi_grid.weights()
     return float(wt @ vals @ wp)
-
-
-def refine_simpson_1d(f, a: float, b: float, n0: int = 64, rel_tol: float = 1e-10,
-                      max_doublings: int = 12) -> tuple[float, list[float]]:
-    """Diagnostic grid-doubling driver around :func:`simpson_1d`.
-
-    Returns the last value together with the full refinement history, so the
-    caller can judge convergence (or divergence) instead of trusting a single
-    number.  Not a production integration path.
-    """
-    history = [simpson_1d(f, a, b, n0)]
-    n = n0
-    for _ in range(max_doublings):
-        n *= 2
-        history.append(simpson_1d(f, a, b, n))
-        if abs(history[-1] - history[-2]) <= rel_tol * max(1.0, abs(history[-1])):
-            break
-    return history[-1], history
 
 
 def refine_simpson_2d(f, n0: int = 51, levels: int = 3, exclude_poles: bool = False) -> list[float]:

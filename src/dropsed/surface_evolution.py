@@ -4,24 +4,31 @@ The surface radius measured from a reference center on the symmetry axis is
 advected by the angular flow speed and forced by the radial one; both are
 double integrals over the surface itself.  The time stepper is the classical
 explicit upwind scheme.  Per-node quadratures inside a step are evaluated as
-one vectorized tensor contraction (the nodes are independent, so this is the
-parallel evaluation the scheme admits); the time loop itself is sequential
-and profiles are immutable snapshots.
+one vectorized contraction over (node, inner angle) pairs (the nodes are
+independent, so this is the parallel evaluation the scheme admits); the time
+loop itself is sequential and profiles are immutable snapshots.
 
-Quadrature in the inner polar angle runs on nodes offset by half a grid
-spacing, so the integrable diagonal of the chord distance never lands on a
-sample; the two half-spacing end strips are closed with a trapezoid
-correction (the integrand vanishes at both poles).
+Every azimuthal integrand has the form (alpha + beta cos phi) / sqrt(A - B cos phi),
+so the integral over phi is taken in closed form with complete elliptic
+integrals (:func:`~dropsed.kernels.azimuthal_moments`).  Quadrature in the
+inner polar angle runs on nodes offset by half a grid spacing, so the
+integrable diagonal of the chord distance never lands on a sample; the two
+half-spacing end strips are closed with a trapezoid correction (the integrand
+vanishes at both poles).
+
+The ``phi_grid`` arguments are still accepted, and the CLI still records
+``--nphi`` in its outputs, but they no longer change any value.  They stay
+because the tests, the CLI and the benchmark's trace hooks bind them by name.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
+from .kernels import azimuthal_moments
 from .quadrature import PhiGrid, ThetaGrid, simpson_weights
 
 __all__ = [
@@ -130,67 +137,44 @@ def theta_derivative(r: np.ndarray, spacing: float) -> np.ndarray:
     return dr
 
 
-@lru_cache(maxsize=8)
-def _operators(n_theta: int, n_phi: int):
-    """Static quadrature tensors for an (n_theta, n_phi) grid pair."""
-    theta = ThetaGrid.uniform(n_theta).nodes
-    h = math.pi / (n_theta - 1)
-    mids = (np.arange(n_theta - 1) + 0.5) * h
-    w_mid = simpson_weights(mids.size, h)
-    w_phi = PhiGrid.uniform(n_phi).weights()
-    phi = PhiGrid.uniform(n_phi).nodes
-    st, ct = np.sin(theta), np.cos(theta)
-    stb, ctb = np.sin(mids), np.cos(mids)
-    cp = np.cos(phi)
-    # angle cosine between e(theta, 0) and e(mid, phi), shape (n, m, p)
-    psi = st[:, None, None] * stb[None, :, None] * cp[None, None, :] + (ct[:, None] * ctb[None, :])[:, :, None]
-    # radial-velocity bracket of the source integrand
-    br2 = -st[:, None, None] * ctb[None, :, None] * cp[None, None, :] + (ct[:, None] * stb[None, :])[:, :, None]
-    # static pieces of the angular-velocity bracket
-    ct3 = ct[:, None, None] * ctb[None, :, None] * cp[None, None, :]
-    st2 = st[:, None] * stb[None, :]
-    return dict(theta=theta, h=h, mids=mids, w_mid=w_mid, w_phi=w_phi,
-                st=st, ct=ct, stb=stb, ctb=ctb, cp=cp, psi=psi, br2=br2, ct3=ct3, st2=st2)
-
-
-def _quad_with_end_strips(integrand: np.ndarray, ops) -> np.ndarray:
-    """Contract an (n, m, p) integrand with the offset-grid and phi weights.
-
-    Adds the trapezoid closure of the two half-spacing end strips, where the
-    integrand decays linearly to zero at the poles.
-    """
-    per_mid = integrand @ ops["w_phi"]          # (n, m)
-    ends = 0.25 * ops["h"] * (per_mid[:, 0] + per_mid[:, -1])
-    return per_mid @ ops["w_mid"] + ends
-
-
 def advection_and_source(p: RadialProfile, cdot3: float, phi_grid: PhiGrid):
     """Angular advection speed and radial source on every node of the profile grid.
 
     Returns ``(a1, a2)`` arrays.  The angular speed at the poles is pinned to
     zero (axisymmetry forces a sin(theta) factor there); the source at the
-    poles is regular and comes straight from the quadrature.
+    poles is regular and comes straight from the quadrature.  ``phi_grid`` is
+    accepted and ignored: the azimuthal integrals are exact.
     """
-    ops = _operators(p.grid.n_theta, phi_grid.n_phi)
+    theta = p.grid.nodes
+    h = p.grid.spacing
+    mids = (np.arange(theta.size - 1) + 0.5) * h
+    st, ct = np.sin(theta)[:, None], np.cos(theta)[:, None]
+    stb, ctb = np.sin(mids), np.cos(mids)
     r = p.r
-    dr = theta_derivative(r, p.grid.spacing)
+    dr = theta_derivative(r, h)
     rm = 0.5 * (r[:-1] + r[1:])
     drm = 0.5 * (dr[:-1] + dr[1:])
 
-    gam = r[:, None, None] ** 2 + (rm**2)[None, :, None] \
-        - 2.0 * (r[:, None] * rm[None, :])[:, :, None] * ops["psi"]
-    inv_sqrt = 1.0 / np.sqrt(np.maximum(gam, 1e-300))
-    base = (rm * ops["stb"] - drm * ops["ctb"])
+    # squared chord A - B cos(phi) between (r, theta, 0) and (rm, mid, phi), shape (n, m)
+    rr = r[:, None] * rm
+    a_minus_b = (r[:, None] - rm) ** 2 + 4.0 * rr * np.sin(0.5 * (theta[:, None] - mids)) ** 2
+    b = 2.0 * rr * st * stb
+    i0, i1 = azimuthal_moments(a_minus_b + b, b, a_minus_b)
+    base = rm * stb - drm * ctb
+    w_mid = simpson_weights(mids.size, h)
 
-    common2 = (base * rm**2 * ops["stb"])[None, :, None] * ops["br2"] * inv_sqrt
-    q2 = _quad_with_end_strips(common2, ops)
-    a2 = -q2 / (8.0 * math.pi) - cdot3 * ops["ct"]
+    def quad_with_end_strips(per_mid):
+        # trapezoid closure of the two half-spacing end strips, where the
+        # integrand decays linearly to zero at the poles
+        return per_mid @ w_mid + 0.25 * h * (per_mid[:, 0] + per_mid[:, -1])
 
-    br1 = r[:, None, None] * ops["cp"][None, None, :] \
-        - rm[None, :, None] * (ops["ct3"] + ops["st2"][:, :, None])
-    common1 = (base * rm * ops["stb"])[None, :, None] * br1 * inv_sqrt
-    q1 = _quad_with_end_strips(common1, ops)
-    a1 = -q1 / (8.0 * math.pi * r) + cdot3 * ops["st"] / r
+    # radial bracket ct*stb - st*ctb*cos(phi)
+    q2 = quad_with_end_strips(base * rm**2 * stb * (ct * stb * i0 - st * ctb * i1))
+    a2 = -q2 / (8.0 * math.pi) - cdot3 * ct[:, 0]
+    # angular bracket (r - rm*ct*ctb)*cos(phi) - rm*st*stb
+    br1 = (r[:, None] - rm * ct * ctb) * i1 - rm * st * stb * i0
+    q1 = quad_with_end_strips(base * rm * stb * br1)
+    a1 = -q1 / (8.0 * math.pi * r) + cdot3 * st[:, 0] / r
     a1[0] = 0.0
     a1[-1] = 0.0
 
@@ -221,7 +205,7 @@ def step_upwind(p: RadialProfile, dt: float, policy: CenterPolicy, phi_grid: Phi
     The upwind side follows the sign of the advection speed node by node.
     Violating the CFL bound dt * max|a1| <= spacing raises before any state
     changes; a step that would make min(r) nonpositive raises with the
-    offending node reported.
+    offending node reported.  ``phi_grid`` changes no value.
     """
     if not dt >= 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
@@ -257,7 +241,7 @@ def evolve(p0: RadialProfile, T: float, dt: float, policy: CenterPolicy,
 
     Snapshots are taken at (approximate) multiples of ``snapshot_every``,
     always including the initial and final profiles.  Errors from the
-    stepper propagate unchanged.
+    stepper propagate unchanged; ``phi_grid`` changes no value.
     """
     if not T > 0 or not dt > 0:
         raise ValueError("T and dt must be positive")

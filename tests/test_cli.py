@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dropsed
 from dropsed.cli import main
 
 
@@ -166,3 +171,23 @@ class TestConfigHandling:
         assert (first / "patch.csv").read_bytes() == (second / "patch.csv").read_bytes()
         replay = json.loads((second / "manifest.json").read_text())
         assert replay["config"] == manifest["config"]
+
+
+def test_threads_cap_is_set_before_numpy_loads(tmp_path):
+    # a fresh interpreter: this test process has numpy loaded already
+    script = (
+        "import os, sys\n"
+        "import dropsed.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "rc = dropsed.cli.main(['patch', '--threads', '3', '--steps', '2', '--out', sys.argv[1]])\n"
+        "print(rc, *(os.environ[v] for v in ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS',"
+        " 'MKL_NUM_THREADS')))\n"
+    )
+    src = Path(dropsed.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "run")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", "3", "3", "3"]

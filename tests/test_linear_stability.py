@@ -8,10 +8,16 @@ from hypothesis import strategies as st
 from dropsed import linear_stability as ls
 from dropsed.quadrature import PhiGrid, ThetaGrid
 
+import phi_simpson_oracle as oracle
+
 # frozen high-resolution references (1601 x 3202 Simpson); the pi/4 value
 # agrees with the closed form -sqrt(2)/3 to 5e-11
 J1_PI4_REFERENCE = -0.47140452081156947
 A11_200_400_REFERENCE = -6.091375723705356e-09
+# the same quantities with the exact azimuthal integral; J1 now sits 1.1e-10
+# from -sqrt(2)/3, the polar Simpson error of the log-singular near-diagonal
+J1_PI4_EXACT = -0.4714045208988688
+A11_200_EXACT = -6.091375445932759e-09
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +73,18 @@ class TestJApply:
         )
         assert ls.j_apply(zero, 1.0, tg, pg) == 0.0
 
-    def test_constant_input_regression(self):
+    def test_constant_input_regression(self, monkeypatch):
         tg, pg = ThetaGrid.uniform(1601), PhiGrid.uniform(3202)
+        oracle.use_phi_simpson_kernels(monkeypatch, pg)
         val = ls.j_apply(constant_one(), math.pi / 4, tg, pg)
         assert val == pytest.approx(J1_PI4_REFERENCE, abs=1e-12)
         # equator value vanishes by the reflection symmetry
+        assert abs(ls.j_apply(constant_one(), math.pi / 2, tg, pg)) <= 1e-12
+
+    def test_constant_input_exact_regression(self):
+        tg, pg = ThetaGrid.uniform(1601), PhiGrid.uniform(3202)
+        val = ls.j_apply(constant_one(), math.pi / 4, tg, pg)
+        assert val == pytest.approx(J1_PI4_EXACT, abs=1e-12)
         assert abs(ls.j_apply(constant_one(), math.pi / 2, tg, pg)) <= 1e-12
 
     def test_constant_input_closed_form(self):
@@ -205,11 +218,16 @@ class TestGalerkin:
         b = ls.assemble_galerkin(3, 100, 200)
         assert np.array_equal(a.entries, b.entries)
 
-    def test_one_by_one_regression(self):
+    def test_one_by_one_regression(self, monkeypatch):
+        oracle.use_phi_simpson_kernels(monkeypatch, PhiGrid.uniform(400))
         val = ls.assemble_galerkin(1, 200, 400).entries[0, 0]
         assert val == pytest.approx(A11_200_400_REFERENCE, abs=1e-12)
         # the exact projection vanishes: L of a constant is odd about the equator
         assert abs(val) < 1e-6
+
+    def test_one_by_one_exact_regression(self):
+        val = ls.assemble_galerkin(1, 200).entries[0, 0]
+        assert val == pytest.approx(A11_200_EXACT, abs=1e-12)
 
     def test_normalization_scales_spectrum_by_half_pi(self):
         a = ls.assemble_galerkin(4, 100, 200, normalization="legendre")
