@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -167,8 +168,7 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> int:
                [(lam.real, lam.imag) for lam in report.eigenvalues])
     theta = np.linspace(0.0, np.pi, int(cfg["ntheta"]))
     h = report.eigenvector_perturbation(0)
-    _write_csv(out / "eigenvector.csv", "theta,h",
-               [(t, np.real(h(t))) for t in theta])
+    _write_csv(out / "eigenvector.csv", "theta,h", zip(theta, np.real(h(theta))))
     summary = {
         "K": int(cfg["K"]),
         "n_theta": int(cfg["ntheta"]),
@@ -246,16 +246,10 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
     p = _initial_profile(cfg, out)
     dt = float(cfg["dt"])
     T = float(cfg["T"])
-    # reject a CFL-violating dt before any stepping or output
-    a1, _ = se.advection_and_source(p, policy.speed(p), phi_grid)
-    if dt * float(np.max(np.abs(a1))) > p.grid.spacing:
-        raise se.CflError(
-            f"CFL violated at t=0: dt*max|a1| = {dt * float(np.max(np.abs(a1))):.3e} "
-            f"> spacing {p.grid.spacing:.3e}"
-        )
+    tags = itertools.count()
 
-    def dump(idx: int, profile) -> None:
-        tag = f"{idx:04d}"
+    def dump(profile) -> None:
+        tag = f"{next(tags):04d}"
         _write_csv(out / f"snapshot_{tag}.csv", "theta,r",
                    zip(profile.grid.nodes, profile.r))
         _write_json(out / f"snapshot_{tag}.json",
@@ -265,25 +259,20 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
         if cfg["svg"]:
             (out / f"snapshot_{tag}.svg").write_text(_meridian_svg(profile))
 
-    n_steps = int(round(T / dt))
-    every = max(1, int(round((float(cfg["snapshot_every"]) or T / 10.0) / dt)))
-    dump(0, p)
-    idx = 1
     try:
-        for k in range(1, n_steps + 1):
-            p = se.step_upwind(p, dt, policy, phi_grid)
-            if k % every == 0 or k == n_steps:
-                dump(idx, p)
-                idx += 1
-    except se.SurfaceCollapseError:
-        dump(idx, p)  # last valid profile
+        snaps = se.evolve(p, T, dt, policy, phi_grid,
+                          snapshot_every=float(cfg["snapshot_every"]) or T / 10.0,
+                          on_snapshot=dump)
+    except se.SurfaceCollapseError as exc:
+        dump(exc.profile)
         _write_manifest(out, "evolve", cfg, seed)
         raise
+    p = snaps[-1]
     final_dev = float(np.max(np.abs(p.r - p.r.mean())))
     _write_json(out / "summary.json",
                 {"final_time": p.time, "final_c3": p.c3,
                  "final_sup_deviation_from_mean": final_dev,
-                 "snapshots": idx})
+                 "snapshots": len(snaps)})
     _write_manifest(out, "evolve", cfg, seed)
     return 0
 

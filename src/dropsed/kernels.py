@@ -19,6 +19,7 @@ __all__ = [
     "FluidParams",
     "sphere_point",
     "oseen_tensor",
+    "oseen_response",
     "oseen_point_force",
     "stokes_drag_velocity",
     "hadamard_rybczynski_velocity",
@@ -96,18 +97,38 @@ def oseen_tensor(x, mu: float) -> np.ndarray:
     return (np.eye(3) / r + np.outer(x, x) / r**3) / (8.0 * math.pi * mu)
 
 
+def oseen_response(d: np.ndarray, r2: np.ndarray, force: np.ndarray, mu: float,
+                   delta: float = 0.0) -> np.ndarray:
+    """Summed Oseen velocities, sum over the last axis of U(d) @ force.
+
+    Separations are stored components-first: ``d`` has shape (3, ..., m) and
+    ``r2`` holds their squared lengths, shape (..., m); the result has shape
+    (3, ...).  With r_eff = max(r, delta) each term is
+    (f / r_eff + d (d . f) / (r^2 r_eff)) / (8 pi mu), so a separation
+    shorter than ``delta`` acts as if it were exactly ``delta`` long in the
+    same direction.  An entry with d = 0 and r2 = +inf contributes exactly
+    zero, which is how a caller drops a self pair.  Zero separations are
+    the caller's to reject: they produce non-finite values here.
+    """
+    inv_r = 1.0 / np.maximum(np.sqrt(r2), delta)
+    coef = np.tensordot(force, d, axes=1) * inv_r / r2
+    out = np.multiply.outer(force, inv_r.sum(axis=-1)) + np.einsum("k...j,...j->k...", d, coef)
+    return out / (8.0 * math.pi * mu)
+
+
 def oseen_point_force(dx: np.ndarray, force: np.ndarray, mu: float) -> np.ndarray:
     """Velocities U(dx_i) @ force for a batch of separation vectors, shape (n, 3).
 
-    Row-wise identical to ``oseen_tensor(dx[i], mu) @ force``; kept separate
-    so the N-body sum never materializes n 3x3 matrices.
+    Row-wise identical to ``oseen_tensor(dx[i], mu) @ force``; a view of
+    :func:`oseen_response` with one separation per sum, so no 3x3 matrix is
+    ever formed.
     """
     dx = np.atleast_2d(np.asarray(dx, dtype=float))
-    r = np.linalg.norm(dx, axis=1)
-    if np.any(r == 0.0):
+    r2 = np.sum(dx * dx, axis=1)
+    if np.any(r2 == 0.0):
         raise ValueError("Oseen tensor is singular at zero separation")
-    proj = dx @ np.asarray(force, dtype=float)
-    return (np.asarray(force)[None, :] / r[:, None] + dx * (proj / r**3)[:, None]) / (8.0 * math.pi * mu)
+    force = np.asarray(force, dtype=float)
+    return oseen_response(dx.T[..., None], r2[:, None], force, mu).T
 
 
 def stokes_drag_velocity(params: FluidParams) -> np.ndarray:

@@ -36,7 +36,7 @@ import scipy.linalg
 from scipy.interpolate import CubicSpline
 
 from .kernels import azimuthal_moments
-from .quadrature import PhiGrid, ThetaGrid, basis_matrix, simpson_weights
+from .quadrature import PhiGrid, ThetaGrid, basis_matrix, simpson_weights, step_count
 
 __all__ = [
     "TABLE_TO_OPERATOR",
@@ -427,18 +427,18 @@ def linearized_evolve(h0: Perturbation, t: float, theta_grid: ThetaGrid, phi_gri
     adds the source contribution with a trapezoidal corrector iterated to a
     fixed point; a corrector that stops contracting (dt too large) raises.
     Values off the grid are cubic-spline interpolated, and the derivative
-    consumed by the nonlocal term is the spline derivative.  ``phi_grid``
-    changes no value.
+    consumed by the nonlocal term is the spline derivative.  ``t`` must be a
+    whole number of steps ``dt``.  ``phi_grid`` changes no value.
     """
     if not t >= 0 or not dt > 0:
         raise ValueError("need t >= 0 and dt > 0")
+    n_steps = step_count(t, dt)
     theta = theta_grid.nodes
     on_h, on_hp, k_diag = _l_operator_matrices(theta_grid)
 
     def l_of(values: np.ndarray, spline: CubicSpline) -> np.ndarray:
         return on_h @ values + on_hp @ spline(theta, 1) + k_diag * values
 
-    n_steps = int(round(t / dt))
     every = store_every or max(1, n_steps // 64)
     feet = characteristic_flow(0.0, dt, theta)  # backtraced nodes, one step
     h = np.asarray(h0(theta), dtype=float)

@@ -6,11 +6,15 @@ induced by every other particle's point force.  The cloud-scale rescaling
 produces a dimensionless dynamics whose mean fall speed is one; that is the
 form integrated by the trajectory driver.
 
-Force evaluation is an O(N^2) pairwise sum, vectorized in row chunks over a
-read-only position snapshot; each integrator stage commits positions in a
-single assignment.  Pairs closer than the regularization distance interact
-as if separated by exactly that distance along the same direction, and every
-such clamp is counted and logged.
+Force evaluation is an O(N^2) pairwise sum over a read-only position
+snapshot, built in row chunks as three (rows, N) difference planes and
+reduced by the one Oseen kernel, :func:`~dropsed.kernels.oseen_response`.
+The self pair needs no mask: its squared distance is set to +inf, which
+makes its contribution exactly zero.  Each integrator stage commits
+positions in a single assignment.  Pairs closer than the regularization
+distance interact as if separated by exactly that distance along the same
+direction (r_eff = max(r, delta)), and every such clamp is counted and
+logged.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import FluidParams, stokes_drag_velocity
+from .kernels import FluidParams, oseen_response, stokes_drag_velocity
+from .patch_waves import sample_unit_ball
+from .quadrature import step_count
 
 log = logging.getLogger(__name__)
 
@@ -40,6 +46,11 @@ __all__ = [
 ]
 
 _E3 = np.array([0.0, 0.0, 1.0])
+
+# Row-by-particle cells per chunk of the pair sum: large enough that numpy's
+# per-call overhead is negligible, small enough that the chunk's few
+# (rows, N) temporaries stay in the low megabytes.
+_PAIR_CHUNK_CELLS = 250_000
 
 
 def default_regularization(cloud_radius: float, n: int) -> float:
@@ -75,13 +86,11 @@ class ParticleCloud:
 
 def uniform_ball_cloud(n: int, params: FluidParams, cloud_radius: float,
                        rng: np.random.Generator, delta: float | None = None) -> ParticleCloud:
-    """Seeded uniform sample of the ball B(0, R0): cube-root radii, isotropic directions."""
-    v = rng.normal(size=(n, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    pos = cloud_radius * v * rng.uniform(size=(n, 1)) ** (1.0 / 3.0)
+    """Seeded uniform sample of the ball B(0, R0), scaled from :func:`sample_unit_ball`."""
     if delta is None:
         delta = default_regularization(cloud_radius, n)
-    return ParticleCloud(positions=pos, params=params, cloud_radius=cloud_radius, delta=delta)
+    return ParticleCloud(positions=cloud_radius * sample_unit_ball(n, rng), params=params,
+                         cloud_radius=cloud_radius, delta=delta)
 
 
 def _interaction_sum(positions: np.ndarray, force: np.ndarray, mu: float,
@@ -92,34 +101,24 @@ def _interaction_sum(positions: np.ndarray, force: np.ndarray, mu: float,
     (ordered pairs, so each close pair counts twice).
     """
     n = positions.shape[0]
-    out = np.zeros((n, 3))
+    x = positions.T
+    out = np.empty((3, n))
     clamped_pairs = 0
-    if n == 1:
-        return out, 0
-    chunk = max(1, int(2_000_000 // n))
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        dx = positions[i0:i1, None, :] - positions[None, :, :]
-        r = np.linalg.norm(dx, axis=2)
-        rows = np.arange(i0, i1)
-        self_mask = np.zeros_like(r, dtype=bool)
-        self_mask[np.arange(i1 - i0), rows] = True
-        if np.any((r == 0.0) & ~self_mask):
-            i, j = np.argwhere((r == 0.0) & ~self_mask)[0]
+    rows = max(1, _PAIR_CHUNK_CELLS // n)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        d = x[:, i0:i1, None] - x[:, None, :]
+        r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+        local = np.arange(i1 - i0)
+        r2[local, i0 + local] = np.inf
+        if r2.min() == 0.0:
+            i, j = np.argwhere(r2 == 0.0)[0]
             raise ValueError(f"coincident particles {i0 + i} and {j}: no interaction direction")
-        close = (r < delta) & ~self_mask
-        if np.any(close):
-            clamped_pairs += int(np.count_nonzero(close))
-            dx = np.where(close[..., None], dx * (delta / np.where(close, r, 1.0))[..., None], dx)
-            r = np.where(close, delta, r)
-        r_safe = np.where(self_mask, 1.0, r)
-        proj = dx @ force
-        vel = (force[None, None, :] / r_safe[..., None] + dx * (proj / r_safe**3)[..., None])
-        vel[self_mask] = 0.0
-        out[i0:i1] = vel.sum(axis=1) / (8.0 * math.pi * mu)
+        clamped_pairs += int(np.count_nonzero(r2 < delta * delta))
+        out[:, i0:i1] = oseen_response(d, r2, force, mu, delta)
     if clamped_pairs:
         log.info("clamped %d ordered pairs below delta=%.3e", clamped_pairs, delta)
-    return out, clamped_pairs
+    return out.T, clamped_pairs
 
 
 def pairwise_velocity(cloud: ParticleCloud, i: int) -> np.ndarray:
@@ -208,7 +207,8 @@ def evolve_cloud(cloud: ParticleCloud, T: float, dt: float, frame: str = "rescal
     ``frame`` chooses the velocity law: the dimensionless rescaled dynamics
     (cloud given in rescaled coordinates), the lab frame (drag plus
     interactions), or the drift-subtracted frame (interactions only, i.e.
-    the lab frame co-moving at the single-particle drag velocity).
+    the lab frame co-moving at the single-particle drag velocity).  ``T``
+    must be a whole number of steps ``dt``.
     """
     if frame not in _FRAMES:
         raise ValueError(f"frame must be one of {_FRAMES}, got {frame!r}")
@@ -225,7 +225,7 @@ def evolve_cloud(cloud: ParticleCloud, T: float, dt: float, frame: str = "rescal
             vel = vel + stokes_drag_velocity(p)
         return vel, clamps
 
-    n_steps = int(round(T / dt))
+    n_steps = step_count(T, dt)
     every = max(1, int(round((snapshot_every or max(T, dt)) / dt)))
     x = cloud.positions.copy()
     times = [0.0]

@@ -3,7 +3,9 @@
 Everything here is deterministic and stateless: grids are frozen dataclasses,
 rules are pure functions of their inputs.  Simpson is the production rule
 throughout the package (the grid-refinement helper exists for diagnostics
-only, never as the main integration path).
+only, never as the main integration path).  Integrands are evaluated once,
+on the whole node array.  The step count of a uniform time grid lives here
+too, shared by every time loop in the package.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "ThetaGrid",
     "PhiGrid",
     "simpson_weights",
+    "step_count",
     "simpson_1d",
     "simpson_2d",
     "refine_simpson_2d",
@@ -121,15 +124,25 @@ class PhiGrid:
         return simpson_weights(self.n_phi, self.spacing)
 
 
+def step_count(T: float, dt: float) -> int:
+    """Number of steps dt that end exactly at time T.
+
+    Raises unless T is a whole number of steps, up to a relative rounding
+    tolerance of 1e-9, so a time loop never silently stops short of or past T.
+    """
+    ratio = T / dt
+    n = round(ratio)
+    if abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
+        raise ValueError(f"T={T!r} is not a whole number of steps dt={dt!r}")
+    return int(n)
+
+
 def _sample(f, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, falling back to a scalar loop."""
-    try:
-        vals = np.asarray(f(x), dtype=float)
-        if vals.shape == x.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(xi)) for xi in x])
+    """Evaluate the array integrand f on the nodes x; f must return x's shape."""
+    vals = np.asarray(f(x), dtype=float)
+    if vals.shape != x.shape:
+        raise ValueError(f"integrand returned shape {vals.shape}, expected {x.shape}")
+    return vals
 
 
 def simpson_1d(f, a: float, b: float, n: int) -> float:
@@ -138,7 +151,8 @@ def simpson_1d(f, a: float, b: float, n: int) -> float:
     Parameters
     ----------
     f : callable
-        Integrand; may accept arrays.
+        Integrand evaluated once on the array of nodes; it must return an
+        array of the same shape.
     a, b : float
         Integration bounds, a < b.
     n : int
@@ -168,8 +182,9 @@ def simpson_1d(f, a: float, b: float, n: int) -> float:
 def simpson_2d(f, theta_grid: ThetaGrid, phi_grid: PhiGrid, exclude_poles: bool = False) -> float:
     """Tensor-product Simpson value of the double integral over [0,pi] x [0,2pi].
 
-    ``f`` is evaluated on the full node mesh (broadcastable signature
-    ``f(theta[:, None], phi[None, :])``).  A non-finite sample normally
+    ``f`` is evaluated once on the full node mesh (broadcastable signature
+    ``f(theta[:, None], phi[None, :])``); a result that does not broadcast
+    to the mesh raises.  A non-finite sample normally
     rejects the integral, naming the node; with ``exclude_poles`` each
     offending sample is patched from the nearest finite samples along the
     polar axis instead (zero if a whole column is bad).  For an integrable
@@ -179,11 +194,8 @@ def simpson_2d(f, theta_grid: ThetaGrid, phi_grid: PhiGrid, exclude_poles: bool 
     """
     th = theta_grid.nodes[:, None]
     ph = phi_grid.nodes[None, :]
-    try:
-        vals = np.asarray(f(th, ph), dtype=float)
-        vals = np.broadcast_to(vals, (theta_grid.n_theta, phi_grid.n_phi)).copy()
-    except (TypeError, ValueError):
-        vals = np.array([[float(f(t, p)) for p in phi_grid.nodes] for t in theta_grid.nodes])
+    vals = np.broadcast_to(np.asarray(f(th, ph), dtype=float),
+                           (theta_grid.n_theta, phi_grid.n_phi)).copy()
     bad = ~np.isfinite(vals)
     if bad.any():
         if not exclude_poles:

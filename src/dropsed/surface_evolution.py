@@ -24,12 +24,13 @@ because the tests, the CLI and the benchmark's trace hooks bind them by name.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .kernels import azimuthal_moments
-from .quadrature import PhiGrid, ThetaGrid, simpson_weights
+from .quadrature import PhiGrid, ThetaGrid, simpson_weights, step_count
 
 __all__ = [
     "RadialProfile",
@@ -52,7 +53,11 @@ WAVE_CENTER_SPEED = -4.0 / 15.0
 
 
 class SurfaceCollapseError(RuntimeError):
-    """Raised when a step would drive the surface radius to zero or below."""
+    """A step would drive the surface radius to zero or below; carries the last valid profile."""
+
+    def __init__(self, message: str, profile: RadialProfile):
+        super().__init__(message)
+        self.profile = profile
 
 
 class CflError(ValueError):
@@ -204,8 +209,9 @@ def step_upwind(p: RadialProfile, dt: float, policy: CenterPolicy, phi_grid: Phi
 
     The upwind side follows the sign of the advection speed node by node.
     Violating the CFL bound dt * max|a1| <= spacing raises before any state
-    changes; a step that would make min(r) nonpositive raises with the
-    offending node reported.  ``phi_grid`` changes no value.
+    changes; a step that would make min(r) nonpositive raises
+    :class:`SurfaceCollapseError` with the offending node reported and the
+    input profile attached.  ``phi_grid`` changes no value.
     """
     if not dt >= 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
@@ -226,33 +232,50 @@ def step_upwind(p: RadialProfile, dt: float, policy: CenterPolicy, phi_grid: Phi
     slope = np.where(a1 > 0, backward, forward)
     r_new = r - dt * a1 * slope + dt * a2
     if not np.all(np.isfinite(r_new)):
-        raise SurfaceCollapseError(f"non-finite radius at t={p.time + dt}")
+        raise SurfaceCollapseError(f"non-finite radius at t={p.time + dt}", p)
     if np.min(r_new) <= 0:
         i = int(np.argmin(r_new))
         raise SurfaceCollapseError(
-            f"surface collapsed at t={p.time + dt:.4f}: r({p.grid.nodes[i]:.4f}) = {r_new[i]:.3e}"
+            f"surface collapsed at t={p.time + dt:.4f}: r({p.grid.nodes[i]:.4f}) = {r_new[i]:.3e}",
+            p,
         )
     return replace(p, r=r_new, c3=p.c3 + dt * cdot3, time=p.time + dt)
 
 
 def evolve(p0: RadialProfile, T: float, dt: float, policy: CenterPolicy,
-           phi_grid: PhiGrid, snapshot_every: float | None = None) -> list[RadialProfile]:
+           phi_grid: PhiGrid, snapshot_every: float | None = None,
+           on_snapshot: Callable[[RadialProfile], None] | None = None) -> list[RadialProfile]:
     """Advance the profile to time T, collecting snapshots.
 
-    Snapshots are taken at (approximate) multiples of ``snapshot_every``,
-    always including the initial and final profiles.  Errors from the
-    stepper propagate unchanged; ``phi_grid`` changes no value.
+    T must be a whole number of steps dt (:func:`~dropsed.quadrature.step_count`).
+    Snapshots are taken every round(snapshot_every / dt) steps (default: only
+    at T), always including the initial and final profiles, and each one is
+    handed to ``on_snapshot`` as soon as it is taken.  The initial profile is
+    emitted only after step 1 has passed the CFL check in :func:`step_upwind`,
+    so a dt rejected at t=0 emits nothing.  Errors from the stepper propagate
+    unchanged; a :class:`SurfaceCollapseError` carries the last valid profile.
+    ``phi_grid`` changes no value.
     """
-    if not T > 0 or not dt > 0:
-        raise ValueError("T and dt must be positive")
-    n_steps = int(round(T / dt))
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    n_steps = step_count(T, dt)
+    if n_steps < 1:
+        raise ValueError(f"T={T!r} must span at least one step dt={dt!r}")
     every = max(1, int(round((snapshot_every or T) / dt)))
-    snaps = [p0]
+    snaps = []
+
+    def take(p: RadialProfile) -> None:
+        snaps.append(p)
+        if on_snapshot is not None:
+            on_snapshot(p)
+
     p = p0
     for k in range(1, n_steps + 1):
         p = step_upwind(p, dt, policy, phi_grid)
+        if k == 1:
+            take(p0)
         if k % every == 0 or k == n_steps:
-            snaps.append(p)
+            take(p)
     return snaps
 
 

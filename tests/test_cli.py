@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 import dropsed
+from dropsed import cli
+from dropsed import surface_evolution as se
 from dropsed.cli import main
+from dropsed.quadrature import PhiGrid, ThetaGrid
 
 
 def read_csv(path):
@@ -113,6 +116,32 @@ class TestEvolveCommand:
                      "--ntheta", "40", "--nphi", "80", "--out", str(out)]) == 0
         _, data = read_csv(out / "snapshot_0000.csv")
         assert np.max(np.abs(data[:, 1] - 1.0)) == pytest.approx(0.2, rel=1e-9)
+
+    def test_collapse_writes_last_valid_profile(self, tmp_path, monkeypatch, capsys):
+        # the nearly pinched profile of test_collapse_detected: collapses on step 4
+        grid = ThetaGrid.uniform(51)
+        th = grid.nodes
+        p0 = se.RadialProfile(grid=grid, r=0.005 + 0.995 * np.sin(th / 2.0) ** 2
+                              + 0.5 * np.sin(th) ** 2)
+        monkeypatch.setattr(cli, "_initial_profile", lambda cfg, out: p0)
+        out = tmp_path / "run"
+        assert main(["evolve", "--ntheta", "51", "--nphi", "102", "--T", "0.01", "--dt", "0.001",
+                     "--snapshot-every", "0.002", "--policy", "prescribed",
+                     "--prescribed-speed", "1", "--out", str(out)]) == 1
+        assert "collapsed" in capsys.readouterr().err
+        policy, pg = se.CenterPolicy.prescribed(1.0), PhiGrid.uniform(102)
+        last = p0
+        for _ in range(3):
+            last = se.step_upwind(last, 0.001, policy, pg)
+        with pytest.raises(se.SurfaceCollapseError) as exc:
+            se.step_upwind(last, 0.001, policy, pg)
+        assert exc.value.profile is last
+        snaps = sorted(out.glob("snapshot_*.csv"))
+        assert [p.name for p in snaps] == [f"snapshot_000{i}.csv" for i in range(3)]
+        _, data = read_csv(snaps[-1])
+        assert np.array_equal(data[:, 1], last.r)
+        assert json.loads(snaps[-1].with_suffix(".json").read_text())["time"] == last.time
+        assert (out / "manifest.json").exists() and not (out / "summary.json").exists()
 
 
 class TestMicroCommand:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dropsed import micro_sim
 from dropsed.kernels import FluidParams, oseen_tensor, stokes_drag_velocity
 from dropsed.micro_sim import (
     CloudTrajectory,
@@ -18,6 +19,7 @@ from dropsed.micro_sim import (
     rescaled_velocities,
     uniform_ball_cloud,
 )
+from dropsed.patch_waves import sample_unit_ball
 
 E3 = np.array([0.0, 0.0, 1.0])
 PARAMS = FluidParams(mu=1.0, force=-E3, radius=1e-2)
@@ -78,6 +80,46 @@ class TestPairwiseVelocity:
         v_clamped, _ = cloud_velocities(cloud)
         v_far, _ = cloud_velocities(far)
         assert np.allclose(v_clamped, v_far, rtol=1e-12)
+
+
+class TestChunkedPairSum:
+    """The pair sum run in several row chunks (a shrunken chunk size keeps N small)."""
+
+    def test_matches_tensor_double_loop(self, rng, monkeypatch):
+        n, rows, delta, mu = 40, 7, 1e-3, 0.7
+        monkeypatch.setattr(micro_sim, "_PAIR_CHUNK_CELLS", rows * n)
+        pos = rng.uniform(-1.0, 1.0, size=(n, 3))
+        # a clamped pair straddling the boundary between chunks 0 and 1
+        pos[rows] = pos[rows - 1] + 0.3 * delta * np.array([0.6, 0.0, 0.8])
+        force = np.array([0.3, -1.2, 0.7])
+        vel, clamps = micro_sim._interaction_sum(pos, force, mu, delta)
+        expected = np.zeros((n, 3))
+        expected_clamps = 0
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                d = pos[i] - pos[j]
+                r = np.linalg.norm(d)
+                if r < delta:
+                    d = d * (delta / r)
+                    expected_clamps += 1
+                expected[i] += oseen_tensor(d, mu) @ force
+        assert clamps == expected_clamps == 2
+        err = np.linalg.norm(vel - expected, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(expected, axis=1))
+
+    def test_coincident_pair_in_later_chunk_reports_global_indices(self, rng, monkeypatch):
+        n, rows = 20, 5
+        monkeypatch.setattr(micro_sim, "_PAIR_CHUNK_CELLS", rows * n)
+        pos = rng.uniform(-1.0, 1.0, size=(n, 3))
+        pos[8] = pos[6]  # both rows fall in chunk 1 (rows 5..9)
+        with pytest.raises(ValueError, match="coincident particles 6 and 8"):
+            micro_sim._interaction_sum(pos, -E3, 1.0, 0.0)
+
+    def test_unit_cloud_is_the_unit_ball_sample(self):
+        cloud = uniform_ball_cloud(300, PARAMS, 1.0, np.random.default_rng(11))
+        assert np.array_equal(cloud.positions, sample_unit_ball(300, np.random.default_rng(11)))
 
 
 class TestMeanVelocity:

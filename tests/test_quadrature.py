@@ -6,6 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dropsed import linear_stability as ls
+from dropsed import micro_sim as ms
+from dropsed import surface_evolution as se
+from dropsed.kernels import FluidParams
 from dropsed.quadrature import (
     PhiGrid,
     ThetaGrid,
@@ -15,6 +19,7 @@ from dropsed.quadrature import (
     simpson_1d,
     simpson_2d,
     simpson_weights,
+    step_count,
 )
 
 
@@ -39,6 +44,14 @@ class TestSimpson1d:
         with pytest.raises(ValueError, match="node"):
             simpson_1d(lambda x: 1.0 / x, 0.0, 1.0, 4)
 
+    def test_scalar_only_integrand_raises(self):
+        with pytest.raises(TypeError):
+            simpson_1d(lambda x: math.exp(x), 0.0, 1.0, 4)
+
+    def test_wrong_shape_names_shapes(self):
+        with pytest.raises(ValueError, match=r"shape \(\), expected \(5,\)"):
+            simpson_1d(lambda x: 1.0, 0.0, 1.0, 4)
+
     def test_fourth_order_convergence(self):
         exact = math.e - 1.0
         errs = [abs(simpson_1d(np.exp, 0.0, 1.0, n) - exact) for n in (8, 16, 32)]
@@ -59,6 +72,15 @@ class TestSimpson2d:
         tg, pg = ThetaGrid.uniform(11), PhiGrid.uniform(11)
         val = simpson_2d(lambda t, p: np.ones(np.broadcast(t, p).shape), tg, pg)
         assert val == pytest.approx(2.0 * math.pi**2, rel=1e-13)
+
+    def test_scalar_constant_broadcasts(self):
+        tg, pg = ThetaGrid.uniform(11), PhiGrid.uniform(11)
+        assert simpson_2d(lambda t, p: 1.0, tg, pg) == pytest.approx(2.0 * math.pi**2, rel=1e-13)
+
+    def test_scalar_only_integrand_raises(self):
+        tg, pg = ThetaGrid.uniform(11), PhiGrid.uniform(11)
+        with pytest.raises(TypeError):
+            simpson_2d(lambda t, p: math.sin(t), tg, pg)
 
     def test_separable_sine(self):
         tg, pg = ThetaGrid.uniform(201), PhiGrid.uniform(201)
@@ -196,3 +218,26 @@ class TestIntegrabilityDiagnostic:
         # logarithmic growth: about 2 pi log 2 per doubling, never stabilizing
         rel = abs(vals[-1] - vals[-2]) / abs(vals[-1])
         assert rel > 1e-2
+
+
+class TestStepCount:
+    @pytest.mark.parametrize("T, dt, n", [(2.5, 0.01, 250), (0.05, 0.01, 5), (10.0, 0.01, 1000),
+                                          (0.0, 0.1, 0)])
+    def test_whole_multiples(self, T, dt, n):
+        assert step_count(T, dt) == n
+
+    @pytest.mark.parametrize("loop", ["surface", "cloud", "linearized"])
+    def test_time_loops_reject_partial_last_step(self, loop):
+        T, dt = 0.105, 0.01
+        grid, pg = ThetaGrid.uniform(21), PhiGrid.uniform(42)
+        runs = {
+            "surface": lambda: se.evolve(se.RadialProfile.sphere(grid), T, dt,
+                                         se.CenterPolicy.fixed_wave_speed(), pg),
+            "cloud": lambda: ms.evolve_cloud(
+                ms.ParticleCloud(positions=np.eye(3), cloud_radius=1.0,
+                                 params=FluidParams(mu=1.0, force=np.array([0.0, 0.0, -1.0]),
+                                                    radius=1e-2)), T, dt),
+            "linearized": lambda: ls.linearized_evolve(np.zeros_like, T, grid, pg, dt=dt),
+        }
+        with pytest.raises(ValueError, match="whole number of steps"):
+            runs[loop]()

@@ -181,6 +181,22 @@ class TestEvolve:
         snaps = evolve(p0, T=2.0, dt=0.01, policy=CenterPolicy.fixed_wave_speed(), phi_grid=pg)
         assert abs(enclosed_volume(snaps[-1]) - v0) / v0 <= 1e-2
 
+    def test_snapshot_callback_sees_every_snapshot(self):
+        seen = []
+        snaps = evolve(RadialProfile.sphere(ThetaGrid.uniform(21)), T=0.05, dt=0.01,
+                       policy=CenterPolicy.fixed_wave_speed(), phi_grid=PhiGrid.uniform(42),
+                       snapshot_every=0.02, on_snapshot=seen.append)
+        assert len(seen) == len(snaps) and all(a is b for a, b in zip(seen, snaps))
+        assert [p.time for p in snaps] == pytest.approx([0.0, 0.02, 0.04, 0.05], abs=1e-12)
+
+    def test_no_snapshot_when_first_step_fails_cfl(self, grid101, phi202):
+        seen = []
+        with pytest.raises(CflError):
+            evolve(RadialProfile.sphere(grid101), T=20.0, dt=10.0,
+                   policy=CenterPolicy.fixed_wave_speed(), phi_grid=phi202,
+                   on_snapshot=seen.append)
+        assert seen == []
+
     def test_cfl_runs_stay_finite(self, rng):
         grid = ThetaGrid.uniform(60)
         pg = PhiGrid.uniform(120)
