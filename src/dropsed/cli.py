@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import logging
 import os
 import sys
 from dataclasses import dataclass
@@ -56,7 +57,7 @@ class EvolveConfig:
     nphi: int = 200
     policy: str = "fixed_wave_speed"
     prescribed_speed: float = 0.0
-    snapshot_every: float = 0.0  # 0 means T / 10
+    snapshot_every: float = 0.0  # 0 means T / 10, rounded to whole steps (at least one)
     perturb: str = "none"
     eps: float = 0.2
     perturb_K: int = 25
@@ -259,10 +260,9 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
         if cfg["svg"]:
             (out / f"snapshot_{tag}.svg").write_text(_meridian_svg(profile))
 
+    every = float(cfg["snapshot_every"]) or max(1, round(T / 10.0 / dt)) * dt
     try:
-        snaps = se.evolve(p, T, dt, policy, phi_grid,
-                          snapshot_every=float(cfg["snapshot_every"]) or T / 10.0,
-                          on_snapshot=dump)
+        snaps = se.evolve(p, T, dt, policy, phi_grid, snapshot_every=every, on_snapshot=dump)
     except se.SurfaceCollapseError as exc:
         dump(exc.profile)
         _write_manifest(out, "evolve", cfg, seed)
@@ -335,6 +335,11 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", type=str, default=None, help="JSON config file")
     sp.add_argument("--seed", type=int, default=None, help="RNG seed")
     sp.add_argument("--threads", type=int, default=None, help="cap BLAS/OpenMP threads")
+    sp.add_argument("--log-level", dest="log_level", default="WARNING",
+                    choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
+                    help="show dropsed log messages at this level and above on stderr")
+    sp.add_argument("--debug", action="store_true",
+                    help="re-raise errors with their traceback instead of a one-line message")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,14 +405,27 @@ def main(argv: list[str] | None = None) -> int:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
     seed = args.seed if args.seed is not None else 0
+    # the package logger is configured for this call only, so repeated
+    # in-process calls neither stack handlers nor leak the level
+    package_log = logging.getLogger("dropsed")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(levelname)s: %(message)s"))
+    previous_level = package_log.level
+    package_log.addHandler(handler)
+    package_log.setLevel(args.log_level)
     try:
         cfg = _resolve_config(args.subcommand, args)
         out = args.out or Path("runs") / args.subcommand
         out.mkdir(parents=True, exist_ok=True)
         return _RUNNERS[args.subcommand](cfg, out, seed)
     except Exception as exc:  # guard trips exit nonzero with a message
+        if args.debug:
+            raise
         print(f"dropsed {args.subcommand}: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        package_log.removeHandler(handler)
+        package_log.setLevel(previous_level)
 
 
 if __name__ == "__main__":

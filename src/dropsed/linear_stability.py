@@ -7,6 +7,14 @@ whose characteristics are known in closed form.  The spectrum is
 approximated by projecting onto the shifted-Legendre basis and solving the
 resulting dense real nonsymmetric eigenproblem.
 
+In time, the linearized dynamics are integrated on the polar grid nodes by
+semi-Lagrangian Crank-Nicolson: transport along the exact characteristics,
+cubic-spline interpolation at their feet, and the source by the trapezoidal
+rule.  The step map is linear, so it is built once as a dense matrix
+(:func:`linearized_propagator`) and each step is one matrix-vector product.
+The propagator's eigenvalues mu give a second, time-stepping-free growth
+rate, max log|mu| / dt.
+
 The nonlocal kernel is the azimuthal integral of the bounded chord ratio on
 the unit sphere, taken in closed form with complete elliptic integrals, so
 it depends on the polar grid alone and is cached per node count.  The
@@ -56,6 +64,7 @@ __all__ = [
     "Certificate",
     "instability_certificate",
     "LinearEvolution",
+    "linearized_propagator",
     "linearized_evolve",
     "measured_growth_rate",
 ]
@@ -409,58 +418,94 @@ class LinearEvolution:
         return self.values[-1]
 
 
-def _l_operator_matrices(theta_grid: ThetaGrid):
-    """Grid-sampled linearized source: value matrix, derivative matrix, diagonal."""
-    R = _grid_kernel(theta_grid.n_theta)
-    tb = theta_grid.nodes
+# Unit-vector columns per spline fit when building the propagator's derivative
+# and foot matrices; bounds the fit's (n, block) temporaries.
+_SPLINE_BLOCK = 32
+
+
+def _spline_matrices(theta: np.ndarray, feet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Derivative-at-nodes and value-at-feet matrices of the not-a-knot cubic spline.
+
+    D @ h is the spline derivative of the samples h at the nodes and S @ h the
+    spline's values at ``feet``; both are built column by column from splines
+    of unit vectors, ``_SPLINE_BLOCK`` columns per fit.
+    """
+    n = theta.size
+    D = np.empty((n, n))
+    S = np.empty((feet.size, n))
+    for j0 in range(0, n, _SPLINE_BLOCK):
+        cols = np.arange(j0, min(j0 + _SPLINE_BLOCK, n))
+        unit = np.zeros((n, cols.size))
+        unit[cols, cols - j0] = 1.0
+        spline = CubicSpline(theta, unit)
+        D[:, cols] = spline(theta, 1)
+        S[:, cols] = spline(feet)
+    return D, S
+
+
+def linearized_propagator(theta_grid: ThetaGrid, dt: float) -> np.ndarray:
+    """One semi-Lagrangian Crank-Nicolson step of the linearized dynamics as a matrix.
+
+    Returns P = (I - dt/2 L)^-1 S (I + dt/2 L), so that h(t + dt) = P @ h(t)
+    on the grid nodes.  L = R (diag(a) + diag(b) D) + diag(k) is the
+    grid-sampled linearized source: R the cached chord-ratio kernel,
+    a = -w (5/2) sin^2(theta) / (8 pi) and b = w sin(theta) cos(theta) / (8 pi)
+    with the Simpson weights w, D the spline-derivative matrix and k the
+    multiplicative coefficient.  S interpolates at the feet of the one-step
+    characteristics.  This is the trapezoidal corrector of the characteristic
+    scheme solved exactly (Staniforth & Cote 1991).  dt is rejected when
+    dt/2 ||L||_inf >= 1, where that corrector's fixed-point iteration is no
+    longer guaranteed to contract.
+    """
+    if not dt > 0:
+        raise ValueError(f"need dt > 0, got {dt}")
+    theta = theta_grid.nodes
     w = theta_grid.weights()
-    on_h = -(1.0 / (8.0 * math.pi)) * R * (w * 2.5 * np.sin(tb) ** 2)[None, :]
-    on_hp = +(1.0 / (8.0 * math.pi)) * R * (w * np.sin(tb) * np.cos(tb))[None, :]
-    return on_h, on_hp, k_coefficient(tb)
+    st, ct = np.sin(theta), np.cos(theta)
+    D, S = _spline_matrices(theta, characteristic_flow(0.0, dt, theta))
+    diag = np.diag_indices(theta.size)
+    D *= (w * st * ct / (8.0 * math.pi))[:, None]
+    D[diag] -= w * 2.5 * st**2 / (8.0 * math.pi)
+    L = _grid_kernel(theta_grid.n_theta) @ D
+    del D
+    L[diag] += k_coefficient(theta)
+    norm = float(np.max(np.sum(np.abs(L), axis=1)))
+    if 0.5 * dt * norm >= 1.0:
+        raise ValueError(f"dt={dt!r} is too large for the trapezoidal corrector: "
+                         f"need dt < 2/||L||_inf = {2.0 / norm:.4g}")
+    rhs = S @ L
+    rhs *= 0.5 * dt
+    rhs += S
+    del S
+    L *= -0.5 * dt
+    L[diag] += 1.0
+    return scipy.linalg.solve(L, rhs, overwrite_a=True, overwrite_b=True)
 
 
 def linearized_evolve(h0: Perturbation, t: float, theta_grid: ThetaGrid, phi_grid: PhiGrid,
                       dt: float = 0.01, store_every: int | None = None) -> LinearEvolution:
-    """Integrate the linearized dynamics by stepping along the exact characteristics.
+    """Integrate the linearized dynamics on the grid nodes, one propagator matvec per step.
 
-    Each step transports the field along the closed-form characteristics and
-    adds the source contribution with a trapezoidal corrector iterated to a
-    fixed point; a corrector that stops contracting (dt too large) raises.
-    Values off the grid are cubic-spline interpolated, and the derivative
-    consumed by the nonlocal term is the spline derivative.  ``t`` must be a
-    whole number of steps ``dt``.  ``phi_grid`` changes no value.
+    The step matrix is :func:`linearized_propagator`: transport along the
+    closed-form characteristics with cubic-spline interpolation at their feet,
+    and the source added by the trapezoidal rule, solved exactly.  A dt too
+    large for that corrector is rejected before the first step, and a
+    trajectory that leaves the finite range raises.  ``t`` must be a whole
+    number of steps ``dt``.  Every ``store_every``-th state (default: about
+    64 over the run) and the final one are stored.  ``phi_grid`` changes no
+    value.
     """
     if not t >= 0 or not dt > 0:
         raise ValueError("need t >= 0 and dt > 0")
     n_steps = step_count(t, dt)
-    theta = theta_grid.nodes
-    on_h, on_hp, k_diag = _l_operator_matrices(theta_grid)
-
-    def l_of(values: np.ndarray, spline: CubicSpline) -> np.ndarray:
-        return on_h @ values + on_hp @ spline(theta, 1) + k_diag * values
-
+    P = linearized_propagator(theta_grid, dt)
     every = store_every or max(1, n_steps // 64)
-    feet = characteristic_flow(0.0, dt, theta)  # backtraced nodes, one step
-    h = np.asarray(h0(theta), dtype=float)
+    h = np.asarray(h0(theta_grid.nodes), dtype=float)
     times = [0.0]
     values = [h.copy()]
     scale0 = float(np.max(np.abs(h))) or 1.0
     for k in range(1, n_steps + 1):
-        spline = CubicSpline(theta, h)
-        h_foot = spline(feet)
-        lh = l_of(h, spline)
-        lh_foot = CubicSpline(theta, lh)(feet)
-        h_next = h_foot + dt * lh_foot
-        for it in range(30):
-            spline_next = CubicSpline(theta, h_next)
-            h_new = h_foot + 0.5 * dt * (lh_foot + l_of(h_next, spline_next))
-            delta = float(np.max(np.abs(h_new - h_next)))
-            h_next = h_new
-            if delta <= 1e-12 * max(1.0, float(np.max(np.abs(h_next)))):
-                break
-        else:
-            raise ValueError(f"corrector not contracting at step {k}; reduce dt={dt}")
-        h = h_next
+        h = P @ h
         if not np.all(np.isfinite(h)) or np.max(np.abs(h)) > 1e12 * scale0:
             raise ValueError(f"linearized evolution diverged at step {k}; reduce dt={dt}")
         if k % every == 0 or k == n_steps:

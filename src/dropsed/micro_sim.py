@@ -27,7 +27,7 @@ import numpy as np
 
 from .kernels import FluidParams, oseen_response, stokes_drag_velocity
 from .patch_waves import sample_unit_ball
-from .quadrature import step_count
+from .quadrature import snapshot_stride, step_count
 
 log = logging.getLogger(__name__)
 
@@ -208,7 +208,8 @@ def evolve_cloud(cloud: ParticleCloud, T: float, dt: float, frame: str = "rescal
     (cloud given in rescaled coordinates), the lab frame (drag plus
     interactions), or the drift-subtracted frame (interactions only, i.e.
     the lab frame co-moving at the single-particle drag velocity).  ``T``
-    must be a whole number of steps ``dt``.
+    and ``snapshot_every`` (default: only at T) must be whole numbers of
+    steps ``dt``.
     """
     if frame not in _FRAMES:
         raise ValueError(f"frame must be one of {_FRAMES}, got {frame!r}")
@@ -226,7 +227,7 @@ def evolve_cloud(cloud: ParticleCloud, T: float, dt: float, frame: str = "rescal
         return vel, clamps
 
     n_steps = step_count(T, dt)
-    every = max(1, int(round((snapshot_every or max(T, dt)) / dt)))
+    every = snapshot_stride(snapshot_every, dt, n_steps)
     x = cloud.positions.copy()
     times = [0.0]
     snaps = [x.copy()]

@@ -23,6 +23,7 @@ __all__ = [
     "PhiGrid",
     "simpson_weights",
     "step_count",
+    "snapshot_stride",
     "simpson_1d",
     "simpson_2d",
     "refine_simpson_2d",
@@ -124,17 +125,32 @@ class PhiGrid:
         return simpson_weights(self.n_phi, self.spacing)
 
 
-def step_count(T: float, dt: float) -> int:
+def step_count(T: float, dt: float, name: str = "T") -> int:
     """Number of steps dt that end exactly at time T.
 
     Raises unless T is a whole number of steps, up to a relative rounding
     tolerance of 1e-9, so a time loop never silently stops short of or past T.
+    ``name`` is the quantity the error message names.
     """
     ratio = T / dt
     n = round(ratio)
     if abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
-        raise ValueError(f"T={T!r} is not a whole number of steps dt={dt!r}")
+        raise ValueError(f"{name}={T!r} is not a whole number of steps dt={dt!r}")
     return int(n)
+
+
+def snapshot_stride(snapshot_every: float | None, dt: float, n_steps: int) -> int:
+    """Steps between stored snapshots of a time loop of ``n_steps`` steps dt.
+
+    ``snapshot_every`` must be a whole number (at least one) of steps dt, so
+    snapshots land exactly where asked; None or 0 means only the final state.
+    """
+    if not snapshot_every:
+        return max(1, n_steps)
+    every = step_count(snapshot_every, dt, "snapshot_every")
+    if every < 1:
+        raise ValueError(f"snapshot_every={snapshot_every!r} must span at least one step dt={dt!r}")
+    return every
 
 
 def _sample(f, x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .kernels import azimuthal_moments
-from .quadrature import PhiGrid, ThetaGrid, simpson_weights, step_count
+from .quadrature import PhiGrid, ThetaGrid, simpson_weights, snapshot_stride, step_count
 
 __all__ = [
     "RadialProfile",
@@ -247,10 +247,10 @@ def evolve(p0: RadialProfile, T: float, dt: float, policy: CenterPolicy,
            on_snapshot: Callable[[RadialProfile], None] | None = None) -> list[RadialProfile]:
     """Advance the profile to time T, collecting snapshots.
 
-    T must be a whole number of steps dt (:func:`~dropsed.quadrature.step_count`).
-    Snapshots are taken every round(snapshot_every / dt) steps (default: only
-    at T), always including the initial and final profiles, and each one is
-    handed to ``on_snapshot`` as soon as it is taken.  The initial profile is
+    T must be a whole number of steps dt (:func:`~dropsed.quadrature.step_count`),
+    and so must ``snapshot_every``, the time between snapshots (default: only
+    at T).  Snapshots always include the initial and final profiles, and each
+    one is handed to ``on_snapshot`` as soon as it is taken.  The initial profile is
     emitted only after step 1 has passed the CFL check in :func:`step_upwind`,
     so a dt rejected at t=0 emits nothing.  Errors from the stepper propagate
     unchanged; a :class:`SurfaceCollapseError` carries the last valid profile.
@@ -261,7 +261,7 @@ def evolve(p0: RadialProfile, T: float, dt: float, policy: CenterPolicy,
     n_steps = step_count(T, dt)
     if n_steps < 1:
         raise ValueError(f"T={T!r} must span at least one step dt={dt!r}")
-    every = max(1, int(round((snapshot_every or T) / dt)))
+    every = snapshot_stride(snapshot_every, dt, n_steps)
     snaps = []
 
     def take(p: RadialProfile) -> None:

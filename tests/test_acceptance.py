@@ -148,6 +148,18 @@ def test_criterion_7b_sup_norm_certificate(dominant_evolution):
            f"sup at t={t3:.2f} is {evo.sup_norms()[i3]:.4f} >= bound {bound:.4f}")
 
 
+def test_criterion_7_propagator_eigenvalue_rate(spectra):
+    # time-stepping-free cross-check: the step matrix's spectral radius over one step
+    rep, _ = spectra[(16, 400)]
+    lam_op = rep.operator_max_real
+    dt = 0.01
+    mu = np.linalg.eigvals(ls.linearized_propagator(ThetaGrid.uniform(401), dt))
+    rate = float(np.max(np.log(np.abs(mu)))) / dt
+    rel = abs(rate - lam_op) / lam_op
+    report("7 propagator eigenvalue rate", rel <= 0.10,
+           f"max log|mu|/dt {rate:.5f} vs operator eigenvalue {lam_op:.5f} ({100 * rel:.2f}%)")
+
+
 def test_criterion_8_patch_certificates():
     exact_half = pw.l1_distance(0.5, 0.0) == 1.75
     exact_sep = all(

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import subprocess
@@ -200,6 +201,32 @@ class TestConfigHandling:
         assert (first / "patch.csv").read_bytes() == (second / "patch.csv").read_bytes()
         replay = json.loads((second / "manifest.json").read_text())
         assert replay["config"] == manifest["config"]
+
+
+class TestLoggingAndDebug:
+    MICRO = ["micro", "--N", "20", "--T", "0.02", "--dt", "0.01", "--delta", "0.5", "--seed", "3"]
+
+    def test_log_level_shows_clamp_notice_and_changes_no_output(self, tmp_path, capsys):
+        package_log = logging.getLogger("dropsed")
+        handlers, level = list(package_log.handlers), package_log.level
+        runs, errs = [], []
+        for name, flags in (("quiet", []), ("info", ["--log-level", "INFO", "--debug"])):
+            out = tmp_path / name
+            assert main(self.MICRO + flags + ["--out", str(out)]) == 0
+            runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            errs.append(capsys.readouterr().err)
+        assert runs[0] == runs[1]
+        assert "clamped" not in errs[0]
+        assert "dropsed.micro_sim: INFO: clamped" in errs[1]
+        assert package_log.handlers == handlers and package_log.level == level
+
+    def test_debug_reraises_with_traceback(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="R must be positive") as exc:
+            main(["patch", "--R", "-3", "--debug", "--out", str(tmp_path / "x")])
+        assert exc.traceback[-1].name == "run_patch"
+        assert "error" not in capsys.readouterr().err
+        assert main(["patch", "--R", "-3", "--out", str(tmp_path / "y")]) == 1
+        assert "dropsed patch: error: R must be positive" in capsys.readouterr().err
 
 
 def test_threads_cap_is_set_before_numpy_loads(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dropsed import linear_stability as ls
 from dropsed.quadrature import PhiGrid, ThetaGrid
 
+import characteristic_corrector_oracle as corrector
 import phi_simpson_oracle as oracle
 
 # frozen high-resolution references (1601 x 3202 Simpson); the pi/4 value
@@ -295,6 +296,37 @@ class TestLinearizedEvolve:
         h0 = ls.Perturbation.from_coefficients([1.0, 0.5])
         with pytest.raises(ValueError, match="corrector|diverged"):
             ls.linearized_evolve(h0, 400.0, tg, pg, dt=40.0)
+
+    @pytest.mark.parametrize("n, t", [(101, 1.0), (251, 2.5)])
+    def test_matches_iterated_corrector(self, n, t):
+        tg, pg = ThetaGrid.uniform(n), PhiGrid.uniform(2 * n)
+        h0 = ls.Perturbation.from_coefficients([0.0, 1.0, 0.5, -0.2])
+        evo = ls.linearized_evolve(h0, t, tg, pg, dt=0.01)
+        ref = corrector.linearized_evolve(h0, t, tg, pg, dt=0.01)
+        np.testing.assert_array_equal(evo.times, ref.times)
+        assert np.max(np.abs(evo.values - ref.values)) <= 1e-10 * np.max(np.abs(ref.values))
+
+    def test_dt_guard_rejects_before_first_step(self):
+        # dt/2 ||L||_inf is about 1.04 at dt=2.5 and 0.83 at dt=2.0 on 101 nodes
+        tg, pg = ThetaGrid.uniform(101), PhiGrid.uniform(202)
+        sampled = []
+
+        def h0(theta):
+            sampled.append(theta)
+            return np.cos(theta)
+
+        with pytest.raises(ValueError, match=r"dt=2\.5 .*corrector.*2/\|\|L\|\|_inf = 2\.4"):
+            ls.linearized_evolve(h0, 5.0, tg, pg, dt=2.5)
+        assert sampled == []
+        evo = ls.linearized_evolve(h0, 4.0, tg, pg, dt=2.0)
+        assert evo.times.tolist() == [0.0, 2.0, 4.0] and np.all(np.isfinite(evo.values))
+
+    def test_propagator_is_one_step(self):
+        tg, pg = ThetaGrid.uniform(51), PhiGrid.uniform(102)
+        h0 = ls.Perturbation.from_coefficients([1.0, 0.5, 0.25])
+        P = ls.linearized_propagator(tg, 0.05)
+        evo = ls.linearized_evolve(h0, 0.1, tg, pg, dt=0.05, store_every=1)
+        np.testing.assert_allclose(evo.values[2], P @ (P @ h0(tg.nodes)), rtol=0, atol=1e-15)
 
     def test_growth_rate_helper(self):
         tg = ThetaGrid.uniform(11)

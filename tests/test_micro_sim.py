@@ -197,6 +197,14 @@ class TestEvolveCloud:
         for t, pos in zip(traj.times, traj.positions):
             assert np.allclose(pos[0], cloud.positions[0] + t * drift, atol=1e-14)
 
+    def test_snapshot_every_must_be_whole_steps(self):
+        cloud = ParticleCloud(positions=np.array([[0.2, -0.1, 0.4]]), params=PARAMS,
+                              cloud_radius=1.0)
+        with pytest.raises(ValueError, match=r"snapshot_every=0\.015 .*dt=0\.01"):
+            evolve_cloud(cloud, 0.06, 0.01, frame="lab", snapshot_every=0.015)
+        traj = evolve_cloud(cloud, 0.06, 0.01, frame="lab", snapshot_every=0.02)
+        assert traj.times == pytest.approx([0.0, 0.02, 0.04, 0.06], abs=1e-12)
+
     def test_antipodal_pair_mirror_symmetry(self):
         pos = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
         cloud = ParticleCloud(positions=pos, params=PARAMS, cloud_radius=1.0,

@@ -19,6 +19,7 @@ from dropsed.quadrature import (
     simpson_1d,
     simpson_2d,
     simpson_weights,
+    snapshot_stride,
     step_count,
 )
 
@@ -225,6 +226,16 @@ class TestStepCount:
                                           (0.0, 0.1, 0)])
     def test_whole_multiples(self, T, dt, n):
         assert step_count(T, dt) == n
+
+    @pytest.mark.parametrize("every, dt, n_steps, stride", [(None, 0.01, 5, 5), (0.0, 0.1, 0, 1),
+                                                             (0.02, 0.01, 6, 2), (0.5, 0.01, 5, 50)])
+    def test_snapshot_stride(self, every, dt, n_steps, stride):
+        assert snapshot_stride(every, dt, n_steps) == stride
+
+    @pytest.mark.parametrize("every", [0.015, -0.02, 1e-12])
+    def test_snapshot_stride_rejects(self, every):
+        with pytest.raises(ValueError, match=f"snapshot_every={every!r} .*dt=0.01"):
+            snapshot_stride(every, 0.01, 6)
 
     @pytest.mark.parametrize("loop", ["surface", "cloud", "linearized"])
     def test_time_loops_reject_partial_last_step(self, loop):

@@ -189,6 +189,14 @@ class TestEvolve:
         assert len(seen) == len(snaps) and all(a is b for a, b in zip(seen, snaps))
         assert [p.time for p in snaps] == pytest.approx([0.0, 0.02, 0.04, 0.05], abs=1e-12)
 
+    def test_snapshot_every_must_be_whole_steps(self):
+        seen = []
+        with pytest.raises(ValueError, match=r"snapshot_every=0\.015 .*dt=0\.01"):
+            evolve(RadialProfile.sphere(ThetaGrid.uniform(21)), T=0.06, dt=0.01,
+                   policy=CenterPolicy.fixed_wave_speed(), phi_grid=PhiGrid.uniform(42),
+                   snapshot_every=0.015, on_snapshot=seen.append)
+        assert seen == []
+
     def test_no_snapshot_when_first_step_fails_cfl(self, grid101, phi202):
         seen = []
         with pytest.raises(CflError):
