@@ -293,11 +293,8 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
     measured = ms.mean_settling_velocity(cloud)
     predicted = ms.mean_velocity_formula(cloud)
     rescaled, velocity_scale = ms.rescale_cloud(cloud)
-    if cloud.n > 1:
-        v_resc, _ = ms.rescaled_velocities(rescaled.positions, rescaled.delta)
-        rescaled_mean = v_resc.mean(axis=0)
-    else:
-        rescaled_mean = np.zeros(3)
+    v_resc, _ = ms.rescaled_velocities(rescaled.positions, rescaled.delta)
+    rescaled_mean = v_resc.mean(axis=0)
     _write_json(out / "mean_velocity.json", {
         "measured": [float(v) for v in measured],
         "formula": [float(v) for v in predicted],

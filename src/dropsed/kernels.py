@@ -1,9 +1,10 @@
 """Closed-form hydrodynamic kernels.
 
 The Oseen tensor and the drag/interior/exterior velocity fields are the
-microscopic building blocks; the chord-distance function, its bounded
-rewritten quotient and the closed-form azimuthal moments of the inverse chord
-are the surface-integral building blocks.  All functions are pure and
+microscopic building blocks.  The surface integrals are built from the
+closed-form azimuthal moments of the inverse chord; the bounded chord-ratio
+integrand they replace stays as :func:`desingularized_ratio`, the pointwise
+reference those moments are checked against.  All functions are pure and
 broadcast over numpy arrays where that is useful.
 """
 
@@ -17,22 +18,15 @@ from scipy.special import ellipe, ellipkm1
 
 __all__ = [
     "FluidParams",
-    "sphere_point",
     "oseen_tensor",
     "oseen_response",
     "oseen_point_force",
     "stokes_drag_velocity",
     "hadamard_rybczynski_velocity",
-    "gamma",
     "desingularized_ratio",
     "azimuthal_moments",
-    "GAMMA_CLAMP",
     "MOMENT_SERIES_MAX",
 ]
-
-# Negative chord-distance values beyond this magnitude indicate a genuine
-# bug rather than rounding; smaller ones are clamped to zero.
-GAMMA_CLAMP = 1e-12
 
 # Below this B/A the elliptic form of the first moment loses digits to the
 # cancellation in A K - (A + B) E (relative error ~ 1e-16 / (B/A)^2), and the
@@ -65,20 +59,6 @@ class FluidParams:
         if f.shape != (3,) or not np.all(np.isfinite(f)):
             raise ValueError("force must be a finite 3-vector")
         object.__setattr__(self, "force", f)
-
-
-def sphere_point(theta, phi) -> np.ndarray:
-    """Unit vector e(theta, phi) = (sin t cos p, sin t sin p, cos t).
-
-    Broadcasts; the Cartesian components land on the last axis.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    st = np.sin(theta)
-    return np.stack(
-        np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), np.cos(theta) + 0.0 * phi),
-        axis=-1,
-    )
 
 
 def oseen_tensor(x, mu: float) -> np.ndarray:
@@ -159,36 +139,16 @@ def hadamard_rybczynski_velocity(x, params: FluidParams) -> np.ndarray:
     return (r0**2 / (6.0 * mu)) * (m @ F)
 
 
-def gamma(r_at_theta, r_at_thetabar, theta, thetabar, phi):
-    """Squared chord distance between the surface points at (theta, 0) and (thetabar, phi).
+def desingularized_ratio(theta, thetabar, phi):
+    """Bounded form of (-sin t cos tb cos p + cos t sin tb) / |e(t, 0) - e(tb, p)| on the unit sphere.
 
-    gamma = r(t)^2 + r(tb)^2 - 2 r(t) r(tb) (sin t sin tb cos p + cos t cos tb).
-    Cancellation near coincident points can produce tiny negatives; values in
-    (-GAMMA_CLAMP, 0) are clamped to zero, anything more negative is an error.
-    """
-    r1 = np.asarray(r_at_theta, dtype=float)
-    r2 = np.asarray(r_at_thetabar, dtype=float)
-    if np.any(r1 <= 0) or np.any(r2 <= 0):
-        raise ValueError("radii must be positive")
-    cosang = (
-        np.sin(theta) * np.sin(thetabar) * np.cos(phi)
-        + np.cos(theta) * np.cos(thetabar)
-    )
-    g = r1**2 + r2**2 - 2.0 * r1 * r2 * cosang
-    if np.any(g < -GAMMA_CLAMP):
-        raise ArithmeticError(f"chord-distance identity violated: min gamma = {np.min(g)}")
-    return np.maximum(g, 0.0)
-
-
-def desingularized_ratio(theta, thetabar, phi, return_pole_mask: bool = False):
-    """Bounded form of (-sin t cos tb cos p + cos t sin tb) / sqrt(gamma) on the unit sphere.
-
-    Rewritten as a quotient whose numerator is a linear combination of two of
-    the three components whose squares make up the denominator, so the value
-    is bounded by sqrt(2) everywhere.  At coincidence (tb, p) = (t, 0) both
-    vanish and the quotient has no limit; samples within 1e-12 of coincidence
-    (where the quotient is pure rounding noise) return 0 under the pole-node
-    policy and are reported through ``return_pole_mask``.
+    e(t, p) is the unit vector at polar angle t and azimuth p.  Rewritten as
+    a quotient whose numerator is a linear combination of two of the three
+    components whose squares make up the denominator, so the value is
+    bounded by sqrt(2) everywhere.  At coincidence (tb, p) = (t, 0) both
+    vanish and the quotient has no limit; samples within 1e-12 of
+    coincidence (where the quotient is pure rounding noise) return 0 under
+    the pole-node policy.
     """
     theta = np.asarray(theta, dtype=float)
     thetabar = np.asarray(thetabar, dtype=float)
@@ -202,12 +162,7 @@ def desingularized_ratio(theta, thetabar, phi, return_pole_mask: bool = False):
     pole = den2 < 1e-24
     den = np.sqrt(np.where(pole, 1.0, den2))
     out = np.where(pole, 0.0, num / den)
-    if out.ndim == 0:
-        out = float(out)
-        pole = bool(pole)
-    if return_pole_mask:
-        return out, pole
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def azimuthal_moments(a, b, a_minus_b):

@@ -23,14 +23,13 @@ still recorded on :class:`GalerkinMatrix` and in CLI outputs, but they no
 longer change any value.  They stay because the tests, the CLI and the
 benchmark's trace hooks bind them by name.
 
-Normalization convention: the eigenvalue table this package reproduces was
-computed with basis functions of unit norm in the mapped Legendre variable
-on [-1, 1] ("legendre" normalization).  Those functions carry squared
-L2(0, pi) norm pi/2, so treating the projected matrix as an ordinary
-eigenproblem scales every eigenvalue by pi/2 relative to the arc-length
-orthonormal basis ("interval" normalization).  Reported table-convention
-values multiply by TABLE_TO_OPERATOR to recover the intrinsic operator
-rates, which is what time-domain growth actually follows.
+Normalization convention: the basis functions have unit norm in the mapped
+Legendre variable on [-1, 1], the convention the reproduced eigenvalue table
+was computed in.  They carry squared L2(0, pi) norm pi/2, so treating the
+projected matrix as an ordinary eigenproblem scales every eigenvalue by pi/2
+relative to the intrinsic operator.  Multiplying a table-convention value by
+TABLE_TO_OPERATOR = 2/pi recovers the operator rate, which is what
+time-domain growth actually follows.
 """
 
 from __future__ import annotations
@@ -92,19 +91,19 @@ class Perturbation:
         self.coefficients = None if coefficients is None else np.asarray(coefficients)
 
     @classmethod
-    def from_coefficients(cls, coeffs, normalization: str = "interval") -> "Perturbation":
+    def from_coefficients(cls, coeffs) -> "Perturbation":
         coeffs = np.asarray(coeffs, dtype=complex)
         if np.allclose(coeffs.imag, 0.0):
             coeffs = coeffs.real.copy()
         n = coeffs.size
 
         def func(theta):
-            vals, _ = basis_matrix(n, np.atleast_1d(theta), normalization)
+            vals, _ = basis_matrix(n, np.atleast_1d(theta))
             out = coeffs @ vals
             return out if np.ndim(theta) else out[0]
 
         def deriv(theta):
-            _, der = basis_matrix(n, np.atleast_1d(theta), normalization)
+            _, der = basis_matrix(n, np.atleast_1d(theta))
             out = coeffs @ der
             return out if np.ndim(theta) else out[0]
 
@@ -244,7 +243,6 @@ class GalerkinMatrix:
     entries: np.ndarray = field(repr=False)
     n_theta: int
     n_phi: int
-    normalization: str
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -253,17 +251,15 @@ class GalerkinMatrix:
         object.__setattr__(self, "entries", e)
 
 
-def assemble_galerkin(size: int, n_theta: int, n_phi: int | None = None,
-                      normalization: str = "legendre") -> GalerkinMatrix:
+def assemble_galerkin(size: int, n_theta: int, n_phi: int | None = None) -> GalerkinMatrix:
     """Project the linearized source operator onto the first ``size`` basis functions.
 
     entries[i, j] is the Simpson projection of (L e_j) onto e_i over the
     n_theta-node grid; the inner double integral runs on the same polar grid
     with the azimuthal integral in closed form.  ``n_phi`` (default
     2 * n_theta) is only recorded on the result.  Assembly is deterministic.
-    The default "legendre" normalization reproduces the published eigenvalue
-    table; "interval" yields the intrinsic operator spectrum, a global factor
-    2/pi smaller.
+    The basis normalization reproduces the published eigenvalue table; the
+    intrinsic operator spectrum is a global factor TABLE_TO_OPERATOR smaller.
     """
     if size < 1:
         raise ValueError(f"basis size must be >= 1, got {size}")
@@ -273,7 +269,7 @@ def assemble_galerkin(size: int, n_theta: int, n_phi: int | None = None,
     theta = tg.nodes
     w = tg.weights()
     R = _grid_kernel(n_theta)
-    E, dE = basis_matrix(size, theta, normalization)
+    E, dE = basis_matrix(size, theta)
     st, ct = np.sin(theta), np.cos(theta)
     load = 2.5 * E * st[None, :] - dE * ct[None, :]
     j_of_basis = -(1.0 / (8.0 * math.pi)) * np.einsum("l,jl,ml->jm", w * st, load, R)
@@ -282,8 +278,7 @@ def assemble_galerkin(size: int, n_theta: int, n_phi: int | None = None,
         raise ArithmeticError(f"quadrature failure assembling entry column j={j_bad} at node {m_bad}")
     l_of_basis = j_of_basis + (k_coefficient(theta))[None, :] * E
     entries = np.einsum("m,im,jm->ij", w, E, l_of_basis)
-    return GalerkinMatrix(size=size, entries=entries, n_theta=n_theta, n_phi=n_phi,
-                          normalization=normalization)
+    return GalerkinMatrix(size=size, entries=entries, n_theta=n_theta, n_phi=n_phi)
 
 
 class EigensolverError(RuntimeError):
@@ -308,8 +303,7 @@ class SpectrumReport:
     @property
     def operator_max_real(self) -> float:
         """Largest real part in the intrinsic-operator normalization."""
-        scale = TABLE_TO_OPERATOR if self.matrix.normalization == "legendre" else 1.0
-        return self.max_real * scale
+        return self.max_real * TABLE_TO_OPERATOR
 
     def eigenvector_perturbation(self, index: int = 0) -> Perturbation:
         """Eigenvector as a function, unit L2(0, pi) norm, positive at theta = pi.
@@ -318,17 +312,16 @@ class SpectrumReport:
         the pi endpoint vanishes) is real and positive.
         """
         c = self.eigenvectors[:, index].copy()
-        h = Perturbation.from_coefficients(c, self.matrix.normalization)
+        h = Perturbation.from_coefficients(c)
         ref = complex(h(math.pi))
         if abs(ref) < 1e-12 * float(np.max(np.abs(c))):
             ref = complex(h(0.0))
         if abs(ref) > 0:
             c = c * (abs(ref) / ref)
-        norm = math.sqrt(math.pi / 2.0) if self.matrix.normalization == "legendre" else 1.0
-        c = c / (norm * np.linalg.norm(c))
+        c = c / (math.sqrt(math.pi / 2.0) * np.linalg.norm(c))
         if np.allclose(np.asarray(c).imag, 0.0, atol=1e-12):
             c = np.asarray(c).real
-        return Perturbation.from_coefficients(c, self.matrix.normalization)
+        return Perturbation.from_coefficients(c)
 
 
 def _hausdorff_to_negation(lam: np.ndarray) -> float:
@@ -516,15 +509,28 @@ def linearized_evolve(h0: Perturbation, t: float, theta_grid: ThetaGrid, phi_gri
 
 def measured_growth_rate(evolution: LinearEvolution, t1: float, t2: float,
                          norm: str = "sup") -> float:
-    """log(||h(t2)|| / ||h(t1)||) / (t2 - t1) in the requested norm."""
+    """log(||h(t2)|| / ||h(t1)||) / (t2 - t1) in the requested norm.
+
+    t1 and t2 must be stored snapshot times, up to a relative rounding
+    tolerance of 1e-9 (as in :func:`quadrature.step_count`); any other time
+    raises instead of being replaced by the nearest stored one.
+    """
     if norm == "sup":
         norms = evolution.sup_norms()
     elif norm == "l2":
         norms = evolution.l2_norms()
     else:
         raise ValueError(f"unknown norm {norm!r}")
-    i1 = int(np.argmin(np.abs(evolution.times - t1)))
-    i2 = int(np.argmin(np.abs(evolution.times - t2)))
+    times = evolution.times
+
+    def stored_index(t: float, name: str) -> int:
+        i = int(np.argmin(np.abs(times - t)))
+        if abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
+            raise ValueError(f"{name}={t!r} is not a stored snapshot time")
+        return i
+
+    i1 = stored_index(t1, "t1")
+    i2 = stored_index(t2, "t2")
     if i1 == i2:
         raise ValueError("t1 and t2 resolve to the same stored snapshot")
-    return float(np.log(norms[i2] / norms[i1]) / (evolution.times[i2] - evolution.times[i1]))
+    return float(np.log(norms[i2] / norms[i1]) / (times[i2] - times[i1]))

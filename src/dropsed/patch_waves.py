@@ -2,8 +2,8 @@
 
 A uniform spherical blob of total mass one falls rigidly: radius R fixes the
 fall speed, so two patches with different radii separate linearly in time.
-That separation is quantified here in L^1 (closed forms at t = 0 and after
-the supports disjoin, a one-dimensional overlap integral in between) and by
+That separation is quantified here in L^1 (closed forms at t = 0, after the
+supports disjoin, and the spherical-lens overlap volume in between) and by
 the vertical-coordinate lower bound for the Wasserstein-1 distance.
 """
 
@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .quadrature import simpson_1d
 
 __all__ = [
     "UNIT_BALL_VOLUME",
@@ -114,25 +112,16 @@ def _center_distance(R: float, t: float) -> float:
 def overlap_volume(r1: float, r2: float, d: float) -> float:
     """Volume of the intersection of balls of radii r1, r2 at center distance d.
 
-    Reduced to a 1-d integral of the smaller cross-section area along the
-    center axis; each smooth piece is a cubic polynomial, so Simpson
-    evaluates it exactly.
+    In between the two limits (disjoint, one ball inside the other) the
+    intersection is a spherical lens of volume
+    pi (r1 + r2 - d)^2 (d^2 + 2 d (r1 + r2) - 3 (r1 - r2)^2) / (12 d).
     """
     if d >= r1 + r2:
         return 0.0
     if d <= abs(r1 - r2):
         return UNIT_BALL_VOLUME * min(r1, r2) ** 3
-    # centers at z = 0 and z = d; cross sections swap dominance where the
-    # sphere surfaces intersect
-    z_star = min(max((d * d + r1 * r1 - r2 * r2) / (2.0 * d), d - r2), r1)
-    section_1 = lambda z: math.pi * (r1 * r1 - z * z)
-    section_2 = lambda z: math.pi * (r2 * r2 - (z - d) * (z - d))
-    v = 0.0
-    if z_star > d - r2:
-        v += simpson_1d(section_2, d - r2, z_star, 8)
-    if r1 > z_star:
-        v += simpson_1d(section_1, z_star, r1, 8)
-    return v
+    return (math.pi * (r1 + r2 - d) ** 2
+            * (d * d + 2.0 * d * (r1 + r2) - 3.0 * (r1 - r2) ** 2) / (12.0 * d))
 
 
 def l1_distance(R: float, t: float) -> float:

@@ -20,6 +20,10 @@ A11_200_400_REFERENCE = -6.091375723705356e-09
 J1_PI4_EXACT = -0.4714045208988688
 A11_200_EXACT = -6.091375445932759e-09
 
+# each basis function has squared L2(0, pi) norm pi/2, so this coefficient
+# scale gives modes of unit L2(0, pi) norm
+UNIT_MODE = math.sqrt(2.0 / math.pi)
+
 
 @pytest.fixture(scope="module")
 def grids():
@@ -112,7 +116,7 @@ class TestJApply:
             constant_one(),
             ls.Perturbation.from_callable(np.cos, lambda th: -np.sin(th)),
             ls.Perturbation.from_callable(np.sin, np.cos),
-            ls.Perturbation.from_coefficients(np.eye(6)[5]),
+            ls.Perturbation.from_coefficients(UNIT_MODE * np.eye(6)[5]),
         ]
         theta = np.linspace(0.0, math.pi, 41)
         consts = []
@@ -201,7 +205,7 @@ class TestCharacteristicFlow:
 class TestPerturbation:
     def test_coefficient_and_sample_representations_agree(self):
         grid = ThetaGrid.uniform(201)
-        h = ls.Perturbation.from_coefficients([0.3, -0.2, 0.5, 0.1])
+        h = ls.Perturbation.from_coefficients(UNIT_MODE * np.array([0.3, -0.2, 0.5, 0.1]))
         h_samples = ls.Perturbation.from_samples(grid, h(grid.nodes))
         theta = np.linspace(0.0, math.pi, 57)
         assert np.max(np.abs(h(theta) - h_samples(theta))) < 1e-8
@@ -229,12 +233,6 @@ class TestGalerkin:
     def test_one_by_one_exact_regression(self):
         val = ls.assemble_galerkin(1, 200).entries[0, 0]
         assert val == pytest.approx(A11_200_EXACT, abs=1e-12)
-
-    def test_normalization_scales_spectrum_by_half_pi(self):
-        a = ls.assemble_galerkin(4, 100, 200, normalization="legendre")
-        b = ls.assemble_galerkin(4, 100, 200, normalization="interval")
-        assert np.allclose(a.entries, (math.pi / 2.0) * b.entries, rtol=1e-12)
-        assert ls.TABLE_TO_OPERATOR == pytest.approx(2.0 / math.pi, rel=1e-15)
 
     def test_smallest_table_cells(self):
         rep4 = ls.solve_spectrum(ls.assemble_galerkin(4, 100))
@@ -265,7 +263,7 @@ class TestGalerkin:
 
     def test_certificate_below_threshold(self):
         quiet = ls.GalerkinMatrix(size=2, entries=np.diag([0.01, -0.01]),
-                                  n_theta=8, n_phi=16, normalization="legendre")
+                                  n_theta=8, n_phi=16)
         cert = ls.instability_certificate(ls.solve_spectrum(quiet), p=3.0)
         assert not cert.unstable
 
@@ -286,21 +284,21 @@ class TestLinearizedEvolve:
 
     def test_generic_perturbation_grows_after_transient(self):
         tg, pg = ThetaGrid.uniform(201), PhiGrid.uniform(402)
-        h0 = ls.Perturbation.from_coefficients([0.0, 1.0, 0.5, -0.2])
+        h0 = ls.Perturbation.from_coefficients(UNIT_MODE * np.array([0.0, 1.0, 0.5, -0.2]))
         evo = ls.linearized_evolve(h0, 10.0, tg, pg, dt=0.01, store_every=100)
         late_rate = ls.measured_growth_rate(evo, 5.0, 10.0, norm="sup")
         assert late_rate > 0.05
 
     def test_excessive_dt_rejected(self):
         tg, pg = ThetaGrid.uniform(101), PhiGrid.uniform(202)
-        h0 = ls.Perturbation.from_coefficients([1.0, 0.5])
+        h0 = ls.Perturbation.from_coefficients(UNIT_MODE * np.array([1.0, 0.5]))
         with pytest.raises(ValueError, match="corrector|diverged"):
             ls.linearized_evolve(h0, 400.0, tg, pg, dt=40.0)
 
     @pytest.mark.parametrize("n, t", [(101, 1.0), (251, 2.5)])
     def test_matches_iterated_corrector(self, n, t):
         tg, pg = ThetaGrid.uniform(n), PhiGrid.uniform(2 * n)
-        h0 = ls.Perturbation.from_coefficients([0.0, 1.0, 0.5, -0.2])
+        h0 = ls.Perturbation.from_coefficients(UNIT_MODE * np.array([0.0, 1.0, 0.5, -0.2]))
         evo = ls.linearized_evolve(h0, t, tg, pg, dt=0.01)
         ref = corrector.linearized_evolve(h0, t, tg, pg, dt=0.01)
         np.testing.assert_array_equal(evo.times, ref.times)
@@ -323,7 +321,7 @@ class TestLinearizedEvolve:
 
     def test_propagator_is_one_step(self):
         tg, pg = ThetaGrid.uniform(51), PhiGrid.uniform(102)
-        h0 = ls.Perturbation.from_coefficients([1.0, 0.5, 0.25])
+        h0 = ls.Perturbation.from_coefficients(UNIT_MODE * np.array([1.0, 0.5, 0.25]))
         P = ls.linearized_propagator(tg, 0.05)
         evo = ls.linearized_evolve(h0, 0.1, tg, pg, dt=0.05, store_every=1)
         np.testing.assert_allclose(evo.values[2], P @ (P @ h0(tg.nodes)), rtol=0, atol=1e-15)
@@ -336,3 +334,15 @@ class TestLinearizedEvolve:
         assert ls.measured_growth_rate(evo, 0.0, 2.0) == pytest.approx(0.25, rel=1e-12)
         with pytest.raises(ValueError):
             ls.measured_growth_rate(evo, 0.0, 0.0)
+
+    def test_growth_rate_rejects_unstored_time(self):
+        tg = ThetaGrid.uniform(11)
+        times = np.arange(6.0)
+        values = np.exp(0.25 * times)[:, None] * np.ones((6, 11))
+        evo = ls.LinearEvolution(grid=tg, times=times, values=values)
+        with pytest.raises(ValueError, match=r"t2=4\.5 is not a stored snapshot time"):
+            ls.measured_growth_rate(evo, 0.0, 4.5)
+        with pytest.raises(ValueError, match=r"t1=0\.5 is not a stored snapshot time"):
+            ls.measured_growth_rate(evo, 0.5, 5.0, norm="l2")
+        # a time off a stored one by rounding only still resolves to it
+        assert ls.measured_growth_rate(evo, 0.0, 5.0 * (1 + 1e-12)) == pytest.approx(0.25, rel=1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from dropsed.patch_waves import (
@@ -151,6 +152,27 @@ class TestL1Distance:
             )
             assert overlap_volume(r1, r2, d) == pytest.approx(lens, rel=1e-12)
 
+    def test_overlap_volume_matches_cross_section_quadrature(self, rng):
+        # centers at z = 0 and z = d: the smaller of the two disk areas,
+        # integrated with adaptive quadrature on each side of the plane z*
+        # where the spheres meet
+        for _ in range(25):
+            r1, r2 = rng.uniform(0.3, 2.0, size=2)
+            d = rng.uniform(abs(r1 - r2) + 1e-3, r1 + r2 - 1e-3)
+            z_star = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+            below, _ = quad(lambda z: math.pi * (r2 * r2 - (z - d) ** 2), d - r2, z_star)
+            above, _ = quad(lambda z: math.pi * (r1 * r1 - z * z), z_star, r1)
+            assert overlap_volume(r1, r2, d) == pytest.approx(below + above, rel=1e-12)
+
+    @pytest.mark.parametrize("r1, r2", [(1.0, 0.4), (0.7, 1.9), (1.3, 1.3)])
+    def test_overlap_volume_continuous_at_both_ends(self, r1, r2):
+        inner, outer = abs(r1 - r2), r1 + r2
+        small_ball = UNIT_BALL_VOLUME * min(r1, r2) ** 3
+        assert overlap_volume(r1, r2, inner) == small_ball
+        assert overlap_volume(r1, r2, inner + 1e-9) == pytest.approx(small_ball, rel=1e-7)
+        assert overlap_volume(r1, r2, outer) == 0.0
+        assert overlap_volume(r1, r2, outer - 1e-9) == pytest.approx(0.0, abs=1e-15)
+
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             l1_distance(0.0, 1.0)
@@ -197,9 +219,10 @@ class TestWassersteinBounds:
 
     def test_initial_upper_mean_radius(self):
         # mean radius of the uniform unit ball: int_0^1 r * 3 r^2 dr = 3/4
-        from dropsed.quadrature import simpson_1d
+        from dropsed.quadrature import simpson_weights
 
-        mean_radius = simpson_1d(lambda r: 3.0 * r**3, 0.0, 1.0, 64)
+        r = np.linspace(0.0, 1.0, 65)
+        mean_radius = simpson_weights(65, 1.0 / 64) @ (3.0 * r**3)
         upper, _ = wasserstein_bounds(0.9, 0.0)
         assert upper == pytest.approx(abs(1.0 - 0.9) * mean_radius, rel=1e-12)
         assert upper == pytest.approx(0.075, rel=1e-12)

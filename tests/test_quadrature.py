@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -13,49 +12,35 @@ from dropsed.kernels import FluidParams
 from dropsed.quadrature import (
     PhiGrid,
     ThetaGrid,
-    basis_eval,
     basis_matrix,
-    refine_simpson_2d,
-    simpson_1d,
-    simpson_2d,
     simpson_weights,
     snapshot_stride,
     step_count,
 )
 
 
+def simpson(f, a: float, b: float, n_panels: int) -> float:
+    """Composite Simpson value of the integral of f over [a, b] with n_panels panels."""
+    x = np.linspace(a, b, n_panels + 1)
+    return float(simpson_weights(n_panels + 1, (b - a) / n_panels) @ f(x))
+
+
 class TestSimpson1d:
+    """Accuracy of the composite Simpson weights, the package's one quadrature rule."""
+
     def test_exact_for_cubic(self):
-        assert simpson_1d(lambda x: x**3, 0.0, 1.0, 2) == pytest.approx(0.25, abs=0)
+        assert simpson(lambda x: x**3, 0.0, 1.0, 2) == pytest.approx(0.25, abs=0)
 
     def test_sine_closed_form(self):
         # antiderivative -cos gives exactly 2 over [0, pi]
-        assert simpson_1d(np.sin, 0.0, math.pi, 200) == pytest.approx(2.0, abs=1e-8)
+        assert simpson(np.sin, 0.0, math.pi, 200) == pytest.approx(2.0, abs=1e-8)
 
     def test_constant(self):
-        assert simpson_1d(lambda x: np.ones_like(x), 0.0, math.pi, 4) == pytest.approx(math.pi, rel=1e-15)
-
-    def test_odd_panels_rounded_up(self, caplog):
-        with caplog.at_level(logging.INFO):
-            val = simpson_1d(np.exp, 0.0, 1.0, 7)
-        assert val == pytest.approx(simpson_1d(np.exp, 0.0, 1.0, 8), abs=0)
-        assert any("rounded up" in rec.message for rec in caplog.records)
-
-    def test_nonfinite_sample_rejected(self):
-        with pytest.raises(ValueError, match="node"):
-            simpson_1d(lambda x: 1.0 / x, 0.0, 1.0, 4)
-
-    def test_scalar_only_integrand_raises(self):
-        with pytest.raises(TypeError):
-            simpson_1d(lambda x: math.exp(x), 0.0, 1.0, 4)
-
-    def test_wrong_shape_names_shapes(self):
-        with pytest.raises(ValueError, match=r"shape \(\), expected \(5,\)"):
-            simpson_1d(lambda x: 1.0, 0.0, 1.0, 4)
+        assert simpson(np.ones_like, 0.0, math.pi, 4) == pytest.approx(math.pi, rel=1e-15)
 
     def test_fourth_order_convergence(self):
         exact = math.e - 1.0
-        errs = [abs(simpson_1d(np.exp, 0.0, 1.0, n) - exact) for n in (8, 16, 32)]
+        errs = [abs(simpson(np.exp, 0.0, 1.0, n) - exact) for n in (8, 16, 32)]
         ratios = [errs[i] / errs[i + 1] for i in range(2)]
         for r in ratios:
             assert 12.0 < r < 20.0
@@ -65,46 +50,7 @@ class TestSimpson1d:
     def test_exact_on_random_cubics(self, coeffs):
         poly = np.polynomial.Polynomial(coeffs)
         exact = poly.integ()(2.0) - poly.integ()(0.5)
-        assert simpson_1d(poly, 0.5, 2.0, 2) == pytest.approx(exact, rel=1e-12, abs=1e-12)
-
-
-class TestSimpson2d:
-    def test_area(self):
-        tg, pg = ThetaGrid.uniform(11), PhiGrid.uniform(11)
-        val = simpson_2d(lambda t, p: np.ones(np.broadcast(t, p).shape), tg, pg)
-        assert val == pytest.approx(2.0 * math.pi**2, rel=1e-13)
-
-    def test_scalar_constant_broadcasts(self):
-        tg, pg = ThetaGrid.uniform(11), PhiGrid.uniform(11)
-        assert simpson_2d(lambda t, p: 1.0, tg, pg) == pytest.approx(2.0 * math.pi**2, rel=1e-13)
-
-    def test_scalar_only_integrand_raises(self):
-        tg, pg = ThetaGrid.uniform(11), PhiGrid.uniform(11)
-        with pytest.raises(TypeError):
-            simpson_2d(lambda t, p: math.sin(t), tg, pg)
-
-    def test_separable_sine(self):
-        tg, pg = ThetaGrid.uniform(201), PhiGrid.uniform(201)
-        val = simpson_2d(lambda t, p: np.sin(t) + 0.0 * p, tg, pg)
-        assert val == pytest.approx(4.0 * math.pi, abs=1e-8)
-
-    def test_integrable_pole_with_exclusion(self):
-        # sin(tb) / |e(tb, p) - e(0, 0)| integrates to 4 pi (substitute u = 1 - cos)
-        def f(t, p):
-            chord = np.sqrt(np.maximum(2.0 - 2.0 * np.cos(t), 0.0)) + 0.0 * p
-            return np.sin(t) / chord
-
-        tg, pg = ThetaGrid.uniform(401), PhiGrid.uniform(401)
-        val = simpson_2d(f, tg, pg, exclude_poles=True)
-        assert val == pytest.approx(4.0 * math.pi, abs=1e-3)
-
-    def test_pole_without_exclusion_names_node(self):
-        def f(t, p):
-            return np.where(t == 0.0, np.inf, 1.0) + 0.0 * p
-
-        tg, pg = ThetaGrid.uniform(11), PhiGrid.uniform(11)
-        with pytest.raises(ValueError, match="theta=0.0"):
-            simpson_2d(f, tg, pg)
+        assert simpson(poly, 0.5, 2.0, 2) == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
 class TestGrids:
@@ -132,21 +78,25 @@ class TestGrids:
 
 class TestBasis:
     def test_constant_mode(self):
-        val, der = basis_eval(0, 0.7)
-        assert val == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
-        assert der == 0.0
+        val, der = basis_matrix(1, [0.7])
+        assert val[0, 0] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+        assert der[0, 0] == 0.0
 
     def test_linear_mode_vanishes_at_midpoint(self):
-        val, _ = basis_eval(1, math.pi / 2)
-        assert val == pytest.approx(0.0, abs=1e-15)
+        val, _ = basis_matrix(2, [math.pi / 2])
+        assert val[1, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_orthogonality_2_3(self):
-        f = lambda th: basis_eval(2, th)[0] * basis_eval(3, th)[0]
-        assert simpson_1d(f, 0.0, math.pi, 400) == pytest.approx(0.0, abs=1e-10)
+        theta = np.linspace(0.0, math.pi, 401)
+        vals, _ = basis_matrix(4, theta)
+        w = simpson_weights(401, math.pi / 400)
+        assert w @ (vals[2] * vals[3]) == pytest.approx(0.0, abs=1e-10)
 
     def test_gram_matrix_is_identity(self):
-        # fourth-order convergence of the Gram residual; 1e-8 needs a few
-        # hundred nodes per basis degree, far beyond 4 nodes per function
+        # unit norm in the mapped variable on [-1, 1] is squared norm pi/2 on
+        # [0, pi]: the Gram matrix is (pi/2) I.  Fourth-order convergence of
+        # the Gram residual; 1e-8 needs a few hundred nodes per basis degree,
+        # far beyond 4 nodes per function
         K = 12
         residual = {}
         for n in (1601, 6401):
@@ -154,71 +104,25 @@ class TestBasis:
             vals, _ = basis_matrix(K, theta)
             w = simpson_weights(n, theta[1] - theta[0])
             gram = np.einsum("m,im,jm->ij", w, vals, vals)
-            residual[n] = np.max(np.abs(gram - np.eye(K)))
+            residual[n] = np.max(np.abs(gram - (math.pi / 2.0) * np.eye(K)))
         assert residual[6401] < 1e-8
         assert residual[1601] / residual[6401] > 100.0  # ~4th order over 2 doublings
 
-    def test_legendre_normalization_scales_by_interval_jacobian(self):
-        theta = np.linspace(0.0, math.pi, 7)
-        a, da = basis_matrix(5, theta, "interval")
-        b, db = basis_matrix(5, theta, "legendre")
-        assert np.allclose(b, math.sqrt(math.pi / 2.0) * a, rtol=1e-14)
-        assert np.allclose(db, math.sqrt(math.pi / 2.0) * da, rtol=1e-14)
-
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            basis_eval(3, -0.1)
-        with pytest.raises(ValueError):
-            basis_eval(3, math.pi + 0.1)
+        with pytest.raises(ValueError, match=r"theta outside \[0, pi\]"):
+            basis_matrix(4, [-0.1])
+        with pytest.raises(ValueError, match=r"theta outside \[0, pi\]"):
+            basis_matrix(4, [0.5, math.pi + 0.1])
+        # endpoints within the rounding allowance are accepted
+        basis_matrix(4, [-1e-13, math.pi + 1e-13])
 
     @given(k=st.integers(1, 20), x=st.floats(0.05, math.pi - 0.05))
     @settings(max_examples=40, deadline=None)
     def test_derivative_matches_finite_difference(self, k, x):
         eps = 1e-6
-        val_p, _ = basis_eval(k, x + eps)
-        val_m, _ = basis_eval(k, x - eps)
-        _, der = basis_eval(k, x)
+        vals, ders = basis_matrix(k + 1, [x + eps, x - eps, x])
+        val_p, val_m, der = vals[k, 0], vals[k, 1], ders[k, 2]
         assert der == pytest.approx((val_p - val_m) / (2 * eps), rel=1e-4, abs=1e-5)
-
-
-class TestIntegrabilityDiagnostic:
-    """Grid-doubling behavior of the sphere-chord integrals near their pole."""
-
-    @staticmethod
-    def _integrand(alpha, theta0):
-        def f(t, p):
-            d0 = np.sin(t) * np.cos(p) - math.sin(theta0)
-            d1 = np.sin(t) * np.sin(p)
-            d2 = np.cos(t) - math.cos(theta0) + 0.0 * p
-            chord = np.sqrt(d0**2 + d1**2 + d2**2)
-            # coincident samples (to rounding) are poles for the exclusion rule
-            safe = np.where(chord < 1e-12, 1.0, chord)
-            return np.where(chord < 1e-12, np.inf, np.sin(t) / safe**alpha)
-
-        return f
-
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
-    def test_integrable_exponents_stabilize(self, alpha):
-        sups = []
-        for level in range(3):
-            n = 400 * 2**level + 1
-            sups.append(
-                max(
-                    refine_simpson_2d(self._integrand(alpha, th), n0=n, levels=1,
-                                      exclude_poles=True)[0]
-                    for th in (0.0, math.pi / 7, math.pi / 2, math.pi)
-                )
-            )
-        assert np.isfinite(sups).all()
-        assert abs(sups[-1] - sups[-2]) / abs(sups[-1]) < 1e-2
-
-    def test_critical_exponent_diverges(self):
-        vals = refine_simpson_2d(self._integrand(2.0, 0.0), n0=101, levels=4,
-                                 exclude_poles=True)
-        assert vals[1] > vals[0] and vals[2] > vals[1] and vals[3] > vals[2]
-        # logarithmic growth: about 2 pi log 2 per doubling, never stabilizing
-        rel = abs(vals[-1] - vals[-2]) / abs(vals[-1])
-        assert rel > 1e-2
 
 
 class TestStepCount:
