@@ -104,10 +104,13 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
+    """Write a 2-D table of numbers, every entry as the repr of a Python float."""
+    import numpy as np
+
     with path.open("w") as f:
         f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in np.asarray(rows, dtype=float).tolist():
+            f.write(",".join(map(repr, row)) + "\n")
 
 
 def _write_manifest(out: Path, subcommand: str, cfg: dict, seed: int, extra: dict | None = None) -> None:
@@ -169,7 +172,7 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> int:
                [(lam.real, lam.imag) for lam in report.eigenvalues])
     theta = np.linspace(0.0, np.pi, int(cfg["ntheta"]))
     h = report.eigenvector_perturbation(0)
-    _write_csv(out / "eigenvector.csv", "theta,h", zip(theta, np.real(h(theta))))
+    _write_csv(out / "eigenvector.csv", "theta,h", np.column_stack([theta, np.real(h(theta))]))
     summary = {
         "K": int(cfg["K"]),
         "n_theta": int(cfg["ntheta"]),
@@ -252,7 +255,7 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
     def dump(profile) -> None:
         tag = f"{next(tags):04d}"
         _write_csv(out / f"snapshot_{tag}.csv", "theta,r",
-                   zip(profile.grid.nodes, profile.r))
+                   np.column_stack([profile.grid.nodes, profile.r]))
         _write_json(out / f"snapshot_{tag}.json",
                     {"time": profile.time, "c3": profile.c3,
                      "n_theta": profile.grid.n_theta, "n_phi": int(cfg["nphi"]),
@@ -281,7 +284,7 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
     import numpy as np
 
     from . import micro_sim as ms
-    from .kernels import FluidParams
+    from .kernels import FluidParams, stokes_drag_velocity
 
     if cfg["N"] < 1:
         raise ValueError(f"N must be >= 1, got {cfg['N']}")
@@ -290,11 +293,22 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
     delta = None if float(cfg["delta"]) < 0 else float(cfg["delta"])
     cloud = ms.uniform_ball_cloud(int(cfg["N"]), params, 1.0, rng, delta=delta)
 
-    measured = ms.mean_settling_velocity(cloud)
-    predicted = ms.mean_velocity_formula(cloud)
     rescaled, velocity_scale = ms.rescale_cloud(cloud)
-    v_resc, _ = ms.rescaled_velocities(rescaled.positions, rescaled.delta)
-    rescaled_mean = v_resc.mean(axis=0)
+    start = rescaled if cfg["frame"] == "rescaled" else cloud
+    traj = ms.evolve_cloud(start, float(cfg["T"]), float(cfg["dt"]), frame=cfg["frame"],
+                           snapshot_every=float(cfg["snapshot_every"]) or None)
+    # The t = 0 pair sum gives both means.  With the force along -e3 the
+    # physical interaction velocity is velocity_scale times the rescaled one.
+    drag = stokes_drag_velocity(params)
+    v0 = traj.initial_velocity.mean(axis=0)
+    if cfg["frame"] == "rescaled":
+        rescaled_mean = v0
+        interaction = velocity_scale * v0
+    else:
+        interaction = v0 - drag if cfg["frame"] == "lab" else v0
+        rescaled_mean = interaction / velocity_scale if velocity_scale else np.zeros(3)
+    measured = drag + interaction
+    predicted = ms.mean_velocity_formula(cloud)
     _write_json(out / "mean_velocity.json", {
         "measured": [float(v) for v in measured],
         "formula": [float(v) for v in predicted],
@@ -306,12 +320,9 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
         "rescaled_mean_speed": float(np.linalg.norm(rescaled_mean)),
     })
 
-    start = rescaled if cfg["frame"] == "rescaled" else cloud
-    traj = ms.evolve_cloud(start, float(cfg["T"]), float(cfg["dt"]), frame=cfg["frame"],
-                           snapshot_every=float(cfg["snapshot_every"]) or None)
     for idx, (t, pos) in enumerate(zip(traj.times, traj.positions)):
         _write_csv(out / f"frame_{idx:04d}.csv", "id,x,y,z",
-                   [(i, *row) for i, row in enumerate(pos)])
+                   np.column_stack([np.arange(len(pos)), pos]))
     _write_manifest(out, "micro", cfg, seed, extra={
         "N": int(cfg["N"]),
         "dt": float(cfg["dt"]),

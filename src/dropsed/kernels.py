@@ -4,8 +4,10 @@ The Oseen tensor and the drag/interior/exterior velocity fields are the
 microscopic building blocks.  The surface integrals are built from the
 closed-form azimuthal moments of the inverse chord; the bounded chord-ratio
 integrand they replace stays as :func:`desingularized_ratio`, the pointwise
-reference those moments are checked against.  All functions are pure and
-broadcast over numpy arrays where that is useful.
+reference those moments are checked against.  All functions broadcast over
+numpy arrays where that is useful, and all are pure except
+:func:`oseen_terms`, which writes the Oseen factors into buffers its caller
+owns.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from scipy.special import ellipe, ellipkm1
 __all__ = [
     "FluidParams",
     "oseen_tensor",
-    "oseen_response",
+    "oseen_terms",
     "oseen_point_force",
     "stokes_drag_velocity",
     "hadamard_rybczynski_velocity",
@@ -77,38 +79,44 @@ def oseen_tensor(x, mu: float) -> np.ndarray:
     return (np.eye(3) / r + np.outer(x, x) / r**3) / (8.0 * math.pi * mu)
 
 
-def oseen_response(d: np.ndarray, r2: np.ndarray, force: np.ndarray, mu: float,
-                   delta: float = 0.0) -> np.ndarray:
-    """Summed Oseen velocities, sum over the last axis of U(d) @ force.
+def oseen_terms(d: np.ndarray, r2: np.ndarray, force: np.ndarray, mu: float, delta: float,
+                inv_r: np.ndarray, coef: np.ndarray) -> None:
+    """Fill the two scalar factors of the Oseen response U(d) @ force in place.
 
-    Separations are stored components-first: ``d`` has shape (3, ..., m) and
-    ``r2`` holds their squared lengths, shape (..., m); the result has shape
-    (3, ...).  With r_eff = max(r, delta) each term is
-    (f / r_eff + d (d . f) / (r^2 r_eff)) / (8 pi mu), so a separation
-    shorter than ``delta`` acts as if it were exactly ``delta`` long in the
-    same direction.  An entry with d = 0 and r2 = +inf contributes exactly
-    zero, which is how a caller drops a self pair.  Zero separations are
-    the caller's to reject: they produce non-finite values here.
+    Separations are stored components-first: ``d`` has shape (3, ...) and
+    ``r2``, ``inv_r`` and ``coef`` hold one value per separation, shape
+    (...); ``coef`` must be C-contiguous.  With r_eff = max(r, delta) this
+    writes inv_r = 1 / (8 pi mu r_eff) and coef = (force . d) inv_r / r^2, so
+    that U(d) @ force = force inv_r + d coef.  A separation shorter than
+    ``delta`` thus acts as if it were exactly ``delta`` long in the same
+    direction.  An entry with d = 0 and r2 = +inf gets inv_r = coef = 0,
+    which is how a caller drops a self pair.  Zero separations are the
+    caller's to reject: they produce non-finite values here.  Writing into
+    caller-owned buffers lets a tiled pair sum reuse a few small arrays for
+    every tile instead of allocating each temporary anew.
     """
-    inv_r = 1.0 / np.maximum(np.sqrt(r2), delta)
-    coef = np.tensordot(force, d, axes=1) * inv_r / r2
-    out = np.multiply.outer(force, inv_r.sum(axis=-1)) + np.einsum("k...j,...j->k...", d, coef)
-    return out / (8.0 * math.pi * mu)
+    np.sqrt(r2, out=inv_r)
+    np.maximum(inv_r, delta, out=inv_r)
+    np.divide(1.0 / (8.0 * math.pi * mu), inv_r, out=inv_r)
+    np.matmul(force, d.reshape(3, -1), out=coef.reshape(-1))
+    coef *= inv_r
+    coef /= r2
 
 
 def oseen_point_force(dx: np.ndarray, force: np.ndarray, mu: float) -> np.ndarray:
     """Velocities U(dx_i) @ force for a batch of separation vectors, shape (n, 3).
 
-    Row-wise identical to ``oseen_tensor(dx[i], mu) @ force``; a view of
-    :func:`oseen_response` with one separation per sum, so no 3x3 matrix is
-    ever formed.
+    Row-wise identical to ``oseen_tensor(dx[i], mu) @ force``; built from
+    :func:`oseen_terms`, so no 3x3 matrix is ever formed.
     """
     dx = np.atleast_2d(np.asarray(dx, dtype=float))
     r2 = np.sum(dx * dx, axis=1)
     if np.any(r2 == 0.0):
         raise ValueError("Oseen tensor is singular at zero separation")
     force = np.asarray(force, dtype=float)
-    return oseen_response(dx.T[..., None], r2[:, None], force, mu).T
+    inv_r, coef = np.empty_like(r2), np.empty_like(r2)
+    oseen_terms(dx.T, r2, force, mu, 0.0, inv_r, coef)
+    return np.multiply.outer(inv_r, force) + dx * coef[:, None]
 
 
 def stokes_drag_velocity(params: FluidParams) -> np.ndarray:

@@ -7,25 +7,30 @@ produces a dimensionless dynamics whose mean fall speed is one; that is the
 form integrated by the trajectory driver.
 
 Force evaluation is an O(N^2) pairwise sum over a read-only position
-snapshot, built in row chunks as three (rows, N) difference planes and
-reduced by the one Oseen kernel, :func:`~dropsed.kernels.oseen_response`.
-The self pair needs no mask: its squared distance is set to +inf, which
-makes its contribution exactly zero.  Each integrator stage commits
+snapshot.  Every particle carries the same force and U(d) f = U(-d) f, so
+each unordered pair is evaluated once: the sum runs over square tiles of
+particle blocks (I, J) with J >= I, at most ``_PAIR_TILE`` particles a side,
+and an off-diagonal tile adds its row sums to block I and its column sums
+to block J.  Each tile works in a few buffers allocated once per sum and
+filled in place by the one Oseen kernel, :func:`~dropsed.kernels.oseen_terms`.
+A diagonal tile holds both ordered cells of each of its pairs and adds row
+sums only; its self cells need no mask, because a squared distance of +inf
+makes their contribution exactly zero.  Each integrator stage commits
 positions in a single assignment.  Pairs closer than the regularization
 distance interact as if separated by exactly that distance along the same
-direction (r_eff = max(r, delta)), and every such clamp is counted and
-logged.
+direction (r_eff = max(r, delta)), and every such clamp is counted, as
+ordered pairs, and logged.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import FluidParams, oseen_response, stokes_drag_velocity
+from .kernels import FluidParams, oseen_terms, stokes_drag_velocity
 from .patch_waves import sample_unit_ball
 from .quadrature import snapshot_stride, step_count
 
@@ -47,10 +52,10 @@ __all__ = [
 
 _E3 = np.array([0.0, 0.0, 1.0])
 
-# Row-by-particle cells per chunk of the pair sum: large enough that numpy's
-# per-call overhead is negligible, small enough that the chunk's few
-# (rows, N) temporaries stay in the low megabytes.
-_PAIR_CHUNK_CELLS = 250_000
+# Particles per side of one tile of the pair sum: large enough that numpy's
+# per-call overhead is small against the tile's cells, small enough that the
+# tile's six (b, b) planes (1.9 MB at b = 200) stay in a core's L2 cache.
+_PAIR_TILE = 200
 
 
 def default_regularization(cloud_radius: float, n: int) -> float:
@@ -99,26 +104,58 @@ def _interaction_sum(positions: np.ndarray, force: np.ndarray, mu: float,
 
     Returns the (N, 3) interaction velocities and the number of clamped pairs
     (ordered pairs, so each close pair counts twice).
+
+    The sum runs over tiles of particle blocks (I, J), J >= I, of at most
+    ``_PAIR_TILE`` particles a side.  A tile's separations, squared
+    distances and Oseen factors live in buffers allocated once per call and
+    filled in place.  Because U(d) f = U(-d) f for the one shared force, an
+    off-diagonal tile serves both particles of each pair: its row sums go to
+    block I and its column sums to block J, and each of its clamped cells
+    counts twice.  A diagonal tile already holds both ordered cells of its
+    pairs, so it adds row sums only and counts every clamped cell once.
+    Coincident particles are an error naming both global indices.
     """
     n = positions.shape[0]
-    x = positions.T
-    out = np.empty((3, n))
+    x = np.ascontiguousarray(positions.T)
+    b = min(_PAIR_TILE, n)
+    # rows 0-2: sums of d * coef, row 3: sums of inv_r (see oseen_terms)
+    acc = np.zeros((4, n))
+    work_buf = np.empty(4 * b * b)  # a tile's d planes, then its inv_r plane
+    r2_buf = np.empty(b * b)
+    coef_buf = np.empty(b * b)
     clamped_pairs = 0
-    rows = max(1, _PAIR_CHUNK_CELLS // n)
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        d = x[:, i0:i1, None] - x[:, None, :]
-        r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-        local = np.arange(i1 - i0)
-        r2[local, i0 + local] = np.inf
-        if r2.min() == 0.0:
-            i, j = np.argwhere(r2 == 0.0)[0]
-            raise ValueError(f"coincident particles {i0 + i} and {j}: no interaction direction")
-        clamped_pairs += int(np.count_nonzero(r2 < delta * delta))
-        out[:, i0:i1] = oseen_response(d, r2, force, mu, delta)
+    for i0 in range(0, n, b):
+        i1 = min(i0 + b, n)
+        for j0 in range(i0, n, b):
+            j1 = min(j0 + b, n)
+            shape = (i1 - i0, j1 - j0)
+            cells = shape[0] * shape[1]
+            work = work_buf[:4 * cells].reshape(4, *shape)
+            d = work[:3]
+            r2 = r2_buf[:cells].reshape(shape)
+            coef = coef_buf[:cells].reshape(shape)
+            np.subtract(x[:, i0:i1, None], x[:, None, j0:j1], out=d)
+            np.einsum("kij,kij->ij", d, d, out=r2)
+            if i0 == j0:
+                np.fill_diagonal(r2, np.inf)
+            closest = r2.min()
+            if closest == 0.0:
+                i, j = np.argwhere(r2 == 0.0)[0]
+                raise ValueError(f"coincident particles {i0 + i} and {j0 + j}: "
+                                 "no interaction direction")
+            if closest < delta * delta:
+                close = int(np.count_nonzero(r2 < delta * delta))
+                clamped_pairs += close if i0 == j0 else 2 * close
+            oseen_terms(d, r2, force, mu, delta, work[3], coef)
+            np.multiply(d, coef, out=d)
+            acc[:, i0:i1] += work.sum(axis=2)
+            if i0 != j0:
+                acc[:, j0:j1] += work.sum(axis=1)
     if clamped_pairs:
         log.info("clamped %d ordered pairs below delta=%.3e", clamped_pairs, delta)
-    return out.T, clamped_pairs
+    vel = acc[:3]
+    vel += np.multiply.outer(force, acc[3])
+    return vel.T, clamped_pairs
 
 
 def pairwise_velocity(cloud: ParticleCloud, i: int) -> np.ndarray:
@@ -188,6 +225,7 @@ class CloudTrajectory:
     frame: str
     times: np.ndarray = field(repr=False)
     positions: list = field(repr=False)  # list of (N, 3) arrays
+    initial_velocity: np.ndarray = field(repr=False)  # (N, 3), the frame's velocity law at t = 0
     clamp_events: int = 0
 
     def centers(self) -> np.ndarray:
@@ -209,7 +247,10 @@ def evolve_cloud(cloud: ParticleCloud, T: float, dt: float, frame: str = "rescal
     interactions), or the drift-subtracted frame (interactions only, i.e.
     the lab frame co-moving at the single-particle drag velocity).  ``T``
     and ``snapshot_every`` (default: only at T) must be whole numbers of
-    steps ``dt``.
+    steps ``dt``.  The velocity at t = 0 is computed once, even for T = 0,
+    returned as ``initial_velocity`` and reused as step 1's first stage, so
+    a run evaluates max(1, 2 n_steps) pair sums; ``clamp_events`` counts the
+    clamps of the integrator's stages.
     """
     if frame not in _FRAMES:
         raise ValueError(f"frame must be one of {_FRAMES}, got {frame!r}")
@@ -229,11 +270,12 @@ def evolve_cloud(cloud: ParticleCloud, T: float, dt: float, frame: str = "rescal
     n_steps = step_count(T, dt)
     every = snapshot_stride(snapshot_every, dt, n_steps)
     x = cloud.positions.copy()
+    initial_velocity, initial_clamps = velocity(x)
     times = [0.0]
     snaps = [x.copy()]
     clamp_total = 0
     for k in range(1, n_steps + 1):
-        v1, c1 = velocity(x)
+        v1, c1 = (initial_velocity, initial_clamps) if k == 1 else velocity(x)
         v2, c2 = velocity(x + 0.5 * dt * v1)
         x = x + dt * v2
         clamp_total += c1 + c2
@@ -244,4 +286,4 @@ def evolve_cloud(cloud: ParticleCloud, T: float, dt: float, frame: str = "rescal
             times.append(k * dt)
             snaps.append(x.copy())
     return CloudTrajectory(frame=frame, times=np.array(times), positions=snaps,
-                           clamp_events=clamp_total)
+                           initial_velocity=initial_velocity, clamp_events=clamp_total)

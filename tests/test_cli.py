@@ -11,8 +11,10 @@ import pytest
 
 import dropsed
 from dropsed import cli
+from dropsed import micro_sim as ms
 from dropsed import surface_evolution as se
 from dropsed.cli import main
+from dropsed.kernels import FluidParams
 from dropsed.quadrature import PhiGrid, ThetaGrid
 
 
@@ -170,6 +172,54 @@ class TestMicroCommand:
         report = json.loads((out / "mean_velocity.json").read_text())
         assert report["relative_error_vertical"] < 0.05
         assert report["rescaled_mean_speed"] == pytest.approx(1.0, abs=0.05)
+
+
+    @pytest.mark.parametrize("frame, n", [("rescaled", 60), ("lab", 60),
+                                          ("drift_subtracted", 60), ("lab", 1)])
+    def test_initial_pair_sum_computed_once(self, tmp_path, monkeypatch, frame, n):
+        # five midpoint steps take ten pair sums; the t = 0 sum of step 1 also
+        # gives both reported means, so no further sum is made
+        calls = []
+        original = ms._interaction_sum
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ms, "_interaction_sum", counting)
+        out = tmp_path / "run"
+        assert main(["micro", "--N", str(n), "--T", "0.05", "--dt", "0.01", "--seed", "4",
+                     "--frame", frame, "--out", str(out)]) == 0
+        assert len(calls) == 10
+        report = json.loads((out / "mean_velocity.json").read_text())
+        params = FluidParams(mu=1.0, force=np.array([0.0, 0.0, -1.0]), radius=1e-2)
+        cloud = ms.uniform_ball_cloud(n, params, 1.0, np.random.default_rng(4))
+        measured = ms.mean_settling_velocity(cloud)
+        assert (np.linalg.norm(np.array(report["measured"]) - measured)
+                <= 1e-12 * np.linalg.norm(measured))
+        rescaled, _ = ms.rescale_cloud(cloud)
+        v, _ = ms.rescaled_velocities(rescaled.positions, rescaled.delta)
+        rescaled_mean = v.mean(axis=0)
+        assert (np.linalg.norm(np.array(report["rescaled_mean_velocity"]) - rescaled_mean)
+                <= 1e-12 * np.linalg.norm(rescaled_mean))
+
+    @pytest.mark.parametrize("frame, clamps", [("rescaled", 154), ("lab", 148),
+                                               ("drift_subtracted", 148)])
+    def test_clamp_events_pinned(self, tmp_path, frame, clamps):
+        # values written by the row-chunk pair sum this tiled sum replaced
+        out = tmp_path / "run"
+        assert main(["micro", "--N", "30", "--T", "0.05", "--dt", "0.01", "--delta", "0.3",
+                     "--seed", "3", "--frame", frame, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["clamp_events"] == clamps
+
+
+def test_csv_bytes_match_per_value_float_repr(tmp_path):
+    rows = [(0, 1.0 / 3.0, -0.0, 1e-300), (7, np.float64(2.5), -1, 1e300),
+            (np.int64(3), 0.1, 5e-324, -2.0 / 3.0)]
+    expected = "a,b,c,d\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+    cli._write_csv(tmp_path / "t.csv", "a,b,c,d", rows)
+    assert (tmp_path / "t.csv").read_text() == expected
 
 
 class TestConfigHandling:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dropsed import micro_sim
 from dropsed.kernels import FluidParams, oseen_tensor, stokes_drag_velocity
@@ -82,40 +84,92 @@ class TestPairwiseVelocity:
         assert np.allclose(v_clamped, v_far, rtol=1e-12)
 
 
-class TestChunkedPairSum:
-    """The pair sum run in several row chunks (a shrunken chunk size keeps N small)."""
+def tensor_double_loop(pos, force, mu, delta):
+    """Oracle: the clamped Oseen sum over ordered pairs, one oseen_tensor at a time."""
+    n = len(pos)
+    expected = np.zeros((n, 3))
+    expected_clamps = 0
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            d = pos[i] - pos[j]
+            r = np.linalg.norm(d)
+            if r < delta:
+                d = d * (delta / r)
+                expected_clamps += 1
+            expected[i] += oseen_tensor(d, mu) @ force
+    return expected, expected_clamps
+
+
+class TestTiledPairSum:
+    """The pair sum run over several tiles (a shrunken tile keeps N small)."""
 
     def test_matches_tensor_double_loop(self, rng, monkeypatch):
-        n, rows, delta, mu = 40, 7, 1e-3, 0.7
-        monkeypatch.setattr(micro_sim, "_PAIR_CHUNK_CELLS", rows * n)
+        n, tile, delta, mu = 40, 7, 1e-3, 0.7
+        monkeypatch.setattr(micro_sim, "_PAIR_TILE", tile)
         pos = rng.uniform(-1.0, 1.0, size=(n, 3))
-        # a clamped pair straddling the boundary between chunks 0 and 1
-        pos[rows] = pos[rows - 1] + 0.3 * delta * np.array([0.6, 0.0, 0.8])
+        # a clamped pair straddling the boundary between tiles 0 and 1
+        pos[tile] = pos[tile - 1] + 0.3 * delta * np.array([0.6, 0.0, 0.8])
         force = np.array([0.3, -1.2, 0.7])
         vel, clamps = micro_sim._interaction_sum(pos, force, mu, delta)
-        expected = np.zeros((n, 3))
-        expected_clamps = 0
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                d = pos[i] - pos[j]
-                r = np.linalg.norm(d)
-                if r < delta:
-                    d = d * (delta / r)
-                    expected_clamps += 1
-                expected[i] += oseen_tensor(d, mu) @ force
+        expected, expected_clamps = tensor_double_loop(pos, force, mu, delta)
         assert clamps == expected_clamps == 2
         err = np.linalg.norm(vel - expected, axis=1)
         assert np.all(err <= 1e-12 * np.linalg.norm(expected, axis=1))
 
-    def test_coincident_pair_in_later_chunk_reports_global_indices(self, rng, monkeypatch):
-        n, rows = 20, 5
-        monkeypatch.setattr(micro_sim, "_PAIR_CHUNK_CELLS", rows * n)
+    @pytest.mark.parametrize("n, tile", [(40, 7), (35, 7), (5, 9), (9, 9), (1, 9)],
+                             ids=["ragged", "whole-tiles", "n-below-tile", "one-tile", "n-1"])
+    def test_tile_layouts_match_double_loop(self, rng, monkeypatch, n, tile):
+        monkeypatch.setattr(micro_sim, "_PAIR_TILE", tile)
         pos = rng.uniform(-1.0, 1.0, size=(n, 3))
-        pos[8] = pos[6]  # both rows fall in chunk 1 (rows 5..9)
+        force = np.array([0.3, -1.2, 0.7])
+        vel, clamps = micro_sim._interaction_sum(pos, force, 0.7, 0.0)
+        expected, _ = tensor_double_loop(pos, force, 0.7, 0.0)
+        assert vel.shape == (n, 3) and clamps == 0
+        err = np.linalg.norm(vel - expected, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(expected, axis=1))
+
+    def test_clamped_pair_across_tiles_counts_both_ordered_pairs(self, rng, monkeypatch):
+        n, tile, delta = 40, 7, 1e-3
+        monkeypatch.setattr(micro_sim, "_PAIR_TILE", tile)
+        pos = rng.uniform(-1.0, 1.0, size=(n, 3))
+        pos[30] = pos[2] + 0.5 * delta * np.array([0.0, 0.6, -0.8])  # tiles 0 and 4
+        vel, clamps = micro_sim._interaction_sum(pos, -E3, 1.0, delta)
+        expected, expected_clamps = tensor_double_loop(pos, -E3, 1.0, delta)
+        assert clamps == expected_clamps == 2
+        err = np.linalg.norm(vel - expected, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(expected, axis=1))
+
+    def test_coincident_pair_in_later_tile_reports_global_indices(self, rng, monkeypatch):
+        n, tile = 20, 5
+        monkeypatch.setattr(micro_sim, "_PAIR_TILE", tile)
+        pos = rng.uniform(-1.0, 1.0, size=(n, 3))
+        pos[8] = pos[6]  # both particles fall in the diagonal tile of block 1 (5..9)
         with pytest.raises(ValueError, match="coincident particles 6 and 8"):
             micro_sim._interaction_sum(pos, -E3, 1.0, 0.0)
+
+    def test_coincident_pair_in_off_diagonal_tile_reports_global_indices(self, rng, monkeypatch):
+        monkeypatch.setattr(micro_sim, "_PAIR_TILE", 7)
+        pos = rng.uniform(-1.0, 1.0, size=(40, 3))
+        pos[30] = pos[2]  # tiles 0 and 4
+        with pytest.raises(ValueError, match="coincident particles 2 and 30"):
+            micro_sim._interaction_sum(pos, -E3, 1.0, 1e-3)
+
+    @given(n=st.integers(1, 40), tile=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+           delta=st.floats(0.0, 0.5))
+    @settings(max_examples=40, deadline=None)
+    def test_random_tilings_match_double_loop(self, n, tile, seed, delta):
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(-1.0, 1.0, size=(n, 3))
+        force = rng.normal(size=3)
+        mu = rng.uniform(0.5, 2.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(micro_sim, "_PAIR_TILE", tile)
+            vel, clamps = micro_sim._interaction_sum(pos, force, mu, delta)
+        expected, expected_clamps = tensor_double_loop(pos, force, mu, delta)
+        assert clamps == expected_clamps
+        assert np.linalg.norm(vel - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_unit_cloud_is_the_unit_ball_sample(self):
         cloud = uniform_ball_cloud(300, PARAMS, 1.0, np.random.default_rng(11))
