@@ -18,16 +18,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import __version__
+
 __all__ = ["main"]
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("dropsed")
-    except Exception:
-        return "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +108,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def _write_manifest(out: Path, subcommand: str, cfg: dict, seed: int, extra: dict | None = None) -> None:
     manifest = {"subcommand": subcommand, "config": cfg, "seed": seed,
-                "version": _package_version()}
+                "version": __version__}
     if extra:
         manifest.update(extra)
     _write_json(out / "manifest.json", manifest)
@@ -191,7 +184,7 @@ def _initial_profile(cfg: dict, out: Path):
 
     from . import linear_stability as ls
     from . import surface_evolution as se
-    from .quadrature import ThetaGrid
+    from .quadrature import ThetaGrid, hermite, spline_slopes
 
     grid = ThetaGrid.uniform(int(cfg["ntheta"]))
     kind, _, value = cfg["r0"].partition(":")
@@ -200,10 +193,8 @@ def _initial_profile(cfg: dict, out: Path):
     r = np.full(grid.n_theta, float(value or 1.0))
     if cfg["perturb"] == "dominant":
         if cfg["eigvec"]:
-            data = np.loadtxt(cfg["eigvec"], delimiter=",", skiprows=1)
-            from scipy.interpolate import CubicSpline
-
-            h = CubicSpline(data[:, 0], data[:, 1])(grid.nodes)
+            theta, h = np.loadtxt(cfg["eigvec"], delimiter=",", skiprows=1, unpack=True)
+            h = hermite(theta, h, spline_slopes(theta, h), grid.nodes)
         else:
             A = ls.assemble_galerkin(int(cfg["perturb_K"]), grid.n_theta)
             report = ls.solve_spectrum(A)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ellipe, ellipkm1
 
 __all__ = [
     "FluidParams",
@@ -27,21 +26,21 @@ __all__ = [
     "hadamard_rybczynski_velocity",
     "desingularized_ratio",
     "azimuthal_moments",
-    "MOMENT_SERIES_MAX",
 ]
 
-# Below this B/A the elliptic form of the first moment loses digits to the
-# cancellation in A K - (A + B) E (relative error ~ 1e-16 / (B/A)^2), and the
-# seven-term series, whose truncation error is ~ (B/A)^14, takes over.  Both
-# branches agree to ~1e-13 at the switch.
-MOMENT_SERIES_MAX = 0.1
+# Entries per chunk of the AGM loop in :func:`azimuthal_moments`: large enough
+# that numpy's per-call overhead is small against a chunk, small enough that
+# the loop's few chunk-sized temporaries (32 kB each) stay in a core's L2
+# cache and are recycled by the allocator rather than page-faulted in anew.
+_MOMENT_CHUNK = 4096
 
-# I1 = (pi B / (2 A^1.5)) * sum_j c_j x^(2j) with x = B/A: the binomial series
-# of (1 - x cos phi)^(-1/2) against the mean of cos^(2j+2) phi.
-_I1_SERIES = np.array([
-    math.comb(4 * j + 2, 2 * j + 1) * math.comb(2 * j + 2, j + 1) / 4.0 ** (3 * j + 1)
-    for j in range(7)
-])
+# The AGM loop stops one step after c_n <= _AGM_TOL x_n.  Each step squares
+# the relative gap, so that final step takes it to ~_AGM_TOL^4 / 32 = 2^-57,
+# below rounding, and leaves M and S exact to rounding.  Even y/x = 1e-300
+# gets there in 12 steps after the first; _AGM_MAX_STEPS only stops a
+# non-finite input from looping forever.
+_AGM_TOL = 2.0 ** -13
+_AGM_MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -173,33 +172,70 @@ def desingularized_ratio(theta, thetabar, phi):
     return float(out) if out.ndim == 0 else out
 
 
+def _agm_steps(ratio: float, where) -> int:
+    """AGM steps after the first that bring AGM(1, ratio) to c_n <= _AGM_TOL x_n.
+
+    The relative gap of the AGM depends on y/x alone and closes slowest for
+    the smallest y/x, so this count covers every entry of a chunk whose
+    smallest y/x is ``ratio``.  ``where`` is that entry's index, named if the
+    loop does not converge (a non-finite input, say).
+    """
+    x, y, c = 0.5 * (1.0 + ratio), math.sqrt(ratio), 0.5 * (1.0 - ratio)
+    steps = 0
+    while not c <= _AGM_TOL * x:
+        if steps == _AGM_MAX_STEPS:
+            raise ArithmeticError(f"AGM of the azimuthal moments did not converge at entry {where} "
+                                  f"(y/x = {ratio!r})")
+        x, y, c = 0.5 * (x + y), math.sqrt(x * y), c * c / (2.0 * (x + y))
+        steps += 1
+    return steps
+
+
 def azimuthal_moments(a, b, a_minus_b):
     """Closed-form azimuthal integrals of the inverse chord, for A > B >= 0.
 
     Returns ``(I0, I1)`` with I0 = integral over [0, 2 pi] of
-    dphi / sqrt(A - B cos phi) = 4 K(m) / sqrt(A + B) and I1 = integral of
-    cos(phi) dphi / sqrt(A - B cos phi) = 4 [A K(m) - (A + B) E(m)] / (B sqrt(A + B)),
-    where m = 2B / (A + B) and K, E are complete elliptic integrals (the
-    axisymmetric ring reduction of a surface integral).  K comes from the
-    complementary parameter (A - B) / (A + B), which callers pass through
-    ``a_minus_b`` in a cancellation-free form, so nearly coincident rings
-    keep full precision.  I1 switches to its power series in B/A below
-    MOMENT_SERIES_MAX.  Coincident points (A - B <= 0) have a divergent I0
-    and are rejected.
+    dphi / sqrt(A - B cos phi) and I1 = integral of cos(phi) dphi / sqrt(A - B cos phi)
+    (the axisymmetric ring reduction of a surface integral).  Both come from
+    one arithmetic-geometric mean M = AGM(x0, y0) with x0 = sqrt(A + B) and
+    y0 = sqrt(A - B): I0 = 2 pi / M, and I1 = 2 pi S / (B M) with Gauss's
+    series S = sum over n >= 1 of 2^(n-1) c_n^2, where c_1 = B / (x0 + y0) and
+    c_(n+1) = c_n^2 / (4 x_(n+1)).  The terms of S / B are positive and finite
+    down to B = 0, so nothing cancels and no B needs a separate branch.
+    ``a_minus_b`` carries A - B in a cancellation-free form, so nearly
+    coincident rings keep full precision.  The loop runs over flat chunks of
+    ``_MOMENT_CHUNK`` entries; each chunk takes the step count of its
+    smallest y0 / x0, plus one final step.  Coincident points (A - B <= 0)
+    have a divergent I0 and are rejected.
     """
     a, b, a_minus_b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, a_minus_b)))
     if not (np.all(a_minus_b > 0) and np.all(b >= 0)):
         raise ValueError("azimuthal moments need A > B >= 0; coincident points diverge")
-    a_plus_b = a + b
-    k = ellipkm1(a_minus_b / a_plus_b)
-    root = np.sqrt(a_plus_b)
-    i0 = 4.0 * k / root
-    i1 = np.empty_like(i0)
-    small = b < MOMENT_SERIES_MAX * a
-    x = b[small] / a[small]
-    series = np.polynomial.polynomial.polyval(x * x, _I1_SERIES)
-    i1[small] = (0.5 * math.pi) * x / np.sqrt(a[small]) * series
-    big = ~small
-    e = ellipe(2.0 * b[big] / a_plus_b[big])
-    i1[big] = 4.0 * (a[big] * k[big] - a_plus_b[big] * e) / (b[big] * root[big])
-    return i0, i1
+    shape = a.shape
+    x0 = np.sqrt(a + b).reshape(-1)
+    y0 = np.sqrt(a_minus_b).reshape(-1)
+    b = b.reshape(-1)
+    i0 = np.empty(x0.size)
+    i1 = np.empty(x0.size)
+    for lo in range(0, x0.size, _MOMENT_CHUNK):
+        x, y = x0[lo:lo + _MOMENT_CHUNK], y0[lo:lo + _MOMENT_CHUNK]
+        ratio = y / x
+        k = int(np.argmin(ratio))
+        steps = _agm_steps(float(ratio[k]), tuple(map(int, np.unravel_index(lo + k, shape))))
+        s = x + y
+        c = b[lo:lo + _MOMENT_CHUNK] / s
+        term = c / s  # 2^(n-1) c_n^2 / B at n = 1
+        total = term.copy()
+        y = np.sqrt(x * y)
+        x = 0.5 * s
+        for _ in range(steps + 1):
+            x_next = 0.5 * (x + y)
+            y = np.sqrt(x * y)
+            x = x_next
+            rho = c / (4.0 * x)
+            c *= rho
+            term *= 2.0 * rho * rho
+            total += term
+        np.divide(2.0 * math.pi, x, out=i0[lo:lo + _MOMENT_CHUNK])
+        np.multiply(total, i0[lo:lo + _MOMENT_CHUNK], out=i1[lo:lo + _MOMENT_CHUNK])
+    return i0.reshape(shape), i1.reshape(shape)

@@ -16,8 +16,9 @@ The propagator's eigenvalues mu give a second, time-stepping-free growth
 rate, max log|mu| / dt.
 
 The nonlocal kernel is the azimuthal integral of the bounded chord ratio on
-the unit sphere, taken in closed form with complete elliptic integrals, so
-it depends on the polar grid alone and is cached per node count.  The
+the unit sphere, taken in closed form by one arithmetic-geometric mean per
+entry (:func:`~dropsed.kernels.azimuthal_moments`), so it depends on the
+polar grid alone and is cached per node count.  The
 ``phi_grid`` and ``n_phi`` arguments are still accepted, and ``n_phi`` is
 still recorded on :class:`GalerkinMatrix` and in CLI outputs, but they no
 longer change any value.  They stay because the tests, the CLI and the
@@ -39,11 +40,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-from scipy.interpolate import CubicSpline
 
 from .kernels import azimuthal_moments
-from .quadrature import PhiGrid, ThetaGrid, basis_matrix, simpson_weights, step_count
+from .quadrature import (PhiGrid, ThetaGrid, basis_matrix, hermite, simpson_weights, spline_slopes,
+                         step_count)
 
 __all__ = [
     "TABLE_TO_OPERATOR",
@@ -80,9 +80,10 @@ class Perturbation:
     """A perturbation h(theta) with an attached derivative rule.
 
     Built either from coefficients in the polynomial basis, from an explicit
-    (h, h') pair of callables, or from grid samples (cubic-spline derivative
-    rule).  The nonlocal operator consumes both h and h', so the derivative
-    is part of the representation, never re-derived by finite differences.
+    (h, h') pair of callables, or from grid samples (the not-a-knot cubic
+    spline of :func:`~dropsed.quadrature.spline_slopes` and its derivative).
+    The nonlocal operator consumes both h and h', so the derivative is part
+    of the representation, never re-derived by finite differences.
     """
 
     def __init__(self, func, deriv, coefficients: np.ndarray | None = None):
@@ -115,8 +116,16 @@ class Perturbation:
 
     @classmethod
     def from_samples(cls, grid: ThetaGrid, values) -> "Perturbation":
-        spline = CubicSpline(grid.nodes, np.asarray(values, dtype=float))
-        return cls(spline, spline.derivative())
+        values = np.asarray(values, dtype=float)
+        slopes = spline_slopes(grid.nodes, values)
+
+        def func(theta):
+            return hermite(grid.nodes, values, slopes, theta)
+
+        def deriv(theta):
+            return hermite(grid.nodes, values, slopes, theta, derivative=True)
+
+        return cls(func, deriv)
 
     def __call__(self, theta):
         return self._func(theta)
@@ -337,9 +346,11 @@ def solve_spectrum(A: GalerkinMatrix) -> SpectrumReport:
     the caller can dump it.
     """
     try:
-        lam, vec = scipy.linalg.eig(A.entries)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        lam, vec = np.linalg.eig(A.entries)
+    except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigen-decomposition failed: {exc}", A) from exc
+    # numpy returns real arrays when every eigenvalue is real
+    lam, vec = lam.astype(complex), vec.astype(complex)
     order = np.lexsort((-lam.imag, np.abs(lam.imag), -lam.real))
     lam = lam[order]
     vec = vec[:, order]
@@ -411,29 +422,16 @@ class LinearEvolution:
         return self.values[-1]
 
 
-# Unit-vector columns per spline fit when building the propagator's derivative
-# and foot matrices; bounds the fit's (n, block) temporaries.
-_SPLINE_BLOCK = 32
-
-
 def _spline_matrices(theta: np.ndarray, feet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Derivative-at-nodes and value-at-feet matrices of the not-a-knot cubic spline.
 
     D @ h is the spline derivative of the samples h at the nodes and S @ h the
-    spline's values at ``feet``; both are built column by column from splines
-    of unit vectors, ``_SPLINE_BLOCK`` columns per fit.
+    spline's values at ``feet``: the spline of the identity matrix, one
+    column per unit sample.
     """
-    n = theta.size
-    D = np.empty((n, n))
-    S = np.empty((feet.size, n))
-    for j0 in range(0, n, _SPLINE_BLOCK):
-        cols = np.arange(j0, min(j0 + _SPLINE_BLOCK, n))
-        unit = np.zeros((n, cols.size))
-        unit[cols, cols - j0] = 1.0
-        spline = CubicSpline(theta, unit)
-        D[:, cols] = spline(theta, 1)
-        S[:, cols] = spline(feet)
-    return D, S
+    unit = np.eye(theta.size)
+    D = spline_slopes(theta, unit)
+    return D, hermite(theta, unit, D, feet)
 
 
 def linearized_propagator(theta_grid: ThetaGrid, dt: float) -> np.ndarray:
@@ -472,7 +470,7 @@ def linearized_propagator(theta_grid: ThetaGrid, dt: float) -> np.ndarray:
     del S
     L *= -0.5 * dt
     L[diag] += 1.0
-    return scipy.linalg.solve(L, rhs, overwrite_a=True, overwrite_b=True)
+    return np.linalg.solve(L, rhs)
 
 
 def linearized_evolve(h0: Perturbation, t: float, theta_grid: ThetaGrid, phi_grid: PhiGrid,

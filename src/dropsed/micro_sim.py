@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import Generator
 
 from .kernels import FluidParams, oseen_terms, stokes_drag_velocity
 from .patch_waves import sample_unit_ball
@@ -90,7 +91,7 @@ class ParticleCloud:
 
 
 def uniform_ball_cloud(n: int, params: FluidParams, cloud_radius: float,
-                       rng: np.random.Generator, delta: float | None = None) -> ParticleCloud:
+                       rng: Generator, delta: float | None = None) -> ParticleCloud:
     """Seeded uniform sample of the ball B(0, R0), scaled from :func:`sample_unit_ball`."""
     if delta is None:
         delta = default_regularization(cloud_radius, n)
@@ -159,11 +160,24 @@ def _interaction_sum(positions: np.ndarray, force: np.ndarray, mu: float,
 
 
 def pairwise_velocity(cloud: ParticleCloud, i: int) -> np.ndarray:
-    """Velocity of particle i: drag speed plus all Oseen interactions."""
+    """Velocity of particle i: drag speed plus all Oseen interactions.
+
+    Sums particle i's own N - 1 separations only, with the cloud's clamping
+    distance; its self separation gets a squared distance of +inf, which
+    makes its contribution exactly zero (see :func:`oseen_terms`).
+    """
     if not 0 <= i < cloud.n:
         raise IndexError(f"particle index {i} out of range for N={cloud.n}")
-    vel, _ = _interaction_sum(cloud.positions, cloud.params.force, cloud.params.mu, cloud.delta)
-    return stokes_drag_velocity(cloud.params) + vel[i]
+    p = cloud.params
+    d = np.ascontiguousarray((cloud.positions[i] - cloud.positions).T)
+    r2 = np.einsum("kj,kj->j", d, d)
+    r2[i] = np.inf
+    if np.any(r2 == 0.0):
+        j = int(np.argmax(r2 == 0.0))
+        raise ValueError(f"coincident particles {i} and {j}: no interaction direction")
+    inv_r, coef = np.empty_like(r2), np.empty_like(r2)
+    oseen_terms(d, r2, p.force, p.mu, cloud.delta, inv_r, coef)
+    return stokes_drag_velocity(p) + p.force * inv_r.sum() + d @ coef
 
 
 def cloud_velocities(cloud: ParticleCloud) -> tuple[np.ndarray, int]:

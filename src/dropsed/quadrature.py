@@ -1,4 +1,4 @@
-"""Angular grids, Simpson weights, time-step counts and the Legendre basis.
+"""Angular grids, Simpson weights, time-step counts, the Legendre basis and the spline.
 
 Everything here is deterministic and stateless: grids are frozen dataclasses,
 the rest are pure functions of their inputs.  Composite Simpson is the
@@ -6,7 +6,11 @@ package's one quadrature rule; its weights are built here and contracted by
 the callers with samples taken once on the whole node array.  The step
 count of a uniform time grid lives here too, shared by every time loop in
 the package.  The polynomial basis is the shifted Legendre family in the
-eigenvalue table's normalization.
+eigenvalue table's normalization.  The package's one interpolant is the
+not-a-knot cubic spline, split into its node slopes
+(:func:`spline_slopes`) and the cubic-Hermite evaluation between nodes
+(:func:`hermite`), so a linear map of the samples can be built from the
+identity matrix in one call each.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ __all__ = [
     "snapshot_stride",
     "basis_matrix",
     "MAX_BASIS_DEGREE",
+    "spline_slopes",
+    "hermite",
 ]
 
 # Highest polynomial degree the three-term recurrence is contracted for.
@@ -180,3 +186,71 @@ def basis_matrix(n_funcs: int, theta: np.ndarray):
     P, dP = _legendre_pair(n_funcs - 1, x)
     c = np.sqrt((2 * np.arange(n_funcs) + 1) / 2.0)[:, None]
     return c * P[:n_funcs], c * dP[:n_funcs] * (2.0 / math.pi)
+
+
+def spline_slopes(nodes, values) -> np.ndarray:
+    """Node slopes of the not-a-knot cubic spline through (nodes, values).
+
+    ``values`` has shape (n, ...), one spline per trailing index, and the
+    result has the same shape.  The slopes solve one tridiagonal system: a
+    continuous second derivative at each interior node, and a continuous
+    third derivative at the second and the second-to-last node (the
+    not-a-knot ends).  With fewer than 4 nodes those two end conditions are
+    one and the same, so such a spline is rejected.
+    """
+    x = np.asarray(nodes, dtype=float)
+    y = np.asarray(values, dtype=float)
+    n = x.size
+    if x.ndim != 1 or n < 4:
+        raise ValueError(f"a not-a-knot spline needs a 1-d array of at least 4 nodes, "
+                         f"got shape {x.shape}")
+    if y.shape[:1] != (n,):
+        raise ValueError(f"values of shape {y.shape} do not match {n} nodes")
+    dx = np.diff(x)
+    if not np.all(dx > 0):
+        raise ValueError("spline nodes must increase strictly")
+    col = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / col
+    i = np.arange(1, n - 1)
+    A = np.zeros((n, n))
+    A[i, i - 1] = dx[1:]
+    A[i, i] = 2.0 * (dx[:-1] + dx[1:])
+    A[i, i + 1] = dx[:-1]
+    rhs = np.empty_like(y)
+    rhs[1:-1] = 3.0 * (col[1:] * slope[:-1] + col[:-1] * slope[1:])
+    d = x[2] - x[0]
+    A[0, :2] = dx[1], d
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    A[-1, -2:] = d, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    return np.linalg.solve(A, rhs)
+
+
+def hermite(nodes, values, slopes, at, derivative: bool = False) -> np.ndarray:
+    """Cubic-Hermite interpolant of node values and slopes, evaluated at ``at``.
+
+    ``values`` and ``slopes`` have shape (n, ...); the result has shape
+    ``at.shape + values.shape[1:]`` and holds values, or first derivatives
+    when ``derivative`` is set.  With the slopes of :func:`spline_slopes`
+    this is the not-a-knot spline.  A point outside the nodes' range
+    continues the end interval's cubic, and a node returns its own value
+    exactly.
+    """
+    x = np.asarray(nodes, dtype=float)
+    at = np.asarray(at, dtype=float)
+    y = np.asarray(values, dtype=float)
+    s = np.asarray(slopes, dtype=float)
+    pts = at.reshape(-1)
+    k = np.clip(np.searchsorted(x, pts, side="right") - 1, 0, x.size - 2)
+    h = x[k + 1] - x[k]
+    t = (pts - x[k]) / h
+    if derivative:
+        w = (6.0 * t * (t - 1.0) / h, (1.0 - t) * (1.0 - 3.0 * t),
+             6.0 * t * (1.0 - t) / h, t * (3.0 * t - 2.0))
+    else:
+        w = ((1.0 + 2.0 * t) * (1.0 - t) ** 2, h * t * (1.0 - t) ** 2,
+             t * t * (3.0 - 2.0 * t), h * t * t * (t - 1.0))
+    w = [wi.reshape((-1,) + (1,) * (y.ndim - 1)) for wi in w]
+    out = w[0] * y[k] + w[1] * s[k] + w[2] * y[k + 1] + w[3] * s[k + 1]
+    return out.reshape(at.shape + y.shape[1:])

@@ -9,8 +9,8 @@ independent, so this is the parallel evaluation the scheme admits); the time
 loop itself is sequential and profiles are immutable snapshots.
 
 Every azimuthal integrand has the form (alpha + beta cos phi) / sqrt(A - B cos phi),
-so the integral over phi is taken in closed form with complete elliptic
-integrals (:func:`~dropsed.kernels.azimuthal_moments`).  Quadrature in the
+so the integral over phi is taken in closed form by one arithmetic-geometric
+mean per pair (:func:`~dropsed.kernels.azimuthal_moments`).  Quadrature in the
 inner polar angle runs on nodes offset by half a grid spacing, so the
 integrable diagonal of the chord distance never lands on a sample; the two
 half-spacing end strips are closed with a trapezoid correction (the integrand

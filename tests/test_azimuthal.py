@@ -5,13 +5,18 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipe, ellipkm1
 
 from dropsed import linear_stability as ls
 from dropsed import surface_evolution as se
-from dropsed.kernels import MOMENT_SERIES_MAX, azimuthal_moments
+from dropsed.kernels import azimuthal_moments
 from dropsed.quadrature import PhiGrid, ThetaGrid
 
 import phi_simpson_oracle as oracle
+
+# B/A values spanning the whole range, on both sides of 0.1, where the
+# elliptic-integral form of the moments used to hand I1 over to its series
+RATIOS = [0.0, 1e-8, 1e-4, 0.1 * (1 - 1e-9), 0.1 * (1 + 1e-9), 0.5, 1 - 1e-12]
 
 
 def quad_moments(a, b, a_minus_b):
@@ -37,31 +42,75 @@ def quad_moments(a, b, a_minus_b):
             for f in (f0, f1)]
 
 
+def elliptic_moments(a, b, a_minus_b):
+    """I0 and I1 from the complete elliptic integrals K and E, as the AGM form replaced them.
+
+    I0 = 4 K(m) / sqrt(A + B) and I1 = 4 [A K(m) - (A + B) E(m)] / (B sqrt(A + B))
+    with m = 2B / (A + B).  Below B/A = 0.1, I1 loses digits to cancellation
+    (relative error ~1e-16 / (B/A)^2), so there it comes from the seven-term
+    binomial series of (1 - x cos phi)^(-1/2) in x = B/A instead.
+    """
+    k = ellipkm1(a_minus_b / (a + b))
+    root = math.sqrt(a + b)
+    x = b / a
+    if x >= 0.1:
+        return 4.0 * k / root, 4.0 * (a * k - (a + b) * ellipe(2.0 * b / (a + b))) / (b * root)
+    series = sum(math.comb(4 * j + 2, 2 * j + 1) * math.comb(2 * j + 2, j + 1) / 4.0 ** (3 * j + 1)
+                 * x ** (2 * j) for j in range(7))
+    return 4.0 * k / root, 0.5 * math.pi * x / math.sqrt(a) * series
+
+
 class TestAzimuthalMoments:
-    @pytest.mark.parametrize("ratio", [0.0, 1e-8, 1e-4, MOMENT_SERIES_MAX * (1 - 1e-9),
-                                       MOMENT_SERIES_MAX * (1 + 1e-9), 0.5, 1 - 1e-12])
+    @pytest.mark.parametrize("ratio", RATIOS)
     def test_matches_quadrature(self, ratio):
         a = 1.7
         b = ratio * a
         i0, i1 = azimuthal_moments(a, b, a - b)
         r0, r1 = quad_moments(a, b, a - b)
-        assert abs(i0 / r0 - 1.0) <= 1e-10
+        assert abs(i0 / r0 - 1.0) <= 1e-13
         if ratio == 0.0:
             assert i1 == 0.0
         else:
-            assert abs(i1 / r1 - 1.0) <= 1e-10
+            assert abs(i1 / r1 - 1.0) <= 1e-13
 
-    def test_series_and_elliptic_branches_agree_at_switch(self):
-        # one ulp apart in B: the first uses the series, the second the elliptic form
-        a = np.ones(2)
-        b = np.array([np.nextafter(MOMENT_SERIES_MAX, 0.0), MOMENT_SERIES_MAX])
-        i0, i1 = azimuthal_moments(a, b, a - b)
-        assert abs(i1[1] / i1[0] - 1.0) <= 1e-12
-        assert abs(i0[1] / i0[0] - 1.0) <= 1e-12
+    @pytest.mark.parametrize("ratio", RATIOS[1:])
+    def test_matches_elliptic_integrals(self, ratio):
+        a = 1.7
+        b = ratio * a
+        moments = azimuthal_moments(a, b, a - b)
+        for got, want in zip(moments, elliptic_moments(a, b, a - b)):
+            assert abs(got / want - 1.0) <= 1e-13
+
+    def test_vector_chunks_match_scalar_calls(self):
+        # more entries than one chunk, with the slowest-converging entry in
+        # the last chunk only: each chunk's step count must serve all of it
+        ratio = np.linspace(0.0, 1.0 - 1e-3, 20000)
+        ratio[-1] = 1.0 - 1e-14
+        a = np.full(ratio.size, 1.3)
+        i0, i1 = azimuthal_moments(a, ratio * a, a - ratio * a)
+        for k in (0, 1, 9000, 19998, 19999):
+            s0, s1 = azimuthal_moments(a[k], ratio[k] * a[k], a[k] - ratio[k] * a[k])
+            assert s0.shape == s1.shape == ()
+            assert abs(i0[k] / s0 - 1.0) <= 1e-15
+            assert abs(i1[k] - s1) <= 1e-15 * abs(s1)
+
+    def test_smooth_across_old_series_switch(self):
+        # one formula for every B/A: fourth differences on a fine grid around
+        # the old switch at 0.1 stay at rounding noise (~5e-15 relative).  The
+        # elliptic/series pair this formula replaced showed 2.8e-13 here.
+        a = np.ones(9)
+        b = 0.1 + 1e-4 * np.arange(-4, 5)
+        for moment in azimuthal_moments(a, b, a - b):
+            assert np.max(np.abs(np.diff(moment, 4))) <= 5e-14 * abs(moment[4])
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError, match="coincident"):
             azimuthal_moments([2.0, 2.0], [1.0, 2.0], [1.0, 0.0])
+
+    def test_non_finite_input_raises(self):
+        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError,
+                                                         match=r"did not converge at entry \(1,\)"):
+            azimuthal_moments([1.0, np.inf], [0.5, 0.5], [0.5, np.inf])
 
 
 def dominant_profile(grid: ThetaGrid, eps: float = 0.05) -> se.RadialProfile:

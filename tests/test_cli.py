@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import dropsed
 from dropsed import cli
@@ -119,6 +120,31 @@ class TestEvolveCommand:
                      "--ntheta", "40", "--nphi", "80", "--out", str(out)]) == 0
         _, data = read_csv(out / "snapshot_0000.csv")
         assert np.max(np.abs(data[:, 1] - 1.0)) == pytest.approx(0.2, rel=1e-9)
+
+    def test_eigvec_file_matches_in_process_dominant_mode(self, tmp_path):
+        spec = tmp_path / "spec"
+        assert main(["spectrum", "--K", "6", "--ntheta", "40", "--out", str(spec)]) == 0
+        common = ["--perturb", "dominant", "--eps", "0.2", "--perturb-K", "6", "--T", "0.02",
+                  "--dt", "0.01", "--ntheta", "40", "--nphi", "80"]
+        runs = []
+        for name, extra in (("file", ["--eigvec", str(spec / "eigenvector.csv")]), ("direct", [])):
+            assert main(["evolve", *common, *extra, "--out", str(tmp_path / name)]) == 0
+            runs.append(read_csv(tmp_path / name / "snapshot_0000.csv")[1])
+        assert np.max(np.abs(runs[0] - runs[1])) <= 1e-12
+        assert np.max(np.abs(runs[0][:, 1] - 1.0)) == pytest.approx(0.2, rel=1e-12)
+
+    def test_eigvec_file_on_other_nodes_is_splined(self, tmp_path):
+        # the CSV's nodes are not the run's: the profile is the not-a-knot
+        # spline of the file at the run's nodes, as scipy's CubicSpline gives it
+        spec = tmp_path / "spec"
+        assert main(["spectrum", "--K", "6", "--ntheta", "61", "--out", str(spec)]) == 0
+        assert main(["evolve", "--perturb", "dominant", "--eps", "0.2", "--T", "0.01", "--dt", "0.01",
+                     "--ntheta", "40", "--eigvec", str(spec / "eigenvector.csv"),
+                     "--out", str(tmp_path / "run")]) == 0
+        _, data = read_csv(tmp_path / "run" / "snapshot_0000.csv")
+        _, eigvec = read_csv(spec / "eigenvector.csv")
+        h = CubicSpline(eigvec[:, 0], eigvec[:, 1])(data[:, 0])
+        assert np.max(np.abs(data[:, 1] - (1.0 + 0.2 * h / np.max(np.abs(h))))) <= 1e-14
 
     def test_collapse_writes_last_valid_profile(self, tmp_path, monkeypatch, capsys):
         # the nearly pinched profile of test_collapse_detected: collapses on step 4
@@ -243,6 +269,7 @@ class TestConfigHandling:
         first = tmp_path / "first"
         assert main(["patch", "--R", "0.8", "--steps", "12", "--out", str(first)]) == 0
         manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["version"] == dropsed.__version__ == "0.1.0"
         cfg = tmp_path / "replay.json"
         cfg.write_text(json.dumps(manifest["config"]))
         second = tmp_path / "second"

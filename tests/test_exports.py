@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dropsed
@@ -50,3 +53,21 @@ def test_no_module_imports_an_unused_name():
     found = {path.name: _unused_imports(ast.parse(path.read_text()))
              for path in sorted(package.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_package_imports_neither_scipy_nor_package_metadata():
+    # a fresh interpreter: this test process has scipy loaded for the oracles
+    script = (
+        "import sys\n"
+        "import dropsed.cli\n"
+        f"for name in {MODULES!r}:\n"
+        "    __import__(f'dropsed.{name}')\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy' or m.startswith('importlib.metadata')))\n"
+    )
+    src = str(Path(dropsed.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from dropsed import linear_stability as ls
 from dropsed.quadrature import PhiGrid, ThetaGrid
@@ -211,6 +212,17 @@ class TestPerturbation:
         assert np.max(np.abs(h(theta) - h_samples(theta))) < 1e-8
         assert np.max(np.abs(h.derivative(theta) - h_samples.derivative(theta))) < 1e-4
 
+    @pytest.mark.parametrize("n", [4, 60, 201])
+    def test_from_samples_matches_cubic_spline(self, n):
+        grid = ThetaGrid.uniform(n)
+        samples = np.cos(2.0 * grid.nodes) + 0.3 * grid.nodes
+        h = ls.Perturbation.from_samples(grid, samples)
+        ref = CubicSpline(grid.nodes, samples)
+        theta = np.linspace(0.0, math.pi, 97)
+        assert np.max(np.abs(h(theta) - ref(theta))) <= 1e-13
+        assert np.max(np.abs(h.derivative(theta) - ref(theta, 1))) <= 1e-12
+        assert h(1.0) == pytest.approx(float(ref(1.0)), abs=1e-13)
+
     def test_norms(self):
         h = ls.Perturbation.from_callable(np.sin, np.cos)
         assert h.sup_norm() == pytest.approx(1.0, abs=1e-6)
@@ -260,6 +272,22 @@ class TestGalerkin:
         assert cert.threshold == pytest.approx(1.0 / 45.0, rel=1e-15)
         assert cert.max_real > cert.threshold
         assert max(cert.endpoint_at_0, cert.endpoint_at_pi) > 0.0
+
+    def test_real_spectrum_is_complex_typed(self):
+        rep = ls.solve_spectrum(ls.GalerkinMatrix(size=2, entries=np.diag([0.01, -0.01]),
+                                                  n_theta=8, n_phi=16))
+        assert rep.eigenvalues.dtype == rep.eigenvectors.dtype == np.complex128
+        assert rep.eigenvalues.tolist() == [0.01, -0.01]
+
+    def test_lapack_failure_carries_matrix(self, monkeypatch):
+        def failing_eig(entries):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        A = ls.assemble_galerkin(2, 20)
+        monkeypatch.setattr(ls.np.linalg, "eig", failing_eig)
+        with pytest.raises(ls.EigensolverError, match="did not converge") as exc:
+            ls.solve_spectrum(A)
+        assert exc.value.matrix is A
 
     def test_certificate_below_threshold(self):
         quiet = ls.GalerkinMatrix(size=2, entries=np.diag([0.01, -0.01]),
@@ -318,6 +346,15 @@ class TestLinearizedEvolve:
         assert sampled == []
         evo = ls.linearized_evolve(h0, 4.0, tg, pg, dt=2.0)
         assert evo.times.tolist() == [0.0, 2.0, 4.0] and np.all(np.isfinite(evo.values))
+
+    @pytest.mark.parametrize("n", [11, 101])
+    def test_spline_matrices_match_cubic_spline(self, n):
+        theta = ThetaGrid.uniform(n).nodes
+        feet = ls.characteristic_flow(0.0, 0.05, theta)
+        D, S = ls._spline_matrices(theta, feet)
+        ref = CubicSpline(theta, np.eye(n))
+        assert np.max(np.abs(D - ref(theta, 1))) <= 1e-13 * np.max(np.abs(D))
+        assert np.max(np.abs(S - ref(feet))) <= 1e-14
 
     def test_propagator_is_one_step(self):
         tg, pg = ThetaGrid.uniform(51), PhiGrid.uniform(102)

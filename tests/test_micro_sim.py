@@ -68,6 +68,23 @@ class TestPairwiseVelocity:
         bad = ParticleCloud(positions=np.zeros((2, 3)), params=PARAMS, cloud_radius=1.0, delta=0.0)
         with pytest.raises(ValueError, match="coincident"):
             pairwise_velocity(bad, 0)
+        pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
+        bad = ParticleCloud(positions=pos, params=PARAMS, cloud_radius=1.0, delta=0.0)
+        with pytest.raises(ValueError, match="coincident particles 3 and 1"):
+            pairwise_velocity(bad, 3)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_matches_cloud_velocities_row(self, rng, delta):
+        # more particles than one pair-sum tile, and at delta = 0.05 some
+        # pairs are clamped, so the row must use the cloud's delta too
+        cloud = uniform_ball_cloud(450, PARAMS, 1.0, rng, delta=delta)
+        rows, clamps = cloud_velocities(cloud)
+        gaps = np.linalg.norm(cloud.positions[:, None] - cloud.positions[None], axis=2)
+        np.fill_diagonal(gaps, np.inf)
+        clamped = np.flatnonzero(gaps.min(axis=1) < delta)
+        assert (clamps > 0) == (clamped.size > 0) == (delta > 0)
+        for i in (0, 199, 200, 449, *clamped[:3]):
+            assert np.max(np.abs(pairwise_velocity(cloud, i) - rows[i])) <= 1e-12
 
     def test_clamp_counter_and_log(self, caplog):
         pos = np.stack([np.zeros(3), 1e-6 * E3])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from dropsed import linear_stability as ls
 from dropsed import micro_sim as ms
@@ -13,8 +14,10 @@ from dropsed.quadrature import (
     PhiGrid,
     ThetaGrid,
     basis_matrix,
+    hermite,
     simpson_weights,
     snapshot_stride,
+    spline_slopes,
     step_count,
 )
 
@@ -156,3 +159,41 @@ class TestStepCount:
         }
         with pytest.raises(ValueError, match="whole number of steps"):
             runs[loop]()
+
+
+class TestSpline:
+    @pytest.mark.parametrize("nodes", ["uniform", "nonuniform"])
+    @pytest.mark.parametrize("n", [4, 5, 40])
+    def test_matches_cubic_spline(self, nodes, n):
+        x = np.linspace(0.0, math.pi, n)
+        if nodes == "nonuniform":
+            x = math.pi * np.linspace(0.0, 1.0, n) ** 1.5
+        y = np.column_stack([np.sin(3.0 * x) + x**2, np.exp(-x)])
+        ref = CubicSpline(x, y)
+        s = spline_slopes(x, y)
+        at = np.linspace(-0.02, math.pi + 0.02, 301)  # both ends extrapolate a little
+        assert np.max(np.abs(s - ref(x, 1))) <= 1e-13 * np.max(np.abs(s))
+        for derivative in (False, True):
+            got = hermite(x, y, s, at, derivative=derivative)
+            want = ref(at, int(derivative))
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_reproduces_a_cubic_and_its_nodes(self):
+        x = np.array([0.0, 0.3, 0.4, 1.1, 2.0, 2.2])
+        y = 1.0 - 2.0 * x + 0.5 * x**2 - 0.25 * x**3
+        s = spline_slopes(x, y)
+        np.testing.assert_allclose(s, -2.0 + x - 0.75 * x**2, rtol=0, atol=1e-13)
+        at = np.linspace(-1.0, 3.0, 41)
+        np.testing.assert_allclose(hermite(x, y, s, at), 1.0 - 2.0 * at + 0.5 * at**2 - 0.25 * at**3,
+                                   rtol=0, atol=1e-12)
+        assert np.array_equal(hermite(x, y, s, x), y)
+        assert hermite(x, y, s, 0.35).shape == ()
+
+    @pytest.mark.parametrize("x", [[0.0, 1.0, 2.0], [0.0, 1.0], [0.0, 1.0, 1.0, 2.0],
+                                   [0.0, 2.0, 1.0, 3.0]])
+    def test_bad_nodes_rejected(self, x):
+        # with 3 nodes both not-a-knot ends are one condition (CubicSpline
+        # falls back to the parabola there); the helper refuses instead
+        with pytest.raises(ValueError, match="at least 4 nodes|increase strictly"):
+            spline_slopes(x, np.zeros(len(x)))
