@@ -30,8 +30,10 @@ __all__ = [
 
 # Entries per chunk of the AGM loop in :func:`azimuthal_moments`: large enough
 # that numpy's per-call overhead is small against a chunk, small enough that
-# the loop's few chunk-sized temporaries (32 kB each) stay in a core's L2
-# cache and are recycled by the allocator rather than page-faulted in anew.
+# the loop's few chunk-sized buffers (32 kB each) stay in a core's L2 cache
+# and are recycled by the allocator rather than page-faulted in anew.
+# :func:`dropsed.surface_evolution.advection_and_source` sizes its blocks of
+# node rows by it too, so each block is one chunk.
 _MOMENT_CHUNK = 4096
 
 # The AGM loop stops one step after c_n <= _AGM_TOL x_n.  Each step squares
@@ -172,26 +174,25 @@ def desingularized_ratio(theta, thetabar, phi):
     return float(out) if out.ndim == 0 else out
 
 
-def _agm_steps(ratio: float, where) -> int:
+def _agm_steps(ratio: float) -> int | None:
     """AGM steps after the first that bring AGM(1, ratio) to c_n <= _AGM_TOL x_n.
 
     The relative gap of the AGM depends on y/x alone and closes slowest for
     the smallest y/x, so this count covers every entry of a chunk whose
-    smallest y/x is ``ratio``.  ``where`` is that entry's index, named if the
-    loop does not converge (a non-finite input, say).
+    smallest y/x is ``ratio``.  None if the loop does not converge (a
+    non-finite input, say).
     """
     x, y, c = 0.5 * (1.0 + ratio), math.sqrt(ratio), 0.5 * (1.0 - ratio)
     steps = 0
     while not c <= _AGM_TOL * x:
         if steps == _AGM_MAX_STEPS:
-            raise ArithmeticError(f"AGM of the azimuthal moments did not converge at entry {where} "
-                                  f"(y/x = {ratio!r})")
+            return None
         x, y, c = 0.5 * (x + y), math.sqrt(x * y), c * c / (2.0 * (x + y))
         steps += 1
     return steps
 
 
-def azimuthal_moments(a, b, a_minus_b):
+def azimuthal_moments(a, b, a_minus_b, *, first_row: int = 0):
     """Closed-form azimuthal integrals of the inverse chord, for A > B >= 0.
 
     Returns ``(I0, I1)`` with I0 = integral over [0, 2 pi] of
@@ -204,12 +205,15 @@ def azimuthal_moments(a, b, a_minus_b):
     down to B = 0, so nothing cancels and no B needs a separate branch.
     ``a_minus_b`` carries A - B in a cancellation-free form, so nearly
     coincident rings keep full precision.  The loop runs over flat chunks of
-    ``_MOMENT_CHUNK`` entries; each chunk takes the step count of its
-    smallest y0 / x0, plus one final step.  Coincident points (A - B <= 0)
-    have a divergent I0 and are rejected.
+    ``_MOMENT_CHUNK`` entries, in place in the arrays of x0, y0 and the
+    results plus two chunk-sized buffers; each chunk takes the step count of
+    its smallest y0 / x0, plus one final step.  Coincident points
+    (A - B <= 0) have a divergent I0 and are rejected.  A caller that passes
+    rows ``first_row`` onwards of a larger array gives that offset, so an
+    entry that fails to converge is named by its index in the larger array.
     """
     a, b, a_minus_b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, a_minus_b)))
-    if not (np.all(a_minus_b > 0) and np.all(b >= 0)):
+    if not ((a_minus_b > 0).all() and (b >= 0).all()):
         raise ValueError("azimuthal moments need A > B >= 0; coincident points diverge")
     shape = a.shape
     x0 = np.sqrt(a + b).reshape(-1)
@@ -217,25 +221,43 @@ def azimuthal_moments(a, b, a_minus_b):
     b = b.reshape(-1)
     i0 = np.empty(x0.size)
     i1 = np.empty(x0.size)
+    size = min(x0.size, _MOMENT_CHUNK)
+    c_buf, tmp_buf = np.empty(size), np.empty(size)
     for lo in range(0, x0.size, _MOMENT_CHUNK):
-        x, y = x0[lo:lo + _MOMENT_CHUNK], y0[lo:lo + _MOMENT_CHUNK]
-        ratio = y / x
-        k = int(np.argmin(ratio))
-        steps = _agm_steps(float(ratio[k]), tuple(map(int, np.unravel_index(lo + k, shape))))
-        s = x + y
-        c = b[lo:lo + _MOMENT_CHUNK] / s
-        term = c / s  # 2^(n-1) c_n^2 / B at n = 1
-        total = term.copy()
-        y = np.sqrt(x * y)
-        x = 0.5 * s
-        for _ in range(steps + 1):
-            x_next = 0.5 * (x + y)
-            y = np.sqrt(x * y)
-            x = x_next
-            rho = c / (4.0 * x)
-            c *= rho
-            term *= 2.0 * rho * rho
+        hi = min(lo + _MOMENT_CHUNK, x0.size)
+        # x and y overwrite x0 and y0, term and total the two results
+        x, y, term, total = x0[lo:hi], y0[lo:hi], i0[lo:hi], i1[lo:hi]
+        c, tmp = c_buf[:hi - lo], tmp_buf[:hi - lo]
+        np.divide(y, x, out=tmp)
+        j = int(np.argmin(tmp))
+        steps = _agm_steps(float(tmp[j]))
+        if steps is None:
+            where = [int(v) for v in np.unravel_index(lo + j, shape)]
+            if where:
+                where[0] += first_row
+            raise ArithmeticError(f"AGM of the azimuthal moments did not converge at entry "
+                                  f"{tuple(where)} (y/x = {float(tmp[j])!r})")
+        np.add(x, y, out=tmp)  # s = x0 + y0
+        np.divide(b[lo:hi], tmp, out=c)  # c_1
+        np.divide(c, tmp, out=term)  # 2^(n-1) c_n^2 / B at n = 1
+        np.copyto(total, term)
+        c *= 0.25  # c_n / 4 from here on, which makes rho one division
+        y *= x
+        np.sqrt(y, out=y)
+        np.multiply(tmp, 0.5, out=x)
+        for step in range(steps + 1):
+            np.add(x, y, out=tmp)
+            tmp *= 0.5  # the next x
+            if step < steps:  # the last y is never used
+                y *= x
+                np.sqrt(y, out=y)
+            x, tmp = tmp, x
+            np.divide(c, x, out=tmp)  # rho = c_n / (4 x_(n+1))
+            c *= tmp
+            tmp *= tmp
+            tmp *= 2.0
+            term *= tmp
             total += term
-        np.divide(2.0 * math.pi, x, out=i0[lo:lo + _MOMENT_CHUNK])
-        np.multiply(total, i0[lo:lo + _MOMENT_CHUNK], out=i1[lo:lo + _MOMENT_CHUNK])
+        np.divide(2.0 * math.pi, x, out=i0[lo:hi])
+        total *= i0[lo:hi]
     return i0.reshape(shape), i1.reshape(shape)

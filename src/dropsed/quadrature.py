@@ -197,6 +197,13 @@ def spline_slopes(nodes, values) -> np.ndarray:
     third derivative at the second and the second-to-last node (the
     not-a-knot ends).  With fewer than 4 nodes those two end conditions are
     one and the same, so such a spline is rejected.
+
+    The system is solved by one forward and one back sweep over the rows,
+    each row update vectorized over the trailing axes.  No pivoting is
+    needed: the pivots are dx1, then dx0 + dx1, then each interior one
+    exceeds 2 dx(i-1) + dx(i), which leaves the last one positive too.  A
+    pivot that still comes out nonpositive (overflow or underflow in the
+    spacings) raises.
     """
     x = np.asarray(nodes, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -211,20 +218,29 @@ def spline_slopes(nodes, values) -> np.ndarray:
         raise ValueError("spline nodes must increase strictly")
     col = dx.reshape((-1,) + (1,) * (y.ndim - 1))
     slope = np.diff(y, axis=0) / col
-    i = np.arange(1, n - 1)
-    A = np.zeros((n, n))
-    A[i, i - 1] = dx[1:]
-    A[i, i] = 2.0 * (dx[:-1] + dx[1:])
-    A[i, i + 1] = dx[:-1]
     rhs = np.empty_like(y)
     rhs[1:-1] = 3.0 * (col[1:] * slope[:-1] + col[:-1] * slope[1:])
     d = x[2] - x[0]
-    A[0, :2] = dx[1], d
     rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    upper = [d, *dx[:-1].tolist()]  # upper[i] couples row i to slope i + 1
     d = x[-1] - x[-3]
-    A[-1, -2:] = d, dx[-2]
     rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    return np.linalg.solve(A, rhs)
+    lower = [*dx[1:].tolist(), d]  # lower[i - 1] couples row i to slope i - 1
+    diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])).tolist(), dx[-2]]
+    pivot = [diag[0]]
+    factor = []
+    for i in range(1, n):
+        factor.append(lower[i - 1] / pivot[-1])
+        pivot.append(diag[i] - factor[-1] * upper[i - 1])
+        if not pivot[-1] > 0:
+            raise ArithmeticError(f"spline system pivot {i} is {pivot[-1]!r}, not positive")
+    for i in range(1, n):
+        rhs[i] -= factor[i - 1] * rhs[i - 1]
+    rhs[-1] /= pivot[-1]
+    for i in range(n - 2, -1, -1):
+        rhs[i] -= upper[i] * rhs[i + 1]
+        rhs[i] /= pivot[i]
+    return rhs
 
 
 def hermite(nodes, values, slopes, at, derivative: bool = False) -> np.ndarray:

@@ -3,10 +3,12 @@
 The surface radius measured from a reference center on the symmetry axis is
 advected by the angular flow speed and forced by the radial one; both are
 double integrals over the surface itself.  The time stepper is the classical
-explicit upwind scheme.  Per-node quadratures inside a step are evaluated as
-one vectorized contraction over (node, inner angle) pairs (the nodes are
-independent, so this is the parallel evaluation the scheme admits); the time
-loop itself is sequential and profiles are immutable snapshots.
+explicit upwind scheme.  Per-node quadratures inside a step run over blocks
+of node rows, each block vectorized over its (node, inner angle) pairs (the
+nodes are independent, so this is the parallel evaluation the scheme
+admits).  The grid geometry they need is cached per node count, so a step
+computes only what depends on the profile, in a few block-sized buffers.
+The time loop itself is sequential and profiles are immutable snapshots.
 
 Every azimuthal integrand has the form (alpha + beta cos phi) / sqrt(A - B cos phi),
 so the integral over phi is taken in closed form by one arithmetic-geometric
@@ -26,10 +28,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .kernels import azimuthal_moments
+from .kernels import _MOMENT_CHUNK, azimuthal_moments
 from .quadrature import PhiGrid, ThetaGrid, simpson_weights, snapshot_stride, step_count
 
 __all__ = [
@@ -142,6 +145,35 @@ def theta_derivative(r: np.ndarray, spacing: float) -> np.ndarray:
     return dr
 
 
+@lru_cache(maxsize=4)
+def _advection_geometry(n_theta: int) -> tuple[np.ndarray, ...]:
+    """Profile-independent factors of :func:`advection_and_source`, cached and read-only.
+
+    Returns ``(st, ct, stb, ctb, s4, st2_stb, w_mid)`` for the uniform
+    n_theta-node grid and its mids: the sines and cosines of the nodes and
+    of the mids; 4 sin^2((theta - mid) / 2) and 2 sin(theta) sin(mid), one
+    row per node and one column per mid; and the Simpson weights on the
+    mids with the trapezoid closure of the two half-spacing end strips
+    added to the first and last, where the integrand decays linearly to zero
+    at the poles.  Keyed on the node count, as ``linear_stability._grid_kernel``
+    is: every :class:`ThetaGrid` is uniform, up to the 1e-12 its validation
+    allows.
+    """
+    grid = ThetaGrid.uniform(n_theta)
+    theta, h = grid.nodes, grid.spacing
+    mids = (np.arange(n_theta - 1) + 0.5) * h
+    st, ct = np.sin(theta), np.cos(theta)
+    stb, ctb = np.sin(mids), np.cos(mids)
+    s4 = 4.0 * np.sin(0.5 * (theta[:, None] - mids)) ** 2
+    st2_stb = (2.0 * st)[:, None] * stb
+    w_mid = simpson_weights(mids.size, h)
+    w_mid[[0, -1]] += 0.25 * h
+    geometry = (st, ct, stb, ctb, s4, st2_stb, w_mid)
+    for arr in geometry:
+        arr.setflags(write=False)
+    return geometry
+
+
 def advection_and_source(p: RadialProfile, cdot3: float, phi_grid: PhiGrid):
     """Angular advection speed and radial source on every node of the profile grid.
 
@@ -149,37 +181,57 @@ def advection_and_source(p: RadialProfile, cdot3: float, phi_grid: PhiGrid):
     zero (axisymmetry forces a sin(theta) factor there); the source at the
     poles is regular and comes straight from the quadrature.  ``phi_grid`` is
     accepted and ignored: the azimuthal integrals are exact.
+
+    The squared chord between the node (r, theta, 0) and the ring through
+    the mid (rm, mid) is A - B cos(phi).  Both brackets of the integrands are
+    linear in the moments I0 and I1 with coefficients that factor into a
+    node part and a mid part, so each quadrature is a sum of a few matrix
+    products of the moments with weighted mid vectors.  Rows of nodes are
+    taken in blocks of about ``_MOMENT_CHUNK`` (node, mid) pairs, so the
+    per-call working set is a few block-sized buffers whatever the grid size.
     """
-    theta = p.grid.nodes
+    n = p.grid.n_theta
     h = p.grid.spacing
-    mids = (np.arange(theta.size - 1) + 0.5) * h
-    st, ct = np.sin(theta)[:, None], np.cos(theta)[:, None]
-    stb, ctb = np.sin(mids), np.cos(mids)
+    st, ct, stb, ctb, s4, st2_stb, w_mid = _advection_geometry(n)
     r = p.r
     dr = theta_derivative(r, h)
     rm = 0.5 * (r[:-1] + r[1:])
     drm = 0.5 * (dr[:-1] + dr[1:])
+    # The radial bracket is ct*stb*I0 - st*ctb*I1 and the angular one
+    # r*I1 - rm*ct*ctb*I1 - rm*st*stb*I0.  With the quadrature weight times
+    # the mid factor of each integrand, w1 (angular) and w2 = rm*w1 (radial),
+    # q2 = ct*S0 - st*S1 and q1 = r*S2 - ct*S1 - st*S0 for the row sums
+    # S0 = I0 @ (w2*stb) and (S1, S2) = I1 @ (w2*ctb, w1).
+    w1 = w_mid * (rm * stb - drm * ctb) * rm * stb
+    w2 = w1 * rm
+    by_i0 = w2 * stb
+    by_i1 = np.stack([w2 * ctb, w1], axis=1)
+    s0 = np.empty(n)
+    s12 = np.empty((n, 2))
 
-    # squared chord A - B cos(phi) between (r, theta, 0) and (rm, mid, phi), shape (n, m)
-    rr = r[:, None] * rm
-    a_minus_b = (r[:, None] - rm) ** 2 + 4.0 * rr * np.sin(0.5 * (theta[:, None] - mids)) ** 2
-    b = 2.0 * rr * st * stb
-    i0, i1 = azimuthal_moments(a_minus_b + b, b, a_minus_b)
-    base = rm * stb - drm * ctb
-    w_mid = simpson_weights(mids.size, h)
+    m = n - 1
+    rows = max(1, _MOMENT_CHUNK // m)
+    a_buf, b_buf, amb_buf = (np.empty((rows, m)) for _ in range(3))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        a, b, amb = a_buf[:hi - lo], b_buf[:hi - lo], amb_buf[:hi - lo]
+        rc = r[lo:hi, None]
+        rr = np.multiply(rc, rm, out=a)  # a holds r * rm until A is formed
+        np.subtract(rc, rm, out=amb)
+        amb *= amb
+        np.multiply(rr, s4[lo:hi], out=b)
+        amb += b  # A - B = (r - rm)^2 + 4 r rm sin^2((theta - mid) / 2)
+        np.multiply(rr, st2_stb[lo:hi], out=b)
+        np.add(amb, b, out=a)
+        i0, i1 = azimuthal_moments(a, b, amb, first_row=lo)
+        np.matmul(i0, by_i0, out=s0[lo:hi])
+        np.matmul(i1, by_i1, out=s12[lo:hi])
 
-    def quad_with_end_strips(per_mid):
-        # trapezoid closure of the two half-spacing end strips, where the
-        # integrand decays linearly to zero at the poles
-        return per_mid @ w_mid + 0.25 * h * (per_mid[:, 0] + per_mid[:, -1])
-
-    # radial bracket ct*stb - st*ctb*cos(phi)
-    q2 = quad_with_end_strips(base * rm**2 * stb * (ct * stb * i0 - st * ctb * i1))
-    a2 = -q2 / (8.0 * math.pi) - cdot3 * ct[:, 0]
-    # angular bracket (r - rm*ct*ctb)*cos(phi) - rm*st*stb
-    br1 = (r[:, None] - rm * ct * ctb) * i1 - rm * st * stb * i0
-    q1 = quad_with_end_strips(base * rm * stb * br1)
-    a1 = -q1 / (8.0 * math.pi * r) + cdot3 * st[:, 0] / r
+    s1, s2 = s12.T
+    q2 = ct * s0 - st * s1
+    a2 = -q2 / (8.0 * math.pi) - cdot3 * ct
+    q1 = r * s2 - ct * s1 - st * s0
+    a1 = -q1 / (8.0 * math.pi * r) + cdot3 * st / r
     a1[0] = 0.0
     a1[-1] = 0.0
 

@@ -1,18 +1,21 @@
 """Closed-form azimuthal integrals against quadrature and the phi-Simpson oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import ellipe, ellipkm1
 
+from dropsed import kernels
 from dropsed import linear_stability as ls
 from dropsed import surface_evolution as se
 from dropsed.kernels import azimuthal_moments
 from dropsed.quadrature import PhiGrid, ThetaGrid
 
 import phi_simpson_oracle as oracle
+import vectorized_advection_oracle as one_shot
 
 # B/A values spanning the whole range, on both sides of 0.1, where the
 # elliptic-integral form of the moments used to hand I1 over to its series
@@ -146,7 +149,55 @@ class TestSurfaceQuadratureAgainstOracle:
         assert np.max(np.abs(a1 + np.sin(grid.nodes) / 15.0)) <= 1e-8
 
 
+class TestBlockedAdvection:
+    @pytest.mark.parametrize("n", [21, 100, 201])
+    @pytest.mark.parametrize("profile", ["sphere", "dominant"])
+    def test_matches_one_shot_form(self, n, profile):
+        # 100 and 201 rows are not whole multiples of their blocks (41 and 20 rows)
+        grid = ThetaGrid.uniform(n)
+        p = se.RadialProfile.sphere(grid) if profile == "sphere" else dominant_profile(grid)
+        c = se.center_speed(p)
+        got = se.advection_and_source(p, c, PhiGrid.uniform(2 * n))
+        for a, want in zip(got, one_shot.advection_and_source(p, c)):
+            assert np.max(np.abs(a - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_one_call_peaks_below_one_mib(self):
+        # the one-shot form peaked at about 10 MiB here; blocks keep the working
+        # set to a few block-sized buffers
+        grid = ThetaGrid.uniform(401)
+        p = dominant_profile(grid)
+        se.advection_and_source(p, se.WAVE_CENTER_SPEED, None)
+        tracemalloc.start()
+        try:
+            se.advection_and_source(p, se.WAVE_CENTER_SPEED, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_geometry_cache_is_read_only(self):
+        geometry = se._advection_geometry(50)
+        assert se._advection_geometry(50) is geometry
+        for arr in geometry:
+            with pytest.raises(ValueError):
+                arr[1] = 1.0
+
+    def test_agm_failure_names_global_node(self, monkeypatch):
+        # one node row per block; the pole row needs no AGM step and passes,
+        # so the failure is in the second block, at node 1 (not at row 0 of it)
+        p = se.RadialProfile.sphere(ThetaGrid.uniform(21))
+        monkeypatch.setattr(se, "_MOMENT_CHUNK", 1)
+        monkeypatch.setattr(kernels, "_AGM_MAX_STEPS", 0)
+        with pytest.raises(ArithmeticError, match=r"did not converge at entry \(1, \d+\)"):
+            se.advection_and_source(p, se.WAVE_CENTER_SPEED, None)
+
+
 class TestSphereKernelAgainstOracle:
+    @pytest.mark.parametrize("n", [100, 251])
+    def test_symmetric_grid_kernel_equals_full_kernel(self, n):
+        nodes = ThetaGrid.uniform(n).nodes
+        assert np.array_equal(ls._grid_kernel(n), ls._sphere_kernel(nodes, nodes))
+
     def test_off_diagonal_matches_phi_simpson(self):
         tg = ThetaGrid.uniform(100)
         R = ls._grid_kernel(100)

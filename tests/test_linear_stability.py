@@ -323,6 +323,15 @@ class TestLinearizedEvolve:
         with pytest.raises(ValueError, match="corrector|diverged"):
             ls.linearized_evolve(h0, 400.0, tg, pg, dt=40.0)
 
+    @pytest.mark.parametrize("gain, step", [(np.nan, 1), (10.0, 13)])
+    def test_divergence_names_its_step(self, monkeypatch, gain, step):
+        # a NaN and growth past 1e12 times the initial size both stop the run
+        tg, pg = ThetaGrid.uniform(21), PhiGrid.uniform(42)
+        monkeypatch.setattr(ls, "linearized_propagator", lambda grid, dt: gain * np.eye(grid.n_theta))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match=rf"diverged at step {step}; reduce dt=0\.01"):
+            ls.linearized_evolve(np.cos, 1.0, tg, pg, dt=0.01)
+
     @pytest.mark.parametrize("n, t", [(101, 1.0), (251, 2.5)])
     def test_matches_iterated_corrector(self, n, t):
         tg, pg = ThetaGrid.uniform(n), PhiGrid.uniform(2 * n)
