@@ -1,9 +1,14 @@
 """Command-line entry point for the four experiment families.
 
-Configuration precedence is flags over config file over defaults; every run
-writes a manifest (resolved config + seed + version) sufficient to reproduce
-its outputs bit for bit, so nothing time- or host-dependent is ever written.
-Heavy numeric imports happen after the thread cap is applied.
+Each option is declared once, as a field of its subcommand's ``*Config``
+dataclass: the field's name gives the flag, its default the type, and its
+metadata any choices and help text.  A config file's values are checked
+against the same fields as the flags are, so a runner reads only typed,
+valid values.  Configuration precedence is flags over config file over
+defaults; every run writes a manifest (resolved config + seed + version)
+sufficient to reproduce its outputs bit for bit, so nothing time- or
+host-dependent is ever written.  Heavy numeric imports happen after the
+thread cap is applied.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -24,11 +29,15 @@ __all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
-# configs
+# configs: one field per option, and each class docstring is its subcommand's help
+
+_NPHI = {"help": "azimuthal grid size; recorded in outputs, changes no value"}
 
 
 @dataclass
 class PatchConfig:
+    """traveling-wave separation certificates"""
+
     R: float = 0.5
     t_max: float = 100.0
     steps: int = 50
@@ -36,35 +45,43 @@ class PatchConfig:
 
 @dataclass
 class SpectrumConfig:
+    """Galerkin eigenvalues of the linearized operator"""
+
     K: int = 4
     ntheta: int = 200
-    nphi: int = 0  # 0 means 2 * ntheta
+    nphi: int = field(default=0, metadata=_NPHI)  # 0 means 2 * ntheta
 
 
 @dataclass
 class EvolveConfig:
+    """nonlinear surface evolution"""
+
     r0: str = "const:1"
     T: float = 10.0
     dt: float = 0.01
     ntheta: int = 100
-    nphi: int = 200
-    policy: str = "fixed_wave_speed"
+    nphi: int = field(default=200, metadata=_NPHI)
+    policy: str = field(default="fixed_wave_speed", metadata={
+        "choices": ("fixed_wave_speed", "transported", "prescribed")})
     prescribed_speed: float = 0.0
     snapshot_every: float = 0.0  # 0 means T / 10, rounded to whole steps (at least one)
-    perturb: str = "none"
+    perturb: str = field(default="none", metadata={"choices": ("none", "dominant")})
     eps: float = 0.2
     perturb_K: int = 25
-    eigvec: str = ""
+    eigvec: str = field(default="", metadata={"help": "theta,h CSV from a prior spectrum run"})
     svg: bool = False
 
 
 @dataclass
 class MicroConfig:
+    """Oseen particle cloud"""
+
     N: int = 1000
     T: float = 1.0
     dt: float = 0.01
     delta: float = -1.0  # negative means the default fraction of mean spacing
-    frame: str = "rescaled"
+    frame: str = field(default="rescaled", metadata={
+        "choices": ("rescaled", "lab", "drift_subtracted")})
     snapshot_every: float = 0.0  # 0 means T
 
 
@@ -76,17 +93,34 @@ _CONFIG_TYPES = {
 }
 
 
+def _checked(f: dataclasses.Field, value):
+    """A config-file value as the type of its field's default, within the field's choices.
+
+    An int is accepted for a float and converted; nothing else is converted,
+    so a bool is never taken for a number.
+    """
+    kind = type(f.default)
+    if kind is float and type(value) is int:
+        value = float(value)
+    choices = f.metadata.get("choices")
+    if type(value) is not kind or (choices and value not in choices):
+        expected = f"one of {choices}" if choices else f"of type {kind.__name__}"
+        raise ValueError(f"config key {f.name!r} must be {expected}, got {value!r}")
+    return value
+
+
 def _resolve_config(subcommand: str, args: argparse.Namespace) -> dict:
     """defaults < config file < explicitly passed flags."""
-    cfg = dataclasses.asdict(_CONFIG_TYPES[subcommand]())
+    fields = {f.name: f for f in dataclasses.fields(_CONFIG_TYPES[subcommand])}
+    cfg = {name: f.default for name, f in fields.items()}
     if args.config:
         loaded = json.loads(Path(args.config).read_text())
         unknown = set(loaded) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config keys for {subcommand}: {sorted(unknown)}")
-        cfg.update(loaded)
+        cfg.update((key, _checked(fields[key], value)) for key, value in loaded.items())
     for key in cfg:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     return cfg
@@ -123,10 +157,10 @@ def run_patch(cfg: dict, out: Path, seed: int) -> int:
 
     from . import patch_waves as pw
 
-    if cfg["R"] <= 0:
-        raise ValueError(f"R must be positive, got {cfg['R']}")
-    R = float(cfg["R"])
-    ts = np.linspace(0.0, float(cfg["t_max"]), int(cfg["steps"]) + 1)
+    R = cfg["R"]
+    if R <= 0:
+        raise ValueError(f"R must be positive, got {R}")
+    ts = np.linspace(0.0, cfg["t_max"], cfg["steps"] + 1)
     rows = []
     for t in ts:
         l1 = pw.l1_distance(R, float(t))
@@ -136,8 +170,8 @@ def run_patch(cfg: dict, out: Path, seed: int) -> int:
     initial_upper, _ = pw.wasserstein_bounds(R, 0.0)
     summary = {
         "R": R,
-        "t_max": float(cfg["t_max"]),
-        "steps": int(cfg["steps"]),
+        "t_max": cfg["t_max"],
+        "steps": cfg["steps"],
         "separation_time": None if R == 1.0 else pw.separation_time(R),
         "l1_initial": pw.l1_distance(R, 0.0),
         "w1_initial_upper": initial_upper,
@@ -154,8 +188,8 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> int:
 
     if cfg["K"] < 1 or cfg["ntheta"] < 8:
         raise ValueError("need K >= 1 and ntheta >= 8")
-    n_phi = int(cfg["nphi"]) or 2 * int(cfg["ntheta"])
-    A = ls.assemble_galerkin(int(cfg["K"]), int(cfg["ntheta"]), n_phi)
+    n_phi = cfg["nphi"] or 2 * cfg["ntheta"]
+    A = ls.assemble_galerkin(cfg["K"], cfg["ntheta"], n_phi)
     try:
         report = ls.solve_spectrum(A)
     except ls.EigensolverError as exc:
@@ -163,12 +197,12 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> int:
         raise
     _write_csv(out / "eigenvalues.csv", "re,im",
                [(lam.real, lam.imag) for lam in report.eigenvalues])
-    theta = np.linspace(0.0, np.pi, int(cfg["ntheta"]))
+    theta = np.linspace(0.0, np.pi, cfg["ntheta"])
     h = report.eigenvector_perturbation(0)
     _write_csv(out / "eigenvector.csv", "theta,h", np.column_stack([theta, np.real(h(theta))]))
     summary = {
-        "K": int(cfg["K"]),
-        "n_theta": int(cfg["ntheta"]),
+        "K": cfg["K"],
+        "n_theta": cfg["ntheta"],
         "n_phi": n_phi,
         "max_real": report.max_real,
         "threshold_1_over_15": round(1.0 / 15.0, 4),
@@ -186,7 +220,7 @@ def _initial_profile(cfg: dict, out: Path):
     from . import surface_evolution as se
     from .quadrature import ThetaGrid, hermite, spline_slopes
 
-    grid = ThetaGrid.uniform(int(cfg["ntheta"]))
+    grid = ThetaGrid.uniform(cfg["ntheta"])
     kind, _, value = cfg["r0"].partition(":")
     if kind != "const":
         raise ValueError(f"unsupported r0 spec {cfg['r0']!r}; expected const:VALUE")
@@ -196,14 +230,12 @@ def _initial_profile(cfg: dict, out: Path):
             theta, h = np.loadtxt(cfg["eigvec"], delimiter=",", skiprows=1, unpack=True)
             h = hermite(theta, h, spline_slopes(theta, h), grid.nodes)
         else:
-            A = ls.assemble_galerkin(int(cfg["perturb_K"]), grid.n_theta)
+            A = ls.assemble_galerkin(cfg["perturb_K"], grid.n_theta)
             report = ls.solve_spectrum(A)
             h = np.real(report.eigenvector_perturbation(0)(grid.nodes))
         # eps is the actual perturbation amplitude: scale to unit sup norm
         h = h / np.max(np.abs(h))
-        r = r + float(cfg["eps"]) * h
-    elif cfg["perturb"] != "none":
-        raise ValueError(f"unknown perturb mode {cfg['perturb']!r}")
+        r = r + cfg["eps"] * h
     return se.RadialProfile(grid=grid, r=r)
 
 
@@ -231,16 +263,10 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
     from . import surface_evolution as se
     from .quadrature import PhiGrid
 
-    if cfg["policy"] == "prescribed":
-        policy = se.CenterPolicy.prescribed(float(cfg["prescribed_speed"]))
-    elif cfg["policy"] in ("fixed_wave_speed", "transported"):
-        policy = se.CenterPolicy(mode=cfg["policy"])
-    else:
-        raise ValueError(f"unknown center policy {cfg['policy']!r}")
-    phi_grid = PhiGrid.uniform(int(cfg["nphi"]))
+    policy = se.CenterPolicy(mode=cfg["policy"], prescribed_speed=cfg["prescribed_speed"])
+    phi_grid = PhiGrid.uniform(cfg["nphi"])
     p = _initial_profile(cfg, out)
-    dt = float(cfg["dt"])
-    T = float(cfg["T"])
+    dt, T = cfg["dt"], cfg["T"]
     tags = itertools.count()
 
     def dump(profile) -> None:
@@ -249,12 +275,12 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
                    np.column_stack([profile.grid.nodes, profile.r]))
         _write_json(out / f"snapshot_{tag}.json",
                     {"time": profile.time, "c3": profile.c3,
-                     "n_theta": profile.grid.n_theta, "n_phi": int(cfg["nphi"]),
+                     "n_theta": profile.grid.n_theta, "n_phi": cfg["nphi"],
                      "dt": dt})
         if cfg["svg"]:
             (out / f"snapshot_{tag}.svg").write_text(_meridian_svg(profile))
 
-    every = float(cfg["snapshot_every"]) or max(1, round(T / 10.0 / dt)) * dt
+    every = cfg["snapshot_every"] or max(1, round(T / 10.0 / dt)) * dt
     try:
         snaps = se.evolve(p, T, dt, policy, phi_grid, snapshot_every=every, on_snapshot=dump)
     except se.SurfaceCollapseError as exc:
@@ -281,13 +307,13 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
         raise ValueError(f"N must be >= 1, got {cfg['N']}")
     rng = np.random.default_rng(seed)
     params = FluidParams(mu=1.0, force=np.array([0.0, 0.0, -1.0]), radius=1e-2)
-    delta = None if float(cfg["delta"]) < 0 else float(cfg["delta"])
-    cloud = ms.uniform_ball_cloud(int(cfg["N"]), params, 1.0, rng, delta=delta)
+    delta = None if cfg["delta"] < 0 else cfg["delta"]
+    cloud = ms.uniform_ball_cloud(cfg["N"], params, 1.0, rng, delta=delta)
 
     rescaled, velocity_scale = ms.rescale_cloud(cloud)
     start = rescaled if cfg["frame"] == "rescaled" else cloud
-    traj = ms.evolve_cloud(start, float(cfg["T"]), float(cfg["dt"]), frame=cfg["frame"],
-                           snapshot_every=float(cfg["snapshot_every"]) or None)
+    traj = ms.evolve_cloud(start, cfg["T"], cfg["dt"], frame=cfg["frame"],
+                           snapshot_every=cfg["snapshot_every"] or None)
     # The t = 0 pair sum gives both means.  With the force along -e3 the
     # physical interaction velocity is velocity_scale times the rescaled one.
     drag = stokes_drag_velocity(params)
@@ -315,9 +341,9 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
         _write_csv(out / f"frame_{idx:04d}.csv", "id,x,y,z",
                    np.column_stack([np.arange(len(pos)), pos]))
     _write_manifest(out, "micro", cfg, seed, extra={
-        "N": int(cfg["N"]),
-        "dt": float(cfg["dt"]),
-        "T": float(cfg["T"]),
+        "N": cfg["N"],
+        "dt": cfg["dt"],
+        "T": cfg["T"],
         "delta": start.delta,
         "frame_times": [float(t) for t in traj.times],
         "clamp_events": traj.clamp_events,
@@ -345,48 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dropsed",
                                      description="Droplet sedimentation experiments")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("patch", help="traveling-wave separation certificates")
-    p.add_argument("--R", type=float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    _add_common(p)
-
-    s = sub.add_parser("spectrum", help="Galerkin eigenvalues of the linearized operator")
-    s.add_argument("--K", type=int, default=None)
-    s.add_argument("--ntheta", type=int, default=None)
-    s.add_argument("--nphi", type=int, default=None,
-                   help="azimuthal grid size; recorded in outputs, changes no value")
-    _add_common(s)
-
-    e = sub.add_parser("evolve", help="nonlinear surface evolution")
-    e.add_argument("--r0", type=str, default=None)
-    e.add_argument("--T", type=float, default=None)
-    e.add_argument("--dt", type=float, default=None)
-    e.add_argument("--ntheta", type=int, default=None)
-    e.add_argument("--nphi", type=int, default=None,
-                   help="azimuthal grid size; recorded in outputs, changes no value")
-    e.add_argument("--policy", type=str, default=None,
-                   choices=("fixed_wave_speed", "transported", "prescribed"))
-    e.add_argument("--prescribed-speed", dest="prescribed_speed", type=float, default=None)
-    e.add_argument("--snapshot-every", dest="snapshot_every", type=float, default=None)
-    e.add_argument("--perturb", type=str, default=None, choices=("none", "dominant"))
-    e.add_argument("--eps", type=float, default=None)
-    e.add_argument("--perturb-K", dest="perturb_K", type=int, default=None)
-    e.add_argument("--eigvec", type=str, default=None,
-                   help="theta,h CSV from a prior spectrum run")
-    e.add_argument("--svg", action="store_const", const=True, default=None)
-    _add_common(e)
-
-    m = sub.add_parser("micro", help="Oseen particle cloud")
-    m.add_argument("--N", type=int, default=None)
-    m.add_argument("--T", type=float, default=None)
-    m.add_argument("--dt", type=float, default=None)
-    m.add_argument("--delta", type=float, default=None)
-    m.add_argument("--frame", type=str, default=None,
-                   choices=("rescaled", "lab", "drift_subtracted"))
-    m.add_argument("--snapshot-every", dest="snapshot_every", type=float, default=None)
-    _add_common(m)
+    for name, config_type in _CONFIG_TYPES.items():
+        sp = sub.add_parser(name, help=config_type.__doc__)
+        for f in dataclasses.fields(config_type):
+            flag = "--" + f.name.replace("_", "-")
+            # default None marks a flag as not passed, so it cannot override the config file
+            if type(f.default) is bool:
+                sp.add_argument(flag, dest=f.name, action="store_const", const=True, default=None)
+            else:
+                sp.add_argument(flag, dest=f.name, type=type(f.default), default=None, **f.metadata)
+        _add_common(sp)
     return parser
 
 

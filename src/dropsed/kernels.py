@@ -2,10 +2,8 @@
 
 The Oseen tensor and the drag/interior/exterior velocity fields are the
 microscopic building blocks.  The surface integrals are built from the
-closed-form azimuthal moments of the inverse chord; the bounded chord-ratio
-integrand they replace stays as :func:`desingularized_ratio`, the pointwise
-reference those moments are checked against.  All functions broadcast over
-numpy arrays where that is useful, and all are pure except
+closed-form azimuthal moments of the inverse chord.  All functions broadcast
+over numpy arrays where that is useful, and all are pure except
 :func:`oseen_terms`, which writes the Oseen factors into buffers its caller
 owns.
 """
@@ -21,10 +19,8 @@ __all__ = [
     "FluidParams",
     "oseen_tensor",
     "oseen_terms",
-    "oseen_point_force",
     "stokes_drag_velocity",
     "hadamard_rybczynski_velocity",
-    "desingularized_ratio",
     "azimuthal_moments",
 ]
 
@@ -104,22 +100,6 @@ def oseen_terms(d: np.ndarray, r2: np.ndarray, force: np.ndarray, mu: float, del
     coef /= r2
 
 
-def oseen_point_force(dx: np.ndarray, force: np.ndarray, mu: float) -> np.ndarray:
-    """Velocities U(dx_i) @ force for a batch of separation vectors, shape (n, 3).
-
-    Row-wise identical to ``oseen_tensor(dx[i], mu) @ force``; built from
-    :func:`oseen_terms`, so no 3x3 matrix is ever formed.
-    """
-    dx = np.atleast_2d(np.asarray(dx, dtype=float))
-    r2 = np.sum(dx * dx, axis=1)
-    if np.any(r2 == 0.0):
-        raise ValueError("Oseen tensor is singular at zero separation")
-    force = np.asarray(force, dtype=float)
-    inv_r, coef = np.empty_like(r2), np.empty_like(r2)
-    oseen_terms(dx.T, r2, force, mu, 0.0, inv_r, coef)
-    return np.multiply.outer(inv_r, force) + dx * coef[:, None]
-
-
 def stokes_drag_velocity(params: FluidParams) -> np.ndarray:
     """Settling velocity of a single sphere, F / (6 pi mu R)."""
     return params.force / (6.0 * math.pi * params.mu * params.radius)
@@ -146,32 +126,6 @@ def hadamard_rybczynski_velocity(x, params: FluidParams) -> np.ndarray:
     xx = np.outer(x, x) / r2
     m = (r0 / r) * (np.eye(3) + xx) + 0.2 * (r0 / r) ** 3 * (np.eye(3) - 3.0 * xx)
     return (r0**2 / (6.0 * mu)) * (m @ F)
-
-
-def desingularized_ratio(theta, thetabar, phi):
-    """Bounded form of (-sin t cos tb cos p + cos t sin tb) / |e(t, 0) - e(tb, p)| on the unit sphere.
-
-    e(t, p) is the unit vector at polar angle t and azimuth p.  Rewritten as
-    a quotient whose numerator is a linear combination of two of the three
-    components whose squares make up the denominator, so the value is
-    bounded by sqrt(2) everywhere.  At coincidence (tb, p) = (t, 0) both
-    vanish and the quotient has no limit; samples within 1e-12 of
-    coincidence (where the quotient is pure rounding noise) return 0 under
-    the pole-node policy.
-    """
-    theta = np.asarray(theta, dtype=float)
-    thetabar = np.asarray(thetabar, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    st, ct = np.sin(theta), np.cos(theta)
-    stb, ctb = np.sin(thetabar), np.cos(thetabar)
-    a = st * np.cos(phi) - stb
-    b = ct - ctb
-    num = -a * ctb + b * stb
-    den2 = a * a + (np.sin(phi) * st) ** 2 + b * b
-    pole = den2 < 1e-24
-    den = np.sqrt(np.where(pole, 1.0, den2))
-    out = np.where(pole, 0.0, num / den)
-    return float(out) if out.ndim == 0 else out
 
 
 def _agm_steps(ratio: float) -> int | None:

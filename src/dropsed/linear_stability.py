@@ -111,10 +111,6 @@ class Perturbation:
         return cls(func, deriv, coefficients=coeffs)
 
     @classmethod
-    def from_callable(cls, func, deriv) -> "Perturbation":
-        return cls(func, deriv)
-
-    @classmethod
     def from_samples(cls, grid: ThetaGrid, values) -> "Perturbation":
         values = np.asarray(values, dtype=float)
         slopes = spline_slopes(grid.nodes, values)
@@ -155,8 +151,10 @@ def k_coefficient(theta):
 def _sphere_kernel(theta_eval, thetabar) -> np.ndarray:
     """Azimuthal integral of the bounded chord-ratio kernel on the unit sphere.
 
-    R[m, l] = integral over phi of desingularized_ratio(theta_eval[m],
-    thetabar[l], phi) = cos t sin tb I0 - sin t cos tb I1, with the moments of
+    R[m, l] = integral over phi of the bounded chord ratio
+    (-sin t cos tb cos phi + cos t sin tb) / |e(t, 0) - e(tb, phi)| at
+    t = theta_eval[m], tb = thetabar[l], which is
+    cos t sin tb I0 - sin t cos tb I1, with the moments of
     1/sqrt(A - B cos phi) for A = 2 - 2 cos t cos tb and B = 2 sin t sin tb
     taken in closed form.  At coincident points the ratio reduces to
     cos t |sin(phi/2)|, whose integral is 4 cos t; on a pole the ratio is

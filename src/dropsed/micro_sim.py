@@ -198,6 +198,12 @@ def mean_velocity_formula(cloud: ParticleCloud) -> np.ndarray:
     return stokes_drag_velocity(p) + (cloud.n - 1) * p.force / (5.0 * math.pi * p.mu * cloud.cloud_radius)
 
 
+def _require_downward_force(force: np.ndarray) -> None:
+    """The rescaled dynamics drives along -e3, so it describes only a force along -e3."""
+    if not (force[0] == 0.0 and force[1] == 0.0 and force[2] < 0.0):
+        raise ValueError(f"the rescaled frame needs a force along -e3, got {force.tolist()}")
+
+
 def rescale_cloud(cloud: ParticleCloud) -> tuple[ParticleCloud, float]:
     """Nondimensionalize: positions by R0, velocities by the collective fall speed.
 
@@ -205,8 +211,10 @@ def rescale_cloud(cloud: ParticleCloud) -> tuple[ParticleCloud, float]:
     alike) and the velocity scale |(N - 1) F| / (5 pi mu R0) that divides
     physical velocities.  The rescaled dynamics is supplied by
     :func:`rescaled_velocities`; its mean fall speed is one by construction.
+    It drives along -e3, so any other force direction is rejected.
     """
     p = cloud.params
+    _require_downward_force(p.force)
     scale = (cloud.n - 1) * float(np.linalg.norm(p.force)) / (5.0 * math.pi * p.mu * cloud.cloud_radius)
     rescaled = ParticleCloud(
         positions=cloud.positions / cloud.cloud_radius,
@@ -259,7 +267,8 @@ def evolve_cloud(cloud: ParticleCloud, T: float, dt: float, frame: str = "rescal
     ``frame`` chooses the velocity law: the dimensionless rescaled dynamics
     (cloud given in rescaled coordinates), the lab frame (drag plus
     interactions), or the drift-subtracted frame (interactions only, i.e.
-    the lab frame co-moving at the single-particle drag velocity).  ``T``
+    the lab frame co-moving at the single-particle drag velocity); the
+    rescaled frame needs the cloud's force along -e3.  ``T``
     and ``snapshot_every`` (default: only at T) must be whole numbers of
     steps ``dt``.  The velocity at t = 0 is computed once, even for T = 0,
     returned as ``initial_velocity`` and reused as step 1's first stage, so
@@ -272,6 +281,8 @@ def evolve_cloud(cloud: ParticleCloud, T: float, dt: float, frame: str = "rescal
         raise ValueError("need T >= 0 and dt > 0")
 
     p = cloud.params
+    if frame == "rescaled":
+        _require_downward_force(p.force)
 
     def velocity(x: np.ndarray) -> tuple[np.ndarray, int]:
         if frame == "rescaled":

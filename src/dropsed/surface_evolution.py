@@ -44,8 +44,6 @@ __all__ = [
     "center_speed",
     "theta_derivative",
     "advection_and_source",
-    "a1_of",
-    "a2_of",
     "step_upwind",
     "evolve",
     "enclosed_volume",
@@ -242,18 +240,6 @@ def advection_and_source(p: RadialProfile, cdot3: float, phi_grid: PhiGrid):
                 f"{name} quadrature non-finite at theta={p.grid.nodes[i]!r} (node {i})"
             )
     return a1, a2
-
-
-def a1_of(p: RadialProfile, theta_index: int, cdot3: float, phi_grid: PhiGrid) -> float:
-    """Angular advection speed at one grid node."""
-    a1, _ = advection_and_source(p, cdot3, phi_grid)
-    return float(a1[theta_index])
-
-
-def a2_of(p: RadialProfile, theta_index: int, cdot3: float, phi_grid: PhiGrid) -> float:
-    """Radial source term at one grid node."""
-    _, a2 = advection_and_source(p, cdot3, phi_grid)
-    return float(a2[theta_index])
 
 
 def step_upwind(p: RadialProfile, dt: float, policy: CenterPolicy, phi_grid: PhiGrid) -> RadialProfile:

@@ -3,9 +3,10 @@
 The production surface-equation quadrature and the Galerkin kernel integrate
 over phi exactly (complete elliptic integrals).  This module keeps the
 brute-force path they replaced: the same integrands sampled on an explicit
-(n, m, n_phi) mesh and contracted with Simpson weights in phi.  Tests compare
-the two, and the pinned regression constants computed with this rule are
-reproduced here.
+(n, m, n_phi) mesh and contracted with Simpson weights in phi, with the
+bounded chord ratio :func:`desingularized_ratio` as the pointwise integrand
+of the Galerkin kernel.  Tests compare the two, and the pinned regression
+constants computed with this rule are reproduced here.
 """
 
 from __future__ import annotations
@@ -15,9 +16,34 @@ import math
 import numpy as np
 
 from dropsed import linear_stability as ls
-from dropsed.kernels import desingularized_ratio
 from dropsed.quadrature import PhiGrid, ThetaGrid, simpson_weights
 from dropsed.surface_evolution import RadialProfile, theta_derivative
+
+
+def desingularized_ratio(theta, thetabar, phi):
+    """Bounded form of (-sin t cos tb cos p + cos t sin tb) / |e(t, 0) - e(tb, p)| on the unit sphere.
+
+    e(t, p) is the unit vector at polar angle t and azimuth p.  Rewritten as
+    a quotient whose numerator is a linear combination of two of the three
+    components whose squares make up the denominator, so the value is
+    bounded by sqrt(2) everywhere.  At coincidence (tb, p) = (t, 0) both
+    vanish and the quotient has no limit; samples within 1e-12 of
+    coincidence (where the quotient is pure rounding noise) return 0 under
+    the pole-node policy.
+    """
+    theta = np.asarray(theta, dtype=float)
+    thetabar = np.asarray(thetabar, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    st, ct = np.sin(theta), np.cos(theta)
+    stb, ctb = np.sin(thetabar), np.cos(thetabar)
+    a = st * np.cos(phi) - stb
+    b = ct - ctb
+    num = -a * ctb + b * stb
+    den2 = a * a + (np.sin(phi) * st) ** 2 + b * b
+    pole = den2 < 1e-24
+    den = np.sqrt(np.where(pole, 1.0, den2))
+    out = np.where(pole, 0.0, num / den)
+    return float(out) if out.ndim == 0 else out
 
 
 def _operators(theta: np.ndarray, n_theta: int, n_phi: int):

