@@ -18,6 +18,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -160,6 +161,10 @@ def run_patch(cfg: dict, out: Path, seed: int) -> int:
     R = cfg["R"]
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
+    if not 0.0 <= cfg["t_max"] < math.inf:
+        raise ValueError(f"t_max must be finite and >= 0, got {cfg['t_max']!r}")
+    if cfg["steps"] < 1:
+        raise ValueError(f"steps must be >= 1, got {cfg['steps']}")
     ts = np.linspace(0.0, cfg["t_max"], cfg["steps"] + 1)
     rows = []
     for t in ts:
@@ -193,7 +198,7 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> int:
     try:
         report = ls.solve_spectrum(A)
     except ls.EigensolverError as exc:
-        np.savetxt(out / "galerkin_matrix.csv", exc.matrix.entries, delimiter=",")
+        np.savetxt(out / "galerkin_matrix.csv", exc.matrix, delimiter=",")
         raise
     _write_csv(out / "eigenvalues.csv", "re,im",
                [(lam.real, lam.imag) for lam in report.eigenvalues])
@@ -205,7 +210,7 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> int:
         "n_theta": cfg["ntheta"],
         "n_phi": n_phi,
         "max_real": report.max_real,
-        "threshold_1_over_15": round(1.0 / 15.0, 4),
+        "threshold_1_over_15": round(ls.INSTABILITY_THRESHOLD, 4),
         "symmetric_residual": report.symmetric_residual,
     }
     _write_json(out / "summary.json", summary)
@@ -222,9 +227,13 @@ def _initial_profile(cfg: dict, out: Path):
 
     grid = ThetaGrid.uniform(cfg["ntheta"])
     kind, _, value = cfg["r0"].partition(":")
+    bad_spec = ValueError(f"unsupported r0 spec {cfg['r0']!r}; expected const:VALUE")
     if kind != "const":
-        raise ValueError(f"unsupported r0 spec {cfg['r0']!r}; expected const:VALUE")
-    r = np.full(grid.n_theta, float(value or 1.0))
+        raise bad_spec
+    try:
+        r = np.full(grid.n_theta, float(value or 1.0))
+    except ValueError:
+        raise bad_spec from None
     if cfg["perturb"] == "dominant":
         if cfg["eigvec"]:
             theta, h = np.loadtxt(cfg["eigvec"], delimiter=",", skiprows=1, unpack=True)

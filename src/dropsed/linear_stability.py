@@ -18,11 +18,14 @@ rate, max log|mu| / dt.
 The nonlocal kernel is the azimuthal integral of the bounded chord ratio on
 the unit sphere, taken in closed form by one arithmetic-geometric mean per
 entry (:func:`~dropsed.kernels.azimuthal_moments`), so it depends on the
-polar grid alone and is cached per node count.  The
-``phi_grid`` and ``n_phi`` arguments are still accepted, and ``n_phi`` is
-still recorded on :class:`GalerkinMatrix` and in CLI outputs, but they no
-longer change any value.  They stay because the tests, the CLI and the
-benchmark's trace hooks bind them by name.
+polar grid alone and is cached per node count.  The ``phi_grid`` and
+``n_phi`` arguments and the ``n_phi`` recorded in CLI outputs change no
+value; they stay because the tests, the CLI and the benchmark's trace
+hooks bind them by name.
+
+On the grid the source is L(h, h') = R (a h + b h') + k h, with the kernel
+R, the coefficient k and the weights (a, b) of :func:`_source_weights`, the
+one place they are written.
 
 Normalization convention: the basis functions have unit norm in the mapped
 Legendre variable on [-1, 1], the convention the reproduced eigenvalue table
@@ -55,7 +58,6 @@ __all__ = [
     "j_apply",
     "l_apply",
     "characteristic_flow",
-    "GalerkinMatrix",
     "assemble_galerkin",
     "SpectrumReport",
     "EigensolverError",
@@ -79,17 +81,15 @@ INSTABILITY_THRESHOLD = 1.0 / 15.0
 class Perturbation:
     """A perturbation h(theta) with an attached derivative rule.
 
-    Built either from coefficients in the polynomial basis, from an explicit
-    (h, h') pair of callables, or from grid samples (the not-a-knot cubic
-    spline of :func:`~dropsed.quadrature.spline_slopes` and its derivative).
-    The nonlocal operator consumes both h and h', so the derivative is part
-    of the representation, never re-derived by finite differences.
+    Built either from coefficients in the polynomial basis or from an
+    explicit (h, h') pair of callables.  The nonlocal operator consumes both
+    h and h', so the derivative is part of the representation, never
+    re-derived by finite differences.
     """
 
-    def __init__(self, func, deriv, coefficients: np.ndarray | None = None):
+    def __init__(self, func, deriv):
         self._func = func
         self._deriv = deriv
-        self.coefficients = None if coefficients is None else np.asarray(coefficients)
 
     @classmethod
     def from_coefficients(cls, coeffs) -> "Perturbation":
@@ -107,19 +107,6 @@ class Perturbation:
             _, der = basis_matrix(n, np.atleast_1d(theta))
             out = coeffs @ der
             return out if np.ndim(theta) else out[0]
-
-        return cls(func, deriv, coefficients=coeffs)
-
-    @classmethod
-    def from_samples(cls, grid: ThetaGrid, values) -> "Perturbation":
-        values = np.asarray(values, dtype=float)
-        slopes = spline_slopes(grid.nodes, values)
-
-        def func(theta):
-            return hermite(grid.nodes, values, slopes, theta)
-
-        def deriv(theta):
-            return hermite(grid.nodes, values, slopes, theta, derivative=True)
 
         return cls(func, deriv)
 
@@ -196,6 +183,19 @@ def _grid_kernel(n_theta: int) -> np.ndarray:
     return R
 
 
+def _source_weights(grid: ThetaGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Node weights (a, b) of the nonlocal source, J(h) = R @ (a h + b h').
+
+    J is -(1/(8 pi)) times the double integral of the chord-ratio kernel
+    against sin(tbar) [(5/2) h(tbar) sin(tbar) - h'(tbar) cos(tbar)], so with
+    the grid's Simpson weights w, a = -w (5/2) sin^2(theta) / (8 pi) and
+    b = w sin(theta) cos(theta) / (8 pi).
+    """
+    st, ct = np.sin(grid.nodes), np.cos(grid.nodes)
+    ws = grid.weights() * st / (8.0 * math.pi)
+    return -2.5 * ws * st, ws * ct
+
+
 def k_by_quadrature(theta, theta_grid: ThetaGrid, phi_grid: PhiGrid):
     """Double-integral form of the multiplicative coefficient.
 
@@ -223,15 +223,13 @@ def sphere_vertical_chord_integral(theta_grid: ThetaGrid, phi_grid: PhiGrid) -> 
 def j_apply(h: Perturbation, theta, theta_grid: ThetaGrid, phi_grid: PhiGrid):
     """Nonlocal part of the linearized source at angle(s) theta.
 
-    -(1/(8 pi)) times the double integral of the chord-ratio kernel against
-    sin(tbar) [ (5/2) h(tbar) sin(tbar) - h'(tbar) cos(tbar) ].  ``phi_grid``
-    changes no value.
+    The kernel at (theta, nodes) applied to a h + b h', with the weights of
+    :func:`_source_weights`.  ``phi_grid`` changes no value.
     """
     tb = theta_grid.nodes
-    R = _sphere_kernel(np.atleast_1d(theta), tb)
-    load = np.sin(tb) * (2.5 * np.asarray(h(tb)) * np.sin(tb)
-                         - np.asarray(h.derivative(tb)) * np.cos(tb))
-    out = -(R @ (theta_grid.weights() * load)) / (8.0 * math.pi)
+    a, b = _source_weights(theta_grid)
+    load = a * np.asarray(h(tb)) + b * np.asarray(h.derivative(tb))
+    out = _sphere_kernel(np.atleast_1d(theta), tb) @ load
     return out[0] if np.ndim(theta) == 0 else out
 
 
@@ -257,57 +255,34 @@ def characteristic_flow(t, s, theta):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class GalerkinMatrix:
-    """Dense projection of the linearized source operator onto the basis."""
-
-    size: int
-    entries: np.ndarray = field(repr=False)
-    n_theta: int
-    n_phi: int
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.size, self.size) or not np.all(np.isfinite(e)):
-            raise ValueError("entries must be a finite square matrix of the declared size")
-        object.__setattr__(self, "entries", e)
-
-
-def assemble_galerkin(size: int, n_theta: int, n_phi: int | None = None) -> GalerkinMatrix:
+def assemble_galerkin(size: int, n_theta: int, n_phi: int | None = None) -> np.ndarray:
     """Project the linearized source operator onto the first ``size`` basis functions.
 
-    entries[i, j] is the Simpson projection of (L e_j) onto e_i over the
-    n_theta-node grid; the inner double integral runs on the same polar grid
-    with the azimuthal integral in closed form.  ``n_phi`` (default
-    2 * n_theta) is only recorded on the result.  Assembly is deterministic.
-    The basis normalization reproduces the published eigenvalue table; the
-    intrinsic operator spectrum is a global factor TABLE_TO_OPERATOR smaller.
+    Returns the (size, size) array whose entry [i, j] is the Simpson
+    projection of (L e_j) onto e_i over the n_theta-node grid; the inner
+    double integral runs on the same polar grid with the azimuthal integral
+    in closed form.  ``n_phi`` is unused; it stays only until the phi grid
+    is deleted (ROADMAP item 6), because the benchmark's trace hook binds it
+    by name.  Assembly is deterministic.  The basis normalization reproduces
+    the published eigenvalue table; the intrinsic operator spectrum is a
+    global factor TABLE_TO_OPERATOR smaller.
     """
     if size < 1:
         raise ValueError(f"basis size must be >= 1, got {size}")
-    if n_phi is None:
-        n_phi = 2 * n_theta
     tg = ThetaGrid.uniform(n_theta)
-    theta = tg.nodes
-    w = tg.weights()
-    R = _grid_kernel(n_theta)
-    E, dE = basis_matrix(size, theta)
-    st, ct = np.sin(theta), np.cos(theta)
-    load = 2.5 * E * st[None, :] - dE * ct[None, :]
-    j_of_basis = (load * (w * st)) @ R.T
-    j_of_basis *= -1.0 / (8.0 * math.pi)
-    if not np.all(np.isfinite(j_of_basis)):
-        j_bad, m_bad = np.unravel_index(int(np.argmax(~np.isfinite(j_of_basis))), j_of_basis.shape)
+    a, b = _source_weights(tg)
+    E, dE = basis_matrix(size, tg.nodes)
+    l_of_basis = (a * E + b * dE) @ _grid_kernel(n_theta).T + k_coefficient(tg.nodes) * E
+    if not np.all(np.isfinite(l_of_basis)):
+        j_bad, m_bad = np.unravel_index(int(np.argmax(~np.isfinite(l_of_basis))), l_of_basis.shape)
         raise ArithmeticError(f"quadrature failure assembling entry column j={j_bad} at node {m_bad}")
-    l_of_basis = j_of_basis + (k_coefficient(theta))[None, :] * E
-    entries = np.einsum("m,im,jm->ij", w, E, l_of_basis)
-    return GalerkinMatrix(size=size, entries=entries, n_theta=n_theta, n_phi=n_phi)
+    return (E * tg.weights()) @ l_of_basis.T
 
 
 class EigensolverError(RuntimeError):
     """Eigen-decomposition failed; carries the offending matrix."""
 
-    def __init__(self, message: str, matrix: GalerkinMatrix):
+    def __init__(self, message: str, matrix: np.ndarray):
         super().__init__(message)
         self.matrix = matrix
 
@@ -316,11 +291,9 @@ class EigensolverError(RuntimeError):
 class SpectrumReport:
     """Eigen-decomposition of a Galerkin matrix, sorted by descending real part."""
 
-    matrix: GalerkinMatrix
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)  # columns, coefficient space
     max_real: float
-    threshold: float
     symmetric_residual: float
 
     @property
@@ -352,15 +325,15 @@ def _hausdorff_to_negation(lam: np.ndarray) -> float:
     return float(np.max(np.min(d, axis=1)))
 
 
-def solve_spectrum(A: GalerkinMatrix) -> SpectrumReport:
-    """Full dense eigen-decomposition of the projected operator.
+def solve_spectrum(A: np.ndarray) -> SpectrumReport:
+    """Full dense eigen-decomposition of the projected operator matrix ``A``.
 
     Conjugate pairs end up adjacent in the descending-real-part ordering.
-    LAPACK failure raises :class:`EigensolverError` carrying the matrix so
-    the caller can dump it.
+    LAPACK failure, and a non-square or non-finite ``A``, raise
+    :class:`EigensolverError` carrying the matrix so the caller can dump it.
     """
     try:
-        lam, vec = np.linalg.eig(A.entries)
+        lam, vec = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigen-decomposition failed: {exc}", A) from exc
     # numpy returns real arrays when every eigenvalue is real
@@ -369,11 +342,9 @@ def solve_spectrum(A: GalerkinMatrix) -> SpectrumReport:
     lam = lam[order]
     vec = vec[:, order]
     return SpectrumReport(
-        matrix=A,
         eigenvalues=lam,
         eigenvectors=vec,
         max_real=float(lam.real.max()),
-        threshold=INSTABILITY_THRESHOLD,
         symmetric_residual=_hausdorff_to_negation(lam),
     )
 
@@ -432,9 +403,6 @@ class LinearEvolution:
         w = self.grid.weights()
         return np.sqrt(np.abs(self.values) ** 2 @ w)
 
-    def final(self) -> np.ndarray:
-        return self.values[-1]
-
 
 def _spline_matrices(theta: np.ndarray, feet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Derivative-at-nodes and value-at-feet matrices of the not-a-knot cubic spline.
@@ -453,24 +421,22 @@ def linearized_propagator(theta_grid: ThetaGrid, dt: float) -> np.ndarray:
 
     Returns P = (I - dt/2 L)^-1 S (I + dt/2 L), so that h(t + dt) = P @ h(t)
     on the grid nodes.  L = R (diag(a) + diag(b) D) + diag(k) is the
-    grid-sampled linearized source: R the cached chord-ratio kernel,
-    a = -w (5/2) sin^2(theta) / (8 pi) and b = w sin(theta) cos(theta) / (8 pi)
-    with the Simpson weights w, D the spline-derivative matrix and k the
-    multiplicative coefficient.  S interpolates at the feet of the one-step
-    characteristics.  This is the trapezoidal corrector of the characteristic
-    scheme solved exactly (Staniforth & Cote 1991).  dt is rejected when
+    grid-sampled linearized source: R the cached chord-ratio kernel, (a, b)
+    the source weights of :func:`_source_weights`, D the spline-derivative
+    matrix and k the multiplicative coefficient.  S interpolates at the feet
+    of the one-step characteristics.  This is the trapezoidal corrector of
+    the characteristic scheme solved exactly (Staniforth & Cote 1991).  dt is rejected when
     dt/2 ||L||_inf >= 1, where that corrector's fixed-point iteration is no
     longer guaranteed to contract.
     """
     if not dt > 0:
         raise ValueError(f"need dt > 0, got {dt}")
     theta = theta_grid.nodes
-    w = theta_grid.weights()
-    st, ct = np.sin(theta), np.cos(theta)
+    a, b = _source_weights(theta_grid)
     D, S = _spline_matrices(theta, characteristic_flow(0.0, dt, theta))
     diag = np.diag_indices(theta.size)
-    D *= (w * st * ct / (8.0 * math.pi))[:, None]
-    D[diag] -= w * 2.5 * st**2 / (8.0 * math.pi)
+    D *= b[:, None]
+    D[diag] += a
     L = _grid_kernel(theta_grid.n_theta) @ D
     del D
     L[diag] += k_coefficient(theta)

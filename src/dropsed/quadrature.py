@@ -128,10 +128,13 @@ class PhiGrid:
 def step_count(T: float, dt: float, name: str = "T") -> int:
     """Number of steps dt that end exactly at time T.
 
-    Raises unless T is a whole number of steps, up to a relative rounding
-    tolerance of 1e-9, so a time loop never silently stops short of or past T.
-    ``name`` is the quantity the error message names.
+    Raises unless T and dt are finite and T is a whole number of steps, up
+    to a relative rounding tolerance of 1e-9, so a time loop never silently
+    stops short of or past T.  ``name`` is the quantity the error message
+    names.
     """
+    if not (math.isfinite(T) and math.isfinite(dt)):
+        raise ValueError(f"{name}={T!r} and dt={dt!r} must both be finite")
     ratio = T / dt
     n = round(ratio)
     if abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):

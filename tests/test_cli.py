@@ -57,6 +57,15 @@ class TestPatchCommand:
         assert main(["patch", "--R", "-3", "--out", str(tmp_path / "x")]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, key", [(["--t-max", "nan", "--steps", "2"], "t_max"),
+                                            (["--t-max", "inf"], "t_max"),
+                                            (["--steps", "-1"], "steps")])
+    def test_invalid_time_range_rejected(self, tmp_path, capsys, flags, key):
+        out = tmp_path / "x"
+        assert main(["patch", *flags, "--out", str(out)]) == 1
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestSpectrumCommand:
     def test_reference_cell(self, tmp_path):
@@ -81,6 +90,20 @@ class TestSpectrumCommand:
     def test_invalid_k_rejected(self, tmp_path):
         assert main(["spectrum", "--K", "0", "--out", str(tmp_path / "x")]) == 1
 
+    def test_eigensolver_failure_dumps_matrix(self, tmp_path, monkeypatch, capsys):
+        from dropsed import linear_stability as ls
+
+        def failing_eig(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", failing_eig)
+        out = tmp_path / "run"
+        assert main(["spectrum", "--K", "2", "--ntheta", "20", "--out", str(out)]) == 1
+        assert "did not converge" in capsys.readouterr().err
+        dumped = np.loadtxt(out / "galerkin_matrix.csv", delimiter=",")
+        assert np.array_equal(dumped, ls.assemble_galerkin(2, 20))
+        assert not (out / "eigenvalues.csv").exists()
+
 
 class TestEvolveCommand:
     def test_stationary_run_emits_snapshots(self, tmp_path):
@@ -97,6 +120,12 @@ class TestEvolveCommand:
         assert sidecar["n_theta"] == 50 and sidecar["dt"] == 0.01
         assert sidecar["time"] == pytest.approx(0.2)
         assert (out / "snapshot_0000.svg").exists()
+
+    @pytest.mark.parametrize("spec", ["const:abc", "sphere:1"])
+    def test_malformed_r0_names_key_and_form(self, tmp_path, capsys, spec):
+        assert main(["evolve", "--r0", spec, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert f"r0 spec {spec!r}" in err and "expected const:VALUE" in err
 
     def test_cfl_rejected_before_stepping(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -183,6 +212,12 @@ class TestMicroCommand:
         assert report["measured"][2] == pytest.approx(-1.0 / (6.0 * math.pi * 1e-2), rel=1e-12)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["N"] == 1 and manifest["frame_times"][-1] == pytest.approx(1.0)
+
+    def test_infinite_dt_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["micro", "--N", "5", "--T", "1", "--dt", "inf", "--out", str(out)]) == 1
+        assert "dt=inf must both be finite" in capsys.readouterr().err
+        assert not list(out.glob("frame_*.csv"))
 
     def test_determinism_same_seed(self, tmp_path):
         runs = []

@@ -58,6 +58,29 @@ def test_no_module_imports_an_unused_name():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def _unread_private_names(tree):
+    """Module-level private functions, classes and constants that the module never reads."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((n.id, node.lineno) for target in targets for n in ast.walk(target)
+                           if isinstance(n, ast.Name))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in defined.items()
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_every_private_helper_is_read_in_its_module():
+    assert _unread_private_names(ast.parse("_A = 1\ndef _f():\n    return _A\n")) == ["_f (line 2)"]
+    package = Path(dropsed.__file__).parent
+    found = {path.name: _unread_private_names(ast.parse(path.read_text()))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def test_package_imports_neither_scipy_nor_package_metadata():
     # a fresh interpreter: this test process has scipy loaded for the oracles
     script = (

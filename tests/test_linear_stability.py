@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from dropsed import linear_stability as ls
-from dropsed.quadrature import PhiGrid, ThetaGrid
+from dropsed.quadrature import PhiGrid, ThetaGrid, basis_matrix
 
 import characteristic_corrector_oracle as corrector
 import phi_simpson_oracle as oracle
@@ -204,25 +204,6 @@ class TestCharacteristicFlow:
 
 
 class TestPerturbation:
-    def test_coefficient_and_sample_representations_agree(self):
-        grid = ThetaGrid.uniform(201)
-        h = ls.Perturbation.from_coefficients(UNIT_MODE * np.array([0.3, -0.2, 0.5, 0.1]))
-        h_samples = ls.Perturbation.from_samples(grid, h(grid.nodes))
-        theta = np.linspace(0.0, math.pi, 57)
-        assert np.max(np.abs(h(theta) - h_samples(theta))) < 1e-8
-        assert np.max(np.abs(h.derivative(theta) - h_samples.derivative(theta))) < 1e-4
-
-    @pytest.mark.parametrize("n", [4, 60, 201])
-    def test_from_samples_matches_cubic_spline(self, n):
-        grid = ThetaGrid.uniform(n)
-        samples = np.cos(2.0 * grid.nodes) + 0.3 * grid.nodes
-        h = ls.Perturbation.from_samples(grid, samples)
-        ref = CubicSpline(grid.nodes, samples)
-        theta = np.linspace(0.0, math.pi, 97)
-        assert np.max(np.abs(h(theta) - ref(theta))) <= 1e-13
-        assert np.max(np.abs(h.derivative(theta) - ref(theta, 1))) <= 1e-12
-        assert h(1.0) == pytest.approx(float(ref(1.0)), abs=1e-13)
-
     def test_norms(self):
         h = ls.Perturbation(np.sin, np.cos)
         assert h.sup_norm() == pytest.approx(1.0, abs=1e-6)
@@ -233,17 +214,29 @@ class TestGalerkin:
     def test_deterministic_assembly(self):
         a = ls.assemble_galerkin(3, 100, 200)
         b = ls.assemble_galerkin(3, 100, 200)
-        assert np.array_equal(a.entries, b.entries)
+        assert np.array_equal(a, b)
 
     def test_one_by_one_regression(self, monkeypatch):
         oracle.use_phi_simpson_kernels(monkeypatch, PhiGrid.uniform(400))
-        val = ls.assemble_galerkin(1, 200, 400).entries[0, 0]
+        val = ls.assemble_galerkin(1, 200, 400)[0, 0]
         assert val == pytest.approx(A11_200_400_REFERENCE, abs=1e-12)
         # the exact projection vanishes: L of a constant is odd about the equator
         assert abs(val) < 1e-6
 
+    @pytest.mark.parametrize("size, n", [(4, 100), (16, 251)])
+    def test_matches_projection_of_l_apply(self, size, n):
+        # the assembly against the Simpson projection of l_apply on each basis function
+        grid = ThetaGrid.uniform(n)
+        E, _ = basis_matrix(size, grid.nodes)
+        columns = [ls.l_apply(ls.Perturbation.from_coefficients(np.eye(size)[j]), grid.nodes,
+                              grid, PhiGrid.uniform(2 * n)) for j in range(size)]
+        projected = (E * grid.weights()) @ np.array(columns).T
+        entries = ls.assemble_galerkin(size, n)
+        assert entries.shape == (size, size)
+        assert np.max(np.abs(entries - projected)) <= 1e-13 * np.max(np.abs(entries))
+
     def test_one_by_one_exact_regression(self):
-        val = ls.assemble_galerkin(1, 200).entries[0, 0]
+        val = ls.assemble_galerkin(1, 200)[0, 0]
         assert val == pytest.approx(A11_200_EXACT, abs=1e-12)
 
     def test_smallest_table_cells(self):
@@ -274,8 +267,7 @@ class TestGalerkin:
         assert max(cert.endpoint_at_0, cert.endpoint_at_pi) > 0.0
 
     def test_real_spectrum_is_complex_typed(self):
-        rep = ls.solve_spectrum(ls.GalerkinMatrix(size=2, entries=np.diag([0.01, -0.01]),
-                                                  n_theta=8, n_phi=16))
+        rep = ls.solve_spectrum(np.diag([0.01, -0.01]))
         assert rep.eigenvalues.dtype == rep.eigenvectors.dtype == np.complex128
         assert rep.eigenvalues.tolist() == [0.01, -0.01]
 
@@ -289,9 +281,14 @@ class TestGalerkin:
             ls.solve_spectrum(A)
         assert exc.value.matrix is A
 
+    @pytest.mark.parametrize("A", [np.full((2, 2), np.nan), np.ones((2, 3))], ids=["nan", "2x3"])
+    def test_non_finite_or_non_square_matrix_rejected(self, A):
+        with pytest.raises(ls.EigensolverError) as exc:
+            ls.solve_spectrum(A)
+        assert exc.value.matrix is A
+
     def test_certificate_below_threshold(self):
-        quiet = ls.GalerkinMatrix(size=2, entries=np.diag([0.01, -0.01]),
-                                  n_theta=8, n_phi=16)
+        quiet = np.diag([0.01, -0.01])
         cert = ls.instability_certificate(ls.solve_spectrum(quiet), p=3.0)
         assert not cert.unstable
 

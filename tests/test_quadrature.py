@@ -153,6 +153,11 @@ class TestStepCount:
     def test_whole_multiples(self, T, dt, n):
         assert step_count(T, dt) == n
 
+    @pytest.mark.parametrize("T, dt", [(1.0, math.inf), (math.inf, 0.01), (math.nan, 0.01)])
+    def test_non_finite_rejected(self, T, dt):
+        with pytest.raises(ValueError, match=f"snapshot_every={T!r} and dt={dt!r} must both be finite"):
+            step_count(T, dt, "snapshot_every")
+
     @pytest.mark.parametrize("every, dt, n_steps, stride", [(None, 0.01, 5, 5), (0.0, 0.1, 0, 1),
                                                              (0.02, 0.01, 6, 2), (0.5, 0.01, 5, 50)])
     def test_snapshot_stride(self, every, dt, n_steps, stride):
