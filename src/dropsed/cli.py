@@ -159,8 +159,8 @@ def run_patch(cfg: dict, out: Path, seed: int) -> int:
     from . import patch_waves as pw
 
     R = cfg["R"]
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R}")
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R must be positive and finite, got {R!r}")
     if not 0.0 <= cfg["t_max"] < math.inf:
         raise ValueError(f"t_max must be finite and >= 0, got {cfg['t_max']!r}")
     if cfg["steps"] < 1:

@@ -1,11 +1,10 @@
 """Closed-form hydrodynamic kernels.
 
-The Oseen tensor and the drag/interior/exterior velocity fields are the
-microscopic building blocks.  The surface integrals are built from the
-closed-form azimuthal moments of the inverse chord.  All functions broadcast
-over numpy arrays where that is useful, and all are pure except
-:func:`oseen_terms`, which writes the Oseen factors into buffers its caller
-owns.
+The Oseen pair kernel and the single-sphere drag speed are the microscopic
+building blocks.  The surface integrals are built from the closed-form
+azimuthal moments of the inverse chord.  All functions broadcast over numpy
+arrays where that is useful, and all are pure except :func:`oseen_terms`,
+which writes the Oseen factors into buffers its caller owns.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ import numpy as np
 
 __all__ = [
     "FluidParams",
-    "oseen_tensor",
     "oseen_terms",
     "stokes_drag_velocity",
-    "hadamard_rybczynski_velocity",
     "azimuthal_moments",
 ]
 
@@ -60,22 +57,6 @@ class FluidParams:
         object.__setattr__(self, "force", f)
 
 
-def oseen_tensor(x, mu: float) -> np.ndarray:
-    """Stokeslet matrix U(x) = (1/(8 pi mu)) (I/|x| + x (x^T) / |x|^3).
-
-    Symmetric, even in x, and homogeneous of degree -1.  Contraction with a
-    force vector gives the induced fluid velocity at x.  The origin is a
-    genuine singularity and is rejected.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError("x must be a 3-vector")
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise ValueError("Oseen tensor is singular at x = 0")
-    return (np.eye(3) / r + np.outer(x, x) / r**3) / (8.0 * math.pi * mu)
-
-
 def oseen_terms(d: np.ndarray, r2: np.ndarray, force: np.ndarray, mu: float, delta: float,
                 inv_r: np.ndarray, coef: np.ndarray) -> None:
     """Fill the two scalar factors of the Oseen response U(d) @ force in place.
@@ -103,29 +84,6 @@ def oseen_terms(d: np.ndarray, r2: np.ndarray, force: np.ndarray, mu: float, del
 def stokes_drag_velocity(params: FluidParams) -> np.ndarray:
     """Settling velocity of a single sphere, F / (6 pi mu R)."""
     return params.force / (6.0 * math.pi * params.mu * params.radius)
-
-
-def hadamard_rybczynski_velocity(x, params: FluidParams) -> np.ndarray:
-    """Velocity of the flow forced uniformly inside the ball of radius R.
-
-    Interior and exterior branches agree on the interface; the interior
-    branch is used at |x| = R for determinism.  The interior expression is
-    arranged so x = 0 needs no special case.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError("x must be a 3-vector")
-    r0 = params.radius
-    mu = params.mu
-    F = params.force
-    r2 = float(x @ x)
-    if r2 <= r0 * r0:
-        m = np.eye(3) - (2.0 / (5.0 * r0**2)) * (r2 * np.eye(3) - 0.5 * np.outer(x, x))
-        return (r0**2 / (3.0 * mu)) * (m @ F)
-    r = math.sqrt(r2)
-    xx = np.outer(x, x) / r2
-    m = (r0 / r) * (np.eye(3) + xx) + 0.2 * (r0 / r) ** 3 * (np.eye(3) - 3.0 * xx)
-    return (r0**2 / (6.0 * mu)) * (m @ F)
 
 
 def _agm_steps(ratio: float) -> int | None:

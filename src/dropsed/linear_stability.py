@@ -45,8 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import azimuthal_moments
-from .quadrature import (PhiGrid, ThetaGrid, basis_matrix, hermite, simpson_weights, spline_slopes,
-                         step_count)
+from .quadrature import PhiGrid, ThetaGrid, basis_matrix, hermite, spline_slopes, step_count
 
 __all__ = [
     "TABLE_TO_OPERATOR",
@@ -55,15 +54,11 @@ __all__ = [
     "k_coefficient",
     "k_by_quadrature",
     "sphere_vertical_chord_integral",
-    "j_apply",
-    "l_apply",
     "characteristic_flow",
     "assemble_galerkin",
     "SpectrumReport",
     "EigensolverError",
     "solve_spectrum",
-    "Certificate",
-    "instability_certificate",
     "LinearEvolution",
     "linearized_propagator",
     "linearized_evolve",
@@ -79,51 +74,19 @@ INSTABILITY_THRESHOLD = 1.0 / 15.0
 
 
 class Perturbation:
-    """A perturbation h(theta) with an attached derivative rule.
+    """A perturbation h(theta) given by its coefficients in the polynomial basis.
 
-    Built either from coefficients in the polynomial basis or from an
-    explicit (h, h') pair of callables.  The nonlocal operator consumes both
-    h and h', so the derivative is part of the representation, never
-    re-derived by finite differences.
+    Coefficients whose imaginary parts all vanish are stored as real ones.
     """
 
-    def __init__(self, func, deriv):
-        self._func = func
-        self._deriv = deriv
-
-    @classmethod
-    def from_coefficients(cls, coeffs) -> "Perturbation":
+    def __init__(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=complex)
-        if np.allclose(coeffs.imag, 0.0):
-            coeffs = coeffs.real.copy()
-        n = coeffs.size
-
-        def func(theta):
-            vals, _ = basis_matrix(n, np.atleast_1d(theta))
-            out = coeffs @ vals
-            return out if np.ndim(theta) else out[0]
-
-        def deriv(theta):
-            _, der = basis_matrix(n, np.atleast_1d(theta))
-            out = coeffs @ der
-            return out if np.ndim(theta) else out[0]
-
-        return cls(func, deriv)
+        self._coeffs = coeffs.real.copy() if np.allclose(coeffs.imag, 0.0) else coeffs
 
     def __call__(self, theta):
-        return self._func(theta)
-
-    def derivative(self, theta):
-        return self._deriv(theta)
-
-    def sup_norm(self, n_samples: int = 2001) -> float:
-        theta = np.linspace(0.0, math.pi, n_samples)
-        return float(np.max(np.abs(self(theta))))
-
-    def lp_norm(self, p: float, n_samples: int = 2001) -> float:
-        theta = np.linspace(0.0, math.pi, n_samples)
-        w = simpson_weights(n_samples, theta[1] - theta[0])
-        return float((w @ np.abs(self(theta)) ** p) ** (1.0 / p))
+        vals, _ = basis_matrix(self._coeffs.size, np.atleast_1d(theta))
+        out = self._coeffs @ vals
+        return out if np.ndim(theta) else out[0]
 
 
 def k_coefficient(theta):
@@ -220,24 +183,6 @@ def sphere_vertical_chord_integral(theta_grid: ThetaGrid, phi_grid: PhiGrid) -> 
     return float((theta_grid.weights() @ per_theta) * 2.0 * math.pi)
 
 
-def j_apply(h: Perturbation, theta, theta_grid: ThetaGrid, phi_grid: PhiGrid):
-    """Nonlocal part of the linearized source at angle(s) theta.
-
-    The kernel at (theta, nodes) applied to a h + b h', with the weights of
-    :func:`_source_weights`.  ``phi_grid`` changes no value.
-    """
-    tb = theta_grid.nodes
-    a, b = _source_weights(theta_grid)
-    load = a * np.asarray(h(tb)) + b * np.asarray(h.derivative(tb))
-    out = _sphere_kernel(np.atleast_1d(theta), tb) @ load
-    return out[0] if np.ndim(theta) == 0 else out
-
-
-def l_apply(h: Perturbation, theta, theta_grid: ThetaGrid, phi_grid: PhiGrid):
-    """Full linearized source: j_apply plus the multiplicative coefficient."""
-    return j_apply(h, theta, theta_grid, phi_grid) + k_coefficient(theta) * np.asarray(h(theta))
-
-
 def characteristic_flow(t, s, theta):
     """Exact characteristics of the linearized advection speed.
 
@@ -308,7 +253,7 @@ class SpectrumReport:
         the pi endpoint vanishes) is real and positive.
         """
         c = self.eigenvectors[:, index].copy()
-        h = Perturbation.from_coefficients(c)
+        h = Perturbation(c)
         ref = complex(h(math.pi))
         if abs(ref) < 1e-12 * float(np.max(np.abs(c))):
             ref = complex(h(0.0))
@@ -317,7 +262,7 @@ class SpectrumReport:
         c = c / (math.sqrt(math.pi / 2.0) * np.linalg.norm(c))
         if np.allclose(np.asarray(c).imag, 0.0, atol=1e-12):
             c = np.asarray(c).real
-        return Perturbation.from_coefficients(c)
+        return Perturbation(c)
 
 
 def _hausdorff_to_negation(lam: np.ndarray) -> float:
@@ -350,58 +295,14 @@ def solve_spectrum(A: np.ndarray) -> SpectrumReport:
 
 
 @dataclass(frozen=True)
-class Certificate:
-    """Evidence record for the spectral instability check."""
-
-    unstable: bool
-    max_real: float
-    threshold: float
-    p: float
-    sup_norm_variant: bool
-    endpoint_at_0: float
-    endpoint_at_pi: float
-
-    def __bool__(self) -> bool:
-        return self.unstable
-
-
-def instability_certificate(report: SpectrumReport, p: float) -> Certificate:
-    """Check the dominant eigenvalue against the W^{1,p} growth margin 1/(15 p).
-
-    Also records the sup-norm variant (positive growth with a nonvanishing
-    eigenvector endpoint) and the dominant eigenvector's endpoint magnitudes.
-    """
-    if not p > 2:
-        raise ValueError(f"the margin is stated for p > 2, got p={p}")
-    h = report.eigenvector_perturbation(0)
-    at0 = float(abs(h(0.0)))
-    at_pi = float(abs(h(math.pi)))
-    threshold = 1.0 / (15.0 * p)
-    return Certificate(
-        unstable=report.max_real > threshold,
-        max_real=report.max_real,
-        threshold=threshold,
-        p=p,
-        sup_norm_variant=(report.max_real > 0.0 and max(at0, at_pi) > 0.0),
-        endpoint_at_0=at0,
-        endpoint_at_pi=at_pi,
-    )
-
-
-@dataclass(frozen=True)
 class LinearEvolution:
-    """Trajectory of the linearized dynamics sampled on a theta grid."""
+    """Trajectory of the linearized dynamics sampled on the theta grid nodes."""
 
-    grid: ThetaGrid
     times: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)  # shape (n_times, n_theta)
 
     def sup_norms(self) -> np.ndarray:
         return np.max(np.abs(self.values), axis=1)
-
-    def l2_norms(self) -> np.ndarray:
-        w = self.grid.weights()
-        return np.sqrt(np.abs(self.values) ** 2 @ w)
 
 
 def _spline_matrices(theta: np.ndarray, feet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -483,23 +384,21 @@ def linearized_evolve(h0: Perturbation, t: float, theta_grid: ThetaGrid, phi_gri
         if k % every == 0 or k == n_steps:
             times.append(k * dt)
             values.append(h.copy())
-    return LinearEvolution(grid=theta_grid, times=np.array(times), values=np.array(values))
+    return LinearEvolution(times=np.array(times), values=np.array(values))
 
 
 def measured_growth_rate(evolution: LinearEvolution, t1: float, t2: float,
                          norm: str = "sup") -> float:
-    """log(||h(t2)|| / ||h(t1)||) / (t2 - t1) in the requested norm.
+    """log(||h(t2)|| / ||h(t1)||) / (t2 - t1) in the sup norm over the grid nodes.
 
-    t1 and t2 must be stored snapshot times, up to a relative rounding
+    ``norm`` accepts only "sup"; it stays because the benchmark passes it by
+    name.  t1 and t2 must be stored snapshot times, up to a relative rounding
     tolerance of 1e-9 (as in :func:`quadrature.step_count`); any other time
     raises instead of being replaced by the nearest stored one.
     """
-    if norm == "sup":
-        norms = evolution.sup_norms()
-    elif norm == "l2":
-        norms = evolution.l2_norms()
-    else:
-        raise ValueError(f"unknown norm {norm!r}")
+    if norm != "sup":
+        raise ValueError(f"unknown norm {norm!r}; only 'sup' is measured")
+    norms = evolution.sup_norms()
     times = evolution.times
 
     def stored_index(t: float, name: str) -> int:

@@ -41,7 +41,6 @@ __all__ = [
     "ParticleCloud",
     "default_regularization",
     "uniform_ball_cloud",
-    "pairwise_velocity",
     "cloud_velocities",
     "mean_settling_velocity",
     "mean_velocity_formula",
@@ -81,8 +80,8 @@ class ParticleCloud:
             raise ValueError("positions must be finite")
         if not self.cloud_radius > 0:
             raise ValueError("cloud radius must be positive")
-        if self.delta < 0:
-            raise ValueError("regularization must be nonnegative")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
         object.__setattr__(self, "positions", pos)
 
     @property
@@ -159,27 +158,6 @@ def _interaction_sum(positions: np.ndarray, force: np.ndarray, mu: float,
     return vel.T, clamped_pairs
 
 
-def pairwise_velocity(cloud: ParticleCloud, i: int) -> np.ndarray:
-    """Velocity of particle i: drag speed plus all Oseen interactions.
-
-    Sums particle i's own N - 1 separations only, with the cloud's clamping
-    distance; its self separation gets a squared distance of +inf, which
-    makes its contribution exactly zero (see :func:`oseen_terms`).
-    """
-    if not 0 <= i < cloud.n:
-        raise IndexError(f"particle index {i} out of range for N={cloud.n}")
-    p = cloud.params
-    d = np.ascontiguousarray((cloud.positions[i] - cloud.positions).T)
-    r2 = np.einsum("kj,kj->j", d, d)
-    r2[i] = np.inf
-    if np.any(r2 == 0.0):
-        j = int(np.argmax(r2 == 0.0))
-        raise ValueError(f"coincident particles {i} and {j}: no interaction direction")
-    inv_r, coef = np.empty_like(r2), np.empty_like(r2)
-    oseen_terms(d, r2, p.force, p.mu, cloud.delta, inv_r, coef)
-    return stokes_drag_velocity(p) + p.force * inv_r.sum() + d @ coef
-
-
 def cloud_velocities(cloud: ParticleCloud) -> tuple[np.ndarray, int]:
     """All particle velocities (drag + interactions) and the clamp-event count."""
     vel, clamps = _interaction_sum(cloud.positions, cloud.params.force, cloud.params.mu, cloud.delta)
@@ -242,19 +220,12 @@ def rescaled_velocities(positions: np.ndarray, delta: float) -> tuple[np.ndarray
 
 @dataclass(frozen=True)
 class CloudTrajectory:
-    """Snapshots of an integrated cloud run plus simple density moments."""
+    """Snapshots of an integrated cloud run, its t = 0 velocity and its clamp count."""
 
-    frame: str
     times: np.ndarray = field(repr=False)
     positions: list = field(repr=False)  # list of (N, 3) arrays
     initial_velocity: np.ndarray = field(repr=False)  # (N, 3), the frame's velocity law at t = 0
     clamp_events: int = 0
-
-    def centers(self) -> np.ndarray:
-        return np.array([p.mean(axis=0) for p in self.positions])
-
-    def vertical_extents(self) -> np.ndarray:
-        return np.array([p[:, 2].max() - p[:, 2].min() for p in self.positions])
 
 
 _FRAMES = ("rescaled", "lab", "drift_subtracted")
@@ -310,5 +281,5 @@ def evolve_cloud(cloud: ParticleCloud, T: float, dt: float, frame: str = "rescal
         if k % every == 0 or k == n_steps:
             times.append(k * dt)
             snaps.append(x.copy())
-    return CloudTrajectory(frame=frame, times=np.array(times), positions=snaps,
+    return CloudTrajectory(times=np.array(times), positions=snaps,
                            initial_velocity=initial_velocity, clamp_events=clamp_total)

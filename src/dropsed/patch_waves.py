@@ -18,16 +18,12 @@ __all__ = [
     "UNIT_BALL_VOLUME",
     "WAVE_VELOCITY_UNIT",
     "PatchWave",
-    "ScalingParams",
-    "scale_solution",
-    "patch_density",
     "overlap_volume",
     "l1_distance",
     "separation_time",
     "wasserstein_bounds",
     "sample_unit_ball",
     "monte_carlo_l1",
-    "monte_carlo_mass",
 ]
 
 UNIT_BALL_VOLUME = 4.0 * math.pi / 3.0
@@ -53,54 +49,13 @@ class PatchWave:
         return 1.0 / (UNIT_BALL_VOLUME * self.R**3)
 
     @property
-    def wave_velocity(self) -> np.ndarray:
-        """Drift rate c/(w1 R^2) of the rescaled argument x/R."""
-        return WAVE_VELOCITY_UNIT / (UNIT_BALL_VOLUME * self.R**2)
-
-    @property
     def center_velocity(self) -> np.ndarray:
-        """Physical center velocity c/(w1 R); R times the rescaled drift."""
+        """Physical center velocity c/(w1 R)."""
         return WAVE_VELOCITY_UNIT / (UNIT_BALL_VOLUME * self.R)
 
     def center(self, t: float) -> np.ndarray:
         """Support center at time t: the support is B(center(t), R)."""
         return t * self.center_velocity
-
-
-@dataclass(frozen=True)
-class ScalingParams:
-    """Exponents of the two-parameter scaling symmetry."""
-
-    alpha: float
-    beta: float
-    lam: float
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-
-
-def scale_solution(rho, s: ScalingParams):
-    """Symbolic scaling transform of a space-time density.
-
-    Returns the function (t, x) -> lam^-(alpha+beta) rho(t/lam^beta, x/lam^alpha).
-    Whether the input actually solves the transport system is the caller's
-    responsibility; the transform itself is exact.
-    """
-    amp = s.lam ** (-(s.alpha + s.beta))
-
-    def scaled(t, x):
-        return amp * rho(t / s.lam**s.beta, np.asarray(x, dtype=float) / s.lam**s.alpha)
-
-    return scaled
-
-
-def patch_density(w: PatchWave, t: float, x):
-    """Density of the radius-R patch at time t; broadcasts over points on the last axis."""
-    x = np.asarray(x, dtype=float)
-    dist = np.linalg.norm(x - w.center(t), axis=-1)
-    out = np.where(dist <= w.R, w.density_value, 0.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def _center_distance(R: float, t: float) -> float:
@@ -188,12 +143,3 @@ def monte_carlo_l1(R: float, t: float, n_samples: int, rng: np.random.Generator)
     inside_r = np.linalg.norm(x - w_r.center(t), axis=1) <= w_r.R
     ratio = np.where(inside_r, w_r.density_value / w_1.density_value, 0.0)
     return 2.0 - 2.0 * float(np.mean(np.minimum(ratio, 1.0)))
-
-
-def monte_carlo_mass(w: PatchWave, t: float, n_samples: int, rng: np.random.Generator) -> float:
-    """Monte Carlo total mass of the patch by box sampling around its support."""
-    lo = w.center(t) - w.R
-    x = lo + rng.uniform(size=(n_samples, 3)) * (2.0 * w.R)
-    inside = np.linalg.norm(x - w.center(t), axis=1) <= w.R
-    box_volume = (2.0 * w.R) ** 3
-    return box_volume * w.density_value * float(np.mean(inside))

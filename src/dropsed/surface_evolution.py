@@ -101,18 +101,12 @@ class CenterPolicy:
     def __post_init__(self):
         if self.mode not in self._MODES:
             raise ValueError(f"mode must be one of {self._MODES}, got {self.mode!r}")
-
-    @classmethod
-    def transported(cls) -> "CenterPolicy":
-        return cls(mode="transported")
+        if not math.isfinite(self.prescribed_speed):
+            raise ValueError(f"prescribed_speed must be finite, got {self.prescribed_speed!r}")
 
     @classmethod
     def fixed_wave_speed(cls) -> "CenterPolicy":
         return cls(mode="fixed_wave_speed")
-
-    @classmethod
-    def prescribed(cls, speed: float) -> "CenterPolicy":
-        return cls(mode="prescribed", prescribed_speed=float(speed))
 
     def speed(self, profile: "RadialProfile") -> float:
         if self.mode == "transported":

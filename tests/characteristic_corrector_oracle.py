@@ -75,4 +75,4 @@ def linearized_evolve(h0: ls.Perturbation, t: float, theta_grid: ThetaGrid, phi_
         if k % every == 0 or k == n_steps:
             times.append(k * dt)
             values.append(h.copy())
-    return ls.LinearEvolution(grid=theta_grid, times=np.array(times), values=np.array(values))
+    return ls.LinearEvolution(times=np.array(times), values=np.array(values))

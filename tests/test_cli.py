@@ -59,7 +59,8 @@ class TestPatchCommand:
 
     @pytest.mark.parametrize("flags, key", [(["--t-max", "nan", "--steps", "2"], "t_max"),
                                             (["--t-max", "inf"], "t_max"),
-                                            (["--steps", "-1"], "steps")])
+                                            (["--steps", "-1"], "steps"),
+                                            (["--R", "inf"], "R"), (["--R", "nan"], "R")])
     def test_invalid_time_range_rejected(self, tmp_path, capsys, flags, key):
         out = tmp_path / "x"
         assert main(["patch", *flags, "--out", str(out)]) == 1
@@ -127,6 +128,14 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert f"r0 spec {spec!r}" in err and "expected const:VALUE" in err
 
+    @pytest.mark.parametrize("speed", ["nan", "inf"])
+    def test_non_finite_prescribed_speed_names_key(self, tmp_path, capsys, speed):
+        out = tmp_path / "run"
+        assert main(["evolve", "--policy", "prescribed", "--prescribed-speed", speed,
+                     "--out", str(out)]) == 1
+        assert f"error: prescribed_speed must be finite, got {speed}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_cfl_rejected_before_stepping(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["evolve", "--dt", "10", "--T", "20", "--ntheta", "50",
@@ -189,7 +198,7 @@ class TestEvolveCommand:
                      "--snapshot-every", "0.002", "--policy", "prescribed",
                      "--prescribed-speed", "1", "--out", str(out)]) == 1
         assert "collapsed" in capsys.readouterr().err
-        policy, pg = se.CenterPolicy.prescribed(1.0), PhiGrid.uniform(102)
+        policy, pg = se.CenterPolicy("prescribed", 1.0), PhiGrid.uniform(102)
         last = p0
         for _ in range(3):
             last = se.step_upwind(last, 0.001, policy, pg)
@@ -218,6 +227,13 @@ class TestMicroCommand:
         assert main(["micro", "--N", "5", "--T", "1", "--dt", "inf", "--out", str(out)]) == 1
         assert "dt=inf must both be finite" in capsys.readouterr().err
         assert not list(out.glob("frame_*.csv"))
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_rejected(self, tmp_path, capsys, delta):
+        out = tmp_path / "run"
+        assert main(["micro", "--N", "5", "--T", "0", "--delta", delta, "--out", str(out)]) == 1
+        assert f"error: delta must be finite and >= 0, got {delta}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_determinism_same_seed(self, tmp_path):
         runs = []

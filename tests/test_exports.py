@@ -81,6 +81,48 @@ def test_every_private_helper_is_read_in_its_module():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def _reads(node):
+    """Names a node reads: loaded names and attributes, and names imported from a module."""
+    read = set()
+    for n in ast.walk(node):
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
+            read.add(n.id if isinstance(n, ast.Name) else n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            read.update(alias.name for alias in n.names)
+    return read
+
+
+def _unread_public_names(package_trees, reader_trees):
+    """``__all__`` names of the package that no reader and no package module reads.
+
+    A package module's read of a name counts unless it is inside that name's
+    own top-level definition.
+    """
+    readers = set().union(*map(_reads, reader_trees))
+    unread = []
+    for module, tree in package_trees.items():
+        others = set().union(*(_reads(t) for m, t in package_trees.items() if m != module))
+        exported = next((ast.literal_eval(s.value) for s in tree.body if isinstance(s, ast.Assign)
+                         and any(getattr(t, "id", None) == "__all__" for t in s.targets)), [])
+        for name in exported:
+            inside = set().union(*(_reads(s) for s in tree.body if getattr(s, "name", None) != name))
+            if name not in readers | others | inside:
+                unread.append(f"{module}.{name}")
+    return unread
+
+
+def test_every_public_name_is_read_by_the_package_the_benchmark_or_the_gate():
+    toy = {"m": ast.parse("__all__ = ['f', 'g']\ndef f():\n    return f\ndef g():\n    return 1\n")}
+    assert _unread_public_names(toy, [ast.parse("from m import g")]) == ["m.f"]
+    package = Path(dropsed.__file__).parent
+    root = Path(__file__).resolve().parent.parent
+    readers = [*sorted((root / "bench").glob("*.py")), root / "tests" / "test_acceptance.py"]
+    assert len(readers) > 1
+    package_trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    reader_trees = [ast.parse(path.read_text()) for path in readers]
+    assert _unread_public_names(package_trees, reader_trees) == []
+
+
 def test_package_imports_neither_scipy_nor_package_metadata():
     # a fresh interpreter: this test process has scipy loaded for the oracles
     script = (

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dropsed import micro_sim
-from dropsed.kernels import FluidParams, oseen_tensor, stokes_drag_velocity
+from dropsed.kernels import FluidParams, stokes_drag_velocity
 from dropsed.micro_sim import (
     CloudTrajectory,
     ParticleCloud,
@@ -17,7 +17,6 @@ from dropsed.micro_sim import (
     evolve_cloud,
     mean_settling_velocity,
     mean_velocity_formula,
-    pairwise_velocity,
     rescale_cloud,
     rescaled_velocities,
     uniform_ball_cloud,
@@ -36,22 +35,20 @@ def two_particle_cloud(separation=E3):
 class TestPairwiseVelocity:
     def test_single_particle_is_pure_drag(self):
         cloud = ParticleCloud(positions=np.zeros((1, 3)), params=PARAMS, cloud_radius=1.0)
-        assert np.allclose(pairwise_velocity(cloud, 0), stokes_drag_velocity(PARAMS), atol=0)
+        vel, clamps = cloud_velocities(cloud)
+        assert np.array_equal(vel, [stokes_drag_velocity(PARAMS)]) and clamps == 0
 
     def test_two_particles_axial(self):
         cloud = two_particle_cloud()
         expected = stokes_drag_velocity(PARAMS) - E3 / (4.0 * math.pi)
-        assert np.allclose(pairwise_velocity(cloud, 0), expected, atol=1e-15)
+        assert np.allclose(cloud_velocities(cloud)[0][0], expected, atol=1e-15)
 
     def test_matches_oseen_matrix_route(self, rng):
         pos = rng.normal(size=(6, 3))
         cloud = ParticleCloud(positions=pos, params=PARAMS, cloud_radius=2.0, delta=0.0)
-        for i in range(6):
-            manual = stokes_drag_velocity(PARAMS) + sum(
-                oseen_tensor(pos[i] - pos[j], PARAMS.mu) @ PARAMS.force
-                for j in range(6) if j != i
-            )
-            assert np.allclose(pairwise_velocity(cloud, i), manual, rtol=1e-12)
+        manual, _ = tensor_double_loop(pos, PARAMS.force, PARAMS.mu, 0.0)
+        vel, _ = cloud_velocities(cloud)
+        assert np.allclose(vel, stokes_drag_velocity(PARAMS) + manual, rtol=1e-12)
 
     def test_relabeling_invariance_sorted_reduction(self, rng):
         pos = rng.normal(size=(12, 3))
@@ -68,24 +65,31 @@ class TestPairwiseVelocity:
     def test_coincident_particles_rejected(self):
         bad = ParticleCloud(positions=np.zeros((2, 3)), params=PARAMS, cloud_radius=1.0, delta=0.0)
         with pytest.raises(ValueError, match="coincident"):
-            pairwise_velocity(bad, 0)
+            cloud_velocities(bad)
         pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
         bad = ParticleCloud(positions=pos, params=PARAMS, cloud_radius=1.0, delta=0.0)
-        with pytest.raises(ValueError, match="coincident particles 3 and 1"):
-            pairwise_velocity(bad, 3)
+        with pytest.raises(ValueError, match="coincident particles 1 and 3"):
+            cloud_velocities(bad)
+
+    @pytest.mark.parametrize("delta", [-1e-3, np.nan, np.inf])
+    def test_negative_or_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match=f"delta must be finite and >= 0, got {delta}"):
+            ParticleCloud(positions=np.zeros((1, 3)), params=PARAMS, cloud_radius=1.0, delta=delta)
 
     @pytest.mark.parametrize("delta", [0.0, 0.05])
     def test_matches_cloud_velocities_row(self, rng, delta):
-        # more particles than one pair-sum tile, and at delta = 0.05 some
-        # pairs are clamped, so the row must use the cloud's delta too
+        # more particles than one pair-sum tile of the production size, and at
+        # delta = 0.05 some pairs are clamped, so the sum must use the cloud's delta
         cloud = uniform_ball_cloud(450, PARAMS, 1.0, rng, delta=delta)
         rows, clamps = cloud_velocities(cloud)
         gaps = np.linalg.norm(cloud.positions[:, None] - cloud.positions[None], axis=2)
         np.fill_diagonal(gaps, np.inf)
         clamped = np.flatnonzero(gaps.min(axis=1) < delta)
         assert (clamps > 0) == (clamped.size > 0) == (delta > 0)
+        drag = stokes_drag_velocity(PARAMS)
         for i in (0, 199, 200, 449, *clamped[:3]):
-            assert np.max(np.abs(pairwise_velocity(cloud, i) - rows[i])) <= 1e-12
+            expected = drag + oseen_row(cloud.positions, i, PARAMS.force, PARAMS.mu, delta)[0]
+            assert np.max(np.abs(expected - rows[i])) <= 1e-12
 
     def test_clamp_counter_and_log(self, caplog):
         pos = np.stack([np.zeros(3), 1e-6 * E3])
@@ -102,22 +106,26 @@ class TestPairwiseVelocity:
         assert np.allclose(v_clamped, v_far, rtol=1e-12)
 
 
+def oseen_row(pos, i, force, mu, delta):
+    """Oracle: particle i's clamped Oseen sum and clamp count, one Oseen matrix per pair."""
+    total, clamps = np.zeros(3), 0
+    for j in range(len(pos)):
+        if j == i:
+            continue
+        d = pos[i] - pos[j]
+        if np.linalg.norm(d) < delta:
+            d = d * (delta / np.linalg.norm(d))
+            clamps += 1
+        r = np.linalg.norm(d)
+        # the Oseen tensor U(d) = (I / r + d d^T / r^3) / (8 pi mu)
+        total += (np.eye(3) / r + np.outer(d, d) / r**3) @ force / (8.0 * math.pi * mu)
+    return total, clamps
+
+
 def tensor_double_loop(pos, force, mu, delta):
-    """Oracle: the clamped Oseen sum over ordered pairs, one oseen_tensor at a time."""
-    n = len(pos)
-    expected = np.zeros((n, 3))
-    expected_clamps = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = pos[i] - pos[j]
-            r = np.linalg.norm(d)
-            if r < delta:
-                d = d * (delta / r)
-                expected_clamps += 1
-            expected[i] += oseen_tensor(d, mu) @ force
-    return expected, expected_clamps
+    """Oracle: the clamped Oseen sum over ordered pairs, row by row."""
+    rows = [oseen_row(pos, i, force, mu, delta) for i in range(len(pos))]
+    return np.array([v for v, _ in rows]), sum(c for _, c in rows)
 
 
 class TestTiledPairSum:
@@ -314,7 +322,7 @@ class TestEvolveCloud:
         rescaled, _ = rescale_cloud(cloud)
         v0, _ = rescaled_velocities(rescaled.positions, rescaled.delta)
         traj = evolve_cloud(rescaled, T=0.5, dt=0.025, frame="rescaled")
-        drop = traj.centers()[-1][2] - traj.centers()[0][2]
+        drop = traj.positions[-1][:, 2].mean() - traj.positions[0][:, 2].mean()
         assert drop == pytest.approx(v0.mean(axis=0)[2] * 0.5, rel=0.1)
 
     def test_drift_subtracted_frame(self):
@@ -329,8 +337,9 @@ class TestEvolveCloud:
         cloud = uniform_ball_cloud(50, PARAMS, 1.0, rng)
         traj = evolve_cloud(cloud, T=0.2, dt=0.1, frame="rescaled")
         assert isinstance(traj, CloudTrajectory)
-        assert traj.centers().shape == (len(traj.times), 3)
-        assert np.all(traj.vertical_extents() > 0.0)
+        centers = np.array([p.mean(axis=0) for p in traj.positions])
+        assert centers.shape == (len(traj.times), 3) and np.all(np.isfinite(centers))
+        assert all(p[:, 2].max() > p[:, 2].min() for p in traj.positions)
 
     def test_bad_frame_rejected(self):
         cloud = two_particle_cloud()

@@ -11,14 +11,10 @@ from dropsed.patch_waves import (
     UNIT_BALL_VOLUME,
     WAVE_VELOCITY_UNIT,
     PatchWave,
-    ScalingParams,
     l1_distance,
     monte_carlo_l1,
-    monte_carlo_mass,
     overlap_volume,
-    patch_density,
     sample_unit_ball,
-    scale_solution,
     separation_time,
     wasserstein_bounds,
 )
@@ -41,61 +37,10 @@ class TestPatchWave:
         assert np.linalg.norm(w.center_velocity) == pytest.approx(
             (4.0 / 15.0) / UNIT_BALL_VOLUME, rel=1e-15
         )
-        # physical center speed is R times the rescaled-argument drift
-        assert np.allclose(w.center_velocity, 1.0 * w.wave_velocity, rtol=1e-15)
 
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             PatchWave(0.0)
-
-
-class TestPatchDensity:
-    def test_unit_ball_center(self):
-        assert patch_density(PatchWave(1.0), 0.0, np.zeros(3)) == pytest.approx(
-            3.0 / (4.0 * math.pi), rel=1e-15
-        )
-
-    def test_moved_center_after_one_volume_time(self):
-        # at t = w1 the unit-patch center sits exactly at c
-        w = PatchWave(1.0)
-        c = np.array([0.0, 0.0, -4.0 / 15.0])
-        assert patch_density(w, UNIT_BALL_VOLUME, c) == pytest.approx(3.0 / (4.0 * math.pi), rel=1e-15)
-
-    @given(R=st.floats(0.2, 3.0), t=st.floats(0.0, 50.0))
-    @settings(max_examples=50, deadline=None)
-    def test_zero_outside_support(self, R, t):
-        w = PatchWave(R)
-        x = w.center(t) + np.array([0.0, 0.0, R * 1.0001])
-        assert patch_density(w, t, x) == 0.0
-
-
-class TestScaling:
-    def test_identity_scaling(self, rng):
-        w = PatchWave(1.0)
-        rho = lambda t, x: patch_density(w, t, x)
-        same = scale_solution(rho, ScalingParams(alpha=1.0, beta=2.0, lam=1.0))
-        for _ in range(20):
-            t, x = rng.uniform(0, 5), rng.normal(size=3)
-            assert same(t, x) == rho(t, x)
-
-    def test_reproduces_scaled_patch(self, rng):
-        R = 1.7
-        rho1 = lambda t, x: patch_density(PatchWave(1.0), t, x)
-        scaled = scale_solution(rho1, ScalingParams(alpha=1.0, beta=2.0, lam=R))
-        wR = PatchWave(R)
-        for _ in range(50):
-            t = rng.uniform(0, 20)
-            x = rng.normal(size=3) * 2.0
-            assert scaled(t, x) == pytest.approx(patch_density(wR, t, x), abs=1e-12)
-
-    def test_scaled_initial_mass_monte_carlo(self, rng):
-        R = 1.5
-        rho1 = lambda t, x: patch_density(PatchWave(1.0), t, x)
-        scaled = scale_solution(rho1, ScalingParams(alpha=1.0, beta=2.0, lam=R))
-        n = 1_000_000
-        pts = (rng.uniform(size=(n, 3)) * 2.0 - 1.0) * R
-        mass = scaled(0.0, pts).mean() * (2.0 * R) ** 3
-        assert mass == pytest.approx(1.0, abs=1e-2)
 
 
 class TestL1Distance:
@@ -236,11 +181,6 @@ class TestWassersteinBounds:
 
 
 class TestMonteCarloHelpers:
-    def test_patch_mass(self, rng):
-        for R, t in ((0.5, 0.0), (2.0, 40.0)):
-            mass = monte_carlo_mass(PatchWave(R), t, 400_000, rng)
-            assert mass == pytest.approx(1.0, abs=1e-2)
-
     def test_unit_ball_sampler_is_uniform(self, rng):
         pts = sample_unit_ball(200_000, rng)
         r = np.linalg.norm(pts, axis=1)
