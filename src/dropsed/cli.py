@@ -231,9 +231,14 @@ def _initial_profile(cfg: dict, out: Path):
     if kind != "const":
         raise bad_spec
     try:
-        r = np.full(grid.n_theta, float(value or 1.0))
+        r0 = float(value or 1.0)
     except ValueError:
         raise bad_spec from None
+    if not 0.0 < r0 < math.inf:
+        raise ValueError(f"r0 must be positive and finite, got {cfg['r0']!r}")
+    if not math.isfinite(cfg["eps"]):
+        raise ValueError(f"eps must be finite, got {cfg['eps']!r}")
+    r = np.full(grid.n_theta, r0)
     if cfg["perturb"] == "dominant":
         if cfg["eigvec"]:
             theta, h = np.loadtxt(cfg["eigvec"], delimiter=",", skiprows=1, unpack=True)

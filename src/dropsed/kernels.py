@@ -104,6 +104,12 @@ def _agm_steps(ratio: float) -> int | None:
     return steps
 
 
+def _entry(flat: int, shape: tuple[int, ...], first_row: int) -> tuple[int, ...]:
+    """Index of entry ``flat`` of an array of ``shape`` whose rows start at ``first_row``."""
+    index = np.unravel_index(flat, shape)
+    return tuple(int(v) + (first_row if axis == 0 else 0) for axis, v in enumerate(index))
+
+
 def azimuthal_moments(a, b, a_minus_b, *, first_row: int = 0):
     """Closed-form azimuthal integrals of the inverse chord, for A > B >= 0.
 
@@ -121,11 +127,15 @@ def azimuthal_moments(a, b, a_minus_b, *, first_row: int = 0):
     results plus two chunk-sized buffers; each chunk takes the step count of
     its smallest y0 / x0, plus one final step.  Coincident points
     (A - B <= 0) have a divergent I0 and are rejected.  A caller that passes
-    rows ``first_row`` onwards of a larger array gives that offset, so an
-    entry that fails to converge is named by its index in the larger array.
+    rows ``first_row`` onwards of a larger array gives that offset, so a
+    non-finite entry or one that fails to converge is named by its index there.
     """
     a, b, a_minus_b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, a_minus_b)))
     if not ((a_minus_b > 0).all() and (b >= 0).all()):
+        finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(a_minus_b)
+        if not finite.all():
+            raise ArithmeticError(f"azimuthal moments got a non-finite input at entry "
+                                  f"{_entry(int(np.argmax(~finite)), a.shape, first_row)}")
         raise ValueError("azimuthal moments need A > B >= 0; coincident points diverge")
     shape = a.shape
     x0 = np.sqrt(a + b).reshape(-1)
@@ -144,11 +154,8 @@ def azimuthal_moments(a, b, a_minus_b, *, first_row: int = 0):
         j = int(np.argmin(tmp))
         steps = _agm_steps(float(tmp[j]))
         if steps is None:
-            where = [int(v) for v in np.unravel_index(lo + j, shape)]
-            if where:
-                where[0] += first_row
             raise ArithmeticError(f"AGM of the azimuthal moments did not converge at entry "
-                                  f"{tuple(where)} (y/x = {float(tmp[j])!r})")
+                                  f"{_entry(lo + j, shape, first_row)} (y/x = {float(tmp[j])!r})")
         np.add(x, y, out=tmp)  # s = x0 + y0
         np.divide(b[lo:hi], tmp, out=c)  # c_1
         np.divide(c, tmp, out=term)  # 2^(n-1) c_n^2 / B at n = 1

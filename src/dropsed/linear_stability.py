@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import azimuthal_moments
-from .quadrature import PhiGrid, ThetaGrid, basis_matrix, hermite, spline_slopes, step_count
+from .quadrature import PhiGrid, ThetaGrid, _polar_angles, basis_matrix, hermite, spline_slopes, step_count
 
 __all__ = [
     "TABLE_TO_OPERATOR",
@@ -91,10 +91,7 @@ class Perturbation:
 
 def k_coefficient(theta):
     """Multiplicative part of the linearized source: (2/15) cos(theta)."""
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta < -1e-12) or np.any(theta > math.pi + 1e-12):
-        raise ValueError("theta outside [0, pi]")
-    out = (2.0 / 15.0) * np.cos(theta)
+    out = (2.0 / 15.0) * np.cos(_polar_angles(theta))
     return float(out) if out.ndim == 0 else out
 
 
@@ -190,9 +187,7 @@ def characteristic_flow(t, s, theta):
     2 arctan( tan(theta/2) exp(-(t - s)/15) ).  Both poles are fixed points
     and are returned exactly.
     """
-    theta_arr = np.asarray(theta, dtype=float)
-    if np.any(theta_arr < -1e-12) or np.any(theta_arr > math.pi + 1e-12):
-        raise ValueError("theta outside [0, pi]")
+    theta_arr = _polar_angles(theta)
     factor = np.exp(-(np.asarray(t, dtype=float) - np.asarray(s, dtype=float)) / 15.0)
     out = 2.0 * np.arctan(np.tan(theta_arr / 2.0) * factor)
     out = np.where(theta_arr >= math.pi, math.pi, out)

@@ -2,22 +2,20 @@
 
 A uniform spherical blob of total mass one falls rigidly: radius R fixes the
 fall speed, so two patches with different radii separate linearly in time.
-That separation is quantified here in L^1 (closed forms at t = 0, after the
-supports disjoin, and the spherical-lens overlap volume in between) and by
-the vertical-coordinate lower bound for the Wasserstein-1 distance.
+That separation is quantified here in L^1 (the overlap volume of the two
+supports: nested at t = 0, a spherical lens, then disjoint) and by the
+vertical-coordinate lower bound for the Wasserstein-1 distance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "UNIT_BALL_VOLUME",
     "WAVE_VELOCITY_UNIT",
-    "PatchWave",
     "overlap_volume",
     "l1_distance",
     "separation_time",
@@ -33,35 +31,11 @@ UNIT_BALL_VOLUME = 4.0 * math.pi / 3.0
 WAVE_VELOCITY_UNIT = np.array([0.0, 0.0, -4.0 / 15.0])
 
 
-@dataclass(frozen=True)
-class PatchWave:
-    """Uniform spherical probability patch of radius R falling rigidly."""
-
-    R: float
-
-    def __post_init__(self):
-        if not self.R > 0:
-            raise ValueError(f"radius must be positive, got {self.R}")
-
-    @property
-    def density_value(self) -> float:
-        """Uniform density inside the support, 1/|B(0, R)|."""
-        return 1.0 / (UNIT_BALL_VOLUME * self.R**3)
-
-    @property
-    def center_velocity(self) -> np.ndarray:
-        """Physical center velocity c/(w1 R)."""
-        return WAVE_VELOCITY_UNIT / (UNIT_BALL_VOLUME * self.R)
-
-    def center(self, t: float) -> np.ndarray:
-        """Support center at time t: the support is B(center(t), R)."""
-        return t * self.center_velocity
-
-
-def _center_distance(R: float, t: float) -> float:
-    # |alpha_R(t) - alpha_1(t)| = |1/R - 1| t |c| / w1
-    speed_gap = abs(1.0 / R - 1.0) * (4.0 / 15.0) / UNIT_BALL_VOLUME
-    return speed_gap * t
+def _gap_speed(R: float) -> float:
+    """|c / (w1 R) - c / w1| = |c| |1/R - 1| / w1, the speed at which the two patch centers part."""
+    if not R > 0:
+        raise ValueError(f"radius must be positive, got {R}")
+    return -float(WAVE_VELOCITY_UNIT[2]) * abs(1.0 / R - 1.0) / UNIT_BALL_VOLUME
 
 
 def overlap_volume(r1: float, r2: float, d: float) -> float:
@@ -86,41 +60,24 @@ def l1_distance(R: float, t: float) -> float:
     for R < 1 and 2(1 - 1/R^3) for R > 1, and exactly 2 once the supports
     disjoin.
     """
-    if not R > 0:
-        raise ValueError(f"radius must be positive, got {R}")
-    if R == 1.0:
-        return 0.0
-    d = _center_distance(R, t)
-    if d >= R + 1.0:
-        return 2.0
-    if d <= abs(R - 1.0):
-        # smaller ball fully inside the bigger one
-        small, big = min(R, 1.0), max(R, 1.0)
-        return 2.0 * (1.0 - (small / big) ** 3)
-    v = overlap_volume(R, 1.0, d)
+    v = overlap_volume(R, 1.0, _gap_speed(R) * t)
     return 2.0 - 2.0 * v / (UNIT_BALL_VOLUME * max(R, 1.0) ** 3)
 
 
 def separation_time(R: float) -> float:
-    """First time the two supports are disjoint, (R+1) w1 / (|c| |1/R - 1|)."""
-    if R <= 0:
-        raise ValueError(f"radius must be positive, got {R}")
+    """First time the two supports are disjoint, (R + 1) over the gap speed."""
     if R == 1.0:
         raise ValueError("R = 1 never separates from itself")
-    return (R + 1.0) * UNIT_BALL_VOLUME / ((4.0 / 15.0) * abs(1.0 / R - 1.0))
+    return (R + 1.0) / _gap_speed(R)
 
 
 def wasserstein_bounds(R: float, t: float) -> tuple[float, float]:
     """Initial W1 upper bound and the time-t lower bound from f(x) = x_3.
 
     initial_upper = |1 - R| * (3/4) uses the mean radius of the uniform unit
-    ball; lower_at_t = |c_3| (t/w1) |1/R - 1| grows linearly in t.
+    ball; lower_at_t is the center distance, which grows linearly in t.
     """
-    if not R > 0:
-        raise ValueError(f"radius must be positive, got {R}")
-    initial_upper = abs(1.0 - R) * 0.75
-    lower_at_t = (4.0 / 15.0) * (t / UNIT_BALL_VOLUME) * abs(1.0 / R - 1.0)
-    return initial_upper, lower_at_t
+    return abs(1.0 - R) * 0.75, _gap_speed(R) * t
 
 
 def sample_unit_ball(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -133,13 +90,12 @@ def sample_unit_ball(n: int, rng: np.random.Generator) -> np.ndarray:
 def monte_carlo_l1(R: float, t: float, n_samples: int, rng: np.random.Generator) -> float:
     """Monte Carlo estimate of the patch L^1 distance.
 
-    Uses |a - b| integrated = 2 - 2 * integral of min(a, b) with the minimum
-    estimated under sampling from the unit patch, an estimator bounded in
-    [0, 1] regardless of how far the supports have drifted apart.
+    Uses |a - b| integrated = 2 - 2 * integral of min(a, b), which is
+    min(R^-3, 1), the radius-R patch's density relative to the unit one, times
+    the share of unit-patch samples inside the radius-R patch.  The samples are
+    shifted by the center distance along e3; the ball is symmetric, so the sign is free.
     """
-    w_r = PatchWave(R)
-    w_1 = PatchWave(1.0)
-    x = sample_unit_ball(n_samples, rng) + w_1.center(t)
-    inside_r = np.linalg.norm(x - w_r.center(t), axis=1) <= w_r.R
-    ratio = np.where(inside_r, w_r.density_value / w_1.density_value, 0.0)
-    return 2.0 - 2.0 * float(np.mean(np.minimum(ratio, 1.0)))
+    x = sample_unit_ball(n_samples, rng)
+    x[:, 2] += _gap_speed(R) * t
+    inside = float(np.mean(np.linalg.norm(x, axis=1) <= R))
+    return 2.0 - 2.0 * min(R**-3.0, 1.0) * inside

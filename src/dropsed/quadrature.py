@@ -171,6 +171,14 @@ def _legendre_pair(k_max: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return P, dP
 
 
+def _polar_angles(theta) -> np.ndarray:
+    """``theta`` as a float array, rejected unless it lies in [0, pi] to within 1e-12."""
+    theta = np.asarray(theta, dtype=float)
+    if np.any(theta < -1e-12) or np.any(theta > math.pi + 1e-12):
+        raise ValueError("theta outside [0, pi]")
+    return theta
+
+
 def basis_matrix(n_funcs: int, theta: np.ndarray):
     """Stacked values and derivatives of e_0..e_{n_funcs-1}, shape (n_funcs, len(theta)).
 
@@ -182,10 +190,7 @@ def basis_matrix(n_funcs: int, theta: np.ndarray):
     """
     if n_funcs < 1 or n_funcs - 1 > MAX_BASIS_DEGREE:
         raise ValueError(f"need 1 <= n_funcs <= {MAX_BASIS_DEGREE + 1}, got {n_funcs}")
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta < -1e-12) or np.any(theta > math.pi + 1e-12):
-        raise ValueError("theta outside [0, pi]")
-    x = 2.0 * theta / math.pi - 1.0
+    x = 2.0 * _polar_angles(theta) / math.pi - 1.0
     P, dP = _legendre_pair(n_funcs - 1, x)
     c = np.sqrt((2 * np.arange(n_funcs) + 1) / 2.0)[:, None]
     return c * P[:n_funcs], c * dP[:n_funcs] * (2.0 / math.pi)
@@ -246,12 +251,11 @@ def spline_slopes(nodes, values) -> np.ndarray:
     return rhs
 
 
-def hermite(nodes, values, slopes, at, derivative: bool = False) -> np.ndarray:
+def hermite(nodes, values, slopes, at) -> np.ndarray:
     """Cubic-Hermite interpolant of node values and slopes, evaluated at ``at``.
 
     ``values`` and ``slopes`` have shape (n, ...); the result has shape
-    ``at.shape + values.shape[1:]`` and holds values, or first derivatives
-    when ``derivative`` is set.  With the slopes of :func:`spline_slopes`
+    ``at.shape + values.shape[1:]``.  With the slopes of :func:`spline_slopes`
     this is the not-a-knot spline.  A point outside the nodes' range
     continues the end interval's cubic, and a node returns its own value
     exactly.
@@ -264,12 +268,8 @@ def hermite(nodes, values, slopes, at, derivative: bool = False) -> np.ndarray:
     k = np.clip(np.searchsorted(x, pts, side="right") - 1, 0, x.size - 2)
     h = x[k + 1] - x[k]
     t = (pts - x[k]) / h
-    if derivative:
-        w = (6.0 * t * (t - 1.0) / h, (1.0 - t) * (1.0 - 3.0 * t),
-             6.0 * t * (1.0 - t) / h, t * (3.0 * t - 2.0))
-    else:
-        w = ((1.0 + 2.0 * t) * (1.0 - t) ** 2, h * t * (1.0 - t) ** 2,
-             t * t * (3.0 - 2.0 * t), h * t * t * (t - 1.0))
+    w = ((1.0 + 2.0 * t) * (1.0 - t) ** 2, h * t * (1.0 - t) ** 2,
+         t * t * (3.0 - 2.0 * t), h * t * t * (t - 1.0))
     w = [wi.reshape((-1,) + (1,) * (y.ndim - 1)) for wi in w]
     out = w[0] * y[k] + w[1] * s[k] + w[2] * y[k + 1] + w[3] * s[k + 1]
     return out.reshape(at.shape + y.shape[1:])

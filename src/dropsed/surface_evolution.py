@@ -33,6 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import _MOMENT_CHUNK, azimuthal_moments
+from .patch_waves import WAVE_VELOCITY_UNIT
 from .quadrature import PhiGrid, ThetaGrid, simpson_weights, snapshot_stride, step_count
 
 __all__ = [
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 # Vertical speed of the exact unit-patch traveling wave.
-WAVE_CENTER_SPEED = -4.0 / 15.0
+WAVE_CENTER_SPEED = float(WAVE_VELOCITY_UNIT[2])
 
 
 class SurfaceCollapseError(RuntimeError):
@@ -231,7 +232,7 @@ def advection_and_source(p: RadialProfile, cdot3: float, phi_grid: PhiGrid):
         if not np.all(np.isfinite(arr)):
             i = int(np.argmax(~np.isfinite(arr)))
             raise ArithmeticError(
-                f"{name} quadrature non-finite at theta={p.grid.nodes[i]!r} (node {i})"
+                f"{name} quadrature non-finite at theta={float(p.grid.nodes[i])!r} (node {i})"
             )
     return a1, a2
 

@@ -110,6 +110,14 @@ class TestAzimuthalMoments:
         with pytest.raises(ValueError, match="coincident"):
             azimuthal_moments([2.0, 2.0], [1.0, 2.0], [1.0, 0.0])
 
+    def test_non_finite_input_named_by_entry_not_as_coincident(self):
+        # an overflowing r * r' gives A = inf and B = nan, which fails the
+        # A > B >= 0 check; the entry is named with the caller's row offset
+        a = [[2.0, 2.0], [2.0, np.inf]]
+        b = [[1.0, 1.0], [1.0, np.nan]]
+        with pytest.raises(ArithmeticError, match=r"non-finite input at entry \(5, 1\)$"):
+            azimuthal_moments(a, b, [[1.0, 1.0], [1.0, np.inf]], first_row=4)
+
     def test_non_finite_input_raises(self):
         with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError,
                                                          match=r"did not converge at entry \(1,\)"):

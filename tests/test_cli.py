@@ -128,6 +128,27 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert f"r0 spec {spec!r}" in err and "expected const:VALUE" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--r0", "const:nan"], "r0 must be positive and finite, got 'const:nan'"),
+        (["--r0", "const:inf"], "r0 must be positive and finite, got 'const:inf'"),
+        (["--r0", "const:0"], "r0 must be positive and finite, got 'const:0'"),
+        (["--perturb", "dominant", "--eps", "nan"], "eps must be finite, got nan"),
+    ], ids=["r0-nan", "r0-inf", "r0-zero", "eps-nan"])
+    def test_bad_initial_profile_names_key(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "run"
+        assert main(["evolve", *flags, "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_overflowing_radius_reported_as_non_finite(self, tmp_path, capsys):
+        # r * r' overflows, so the azimuthal moments see inf and nan, not coincident points
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["evolve", "--r0", "const:1e200", "--ntheta", "20",
+                         "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "azimuthal moments got a non-finite input at entry (0, 0)" in err
+        assert "coincident" not in err
+
     @pytest.mark.parametrize("speed", ["nan", "inf"])
     def test_non_finite_prescribed_speed_names_key(self, tmp_path, capsys, speed):
         out = tmp_path / "run"

@@ -182,6 +182,13 @@ class TestCharacteristicFlow:
         assert ls.characteristic_flow(5.0, 0.0, 0.0) == 0.0
         assert ls.characteristic_flow(5.0, 0.0, math.pi) == math.pi
 
+    @pytest.mark.parametrize("theta", [-0.1, [0.5, math.pi + 0.1]])
+    def test_out_of_range_rejected_like_the_basis(self, theta):
+        for f in (ls.k_coefficient, lambda th: ls.characteristic_flow(1.0, 0.0, th)):
+            with pytest.raises(ValueError, match=r"theta outside \[0, pi\]"):
+                f(theta)
+        assert ls.characteristic_flow(1.0, 0.0, math.pi + 1e-13) == math.pi
+
     def test_backward_limit_is_pi(self):
         val = ls.characteristic_flow(0.0, 200.0, math.pi / 2)
         assert abs(val - math.pi) < 1e-4

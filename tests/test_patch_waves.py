@@ -9,8 +9,6 @@ from scipy.optimize import brentq
 
 from dropsed.patch_waves import (
     UNIT_BALL_VOLUME,
-    WAVE_VELOCITY_UNIT,
-    PatchWave,
     l1_distance,
     monte_carlo_l1,
     overlap_volume,
@@ -18,29 +16,6 @@ from dropsed.patch_waves import (
     separation_time,
     wasserstein_bounds,
 )
-
-
-class TestPatchWave:
-    def test_mass_is_one_exactly(self):
-        for R in (0.3, 1.0, 2.5):
-            w = PatchWave(R)
-            assert abs(w.density_value * UNIT_BALL_VOLUME * R**3 - 1.0) <= 1e-12
-
-    def test_center_trajectory(self):
-        w = PatchWave(2.0)
-        t = 7.0
-        expected = t * WAVE_VELOCITY_UNIT / (UNIT_BALL_VOLUME * 2.0)
-        assert np.allclose(w.center(t), expected, rtol=1e-15)
-
-    def test_unit_radius_speed(self):
-        w = PatchWave(1.0)
-        assert np.linalg.norm(w.center_velocity) == pytest.approx(
-            (4.0 / 15.0) / UNIT_BALL_VOLUME, rel=1e-15
-        )
-
-    def test_invalid_radius(self):
-        with pytest.raises(ValueError):
-            PatchWave(0.0)
 
 
 class TestL1Distance:
@@ -118,9 +93,13 @@ class TestL1Distance:
         assert overlap_volume(r1, r2, outer) == 0.0
         assert overlap_volume(r1, r2, outer - 1e-9) == pytest.approx(0.0, abs=1e-15)
 
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            l1_distance(0.0, 1.0)
+    def test_rejects_nonpositive_radius(self, rng):
+        # one check guards every quantity built on the gap speed
+        for R in (0.0, -1.0, math.nan):
+            for f in (lambda: l1_distance(R, 1.0), lambda: separation_time(R),
+                      lambda: wasserstein_bounds(R, 1.0), lambda: monte_carlo_l1(R, 1.0, 10, rng)):
+                with pytest.raises(ValueError, match="radius must be positive"):
+                    f()
 
 
 def _center_gap(R, t):

@@ -50,6 +50,13 @@ class TestSourceOperators:
             theta = grid101.nodes[idx]
             assert a1[idx] == pytest.approx(-math.sin(theta) / 15.0, abs=2e-3)
 
+    def test_non_finite_message_prints_a_plain_float(self):
+        p = RadialProfile.sphere(ThetaGrid.uniform(21))
+        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError) as exc:
+            advection_and_source(p, float("inf"), None)
+        assert str(exc.value) == "a1 quadrature non-finite at theta=0.15707963267948966 (node 1)"
+        assert "np.float64" not in str(exc.value)
+
     def test_advection_vanishes_at_poles(self, grid101, phi202):
         a1, _ = advection_and_source(RadialProfile.sphere(grid101), WAVE, phi202)
         assert a1[0] == 0.0
