@@ -32,8 +32,6 @@ __all__ = ["main"]
 # ---------------------------------------------------------------------------
 # configs: one field per option, and each class docstring is its subcommand's help
 
-_NPHI = {"help": "azimuthal grid size; recorded in outputs, changes no value"}
-
 
 @dataclass
 class PatchConfig:
@@ -50,7 +48,6 @@ class SpectrumConfig:
 
     K: int = 4
     ntheta: int = 200
-    nphi: int = field(default=0, metadata=_NPHI)  # 0 means 2 * ntheta
 
 
 @dataclass
@@ -61,7 +58,7 @@ class EvolveConfig:
     T: float = 10.0
     dt: float = 0.01
     ntheta: int = 100
-    nphi: int = field(default=200, metadata=_NPHI)
+    nphi: int = field(default=200, metadata={"help": "azimuthal grid size; changes no value"})
     policy: str = field(default="fixed_wave_speed", metadata={
         "choices": ("fixed_wave_speed", "transported", "prescribed")})
     prescribed_speed: float = 0.0
@@ -193,8 +190,7 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> int:
 
     if cfg["K"] < 1 or cfg["ntheta"] < 8:
         raise ValueError("need K >= 1 and ntheta >= 8")
-    n_phi = cfg["nphi"] or 2 * cfg["ntheta"]
-    A = ls.assemble_galerkin(cfg["K"], cfg["ntheta"], n_phi)
+    A = ls.assemble_galerkin(cfg["K"], cfg["ntheta"])
     try:
         report = ls.solve_spectrum(A)
     except ls.EigensolverError as exc:
@@ -208,7 +204,6 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> int:
     summary = {
         "K": cfg["K"],
         "n_theta": cfg["ntheta"],
-        "n_phi": n_phi,
         "max_real": report.max_real,
         "threshold_1_over_15": round(ls.INSTABILITY_THRESHOLD, 4),
         "symmetric_residual": report.symmetric_residual,
@@ -218,7 +213,7 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
-def _initial_profile(cfg: dict, out: Path):
+def _initial_profile(cfg: dict):
     import numpy as np
 
     from . import linear_stability as ls
@@ -241,7 +236,13 @@ def _initial_profile(cfg: dict, out: Path):
     r = np.full(grid.n_theta, r0)
     if cfg["perturb"] == "dominant":
         if cfg["eigvec"]:
-            theta, h = np.loadtxt(cfg["eigvec"], delimiter=",", skiprows=1, unpack=True)
+            table = np.loadtxt(cfg["eigvec"], delimiter=",", skiprows=1, ndmin=2)
+            theta, h = table[:, 0], table[:, -1]
+            # the spline would silently extrapolate a file that does not span [0, pi]
+            if not (table.shape[0] >= 4 and table.shape[1] == 2 and np.isfinite(h).all()
+                    and theta[0] == 0.0 and theta[-1] == math.pi and (np.diff(theta) > 0).all()):
+                raise ValueError(f"eigvec {cfg['eigvec']!r} must have >= 4 rows of theta,h, theta "
+                                 "increasing strictly from 0 to pi and finite h")
             h = hermite(theta, h, spline_slopes(theta, h), grid.nodes)
         else:
             A = ls.assemble_galerkin(cfg["perturb_K"], grid.n_theta)
@@ -279,7 +280,7 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
 
     policy = se.CenterPolicy(mode=cfg["policy"], prescribed_speed=cfg["prescribed_speed"])
     phi_grid = PhiGrid.uniform(cfg["nphi"])
-    p = _initial_profile(cfg, out)
+    p = _initial_profile(cfg)
     dt, T = cfg["dt"], cfg["T"]
     tags = itertools.count()
 
@@ -289,8 +290,7 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
                    np.column_stack([profile.grid.nodes, profile.r]))
         _write_json(out / f"snapshot_{tag}.json",
                     {"time": profile.time, "c3": profile.c3,
-                     "n_theta": profile.grid.n_theta, "n_phi": cfg["nphi"],
-                     "dt": dt})
+                     "n_theta": profile.grid.n_theta, "dt": dt})
         if cfg["svg"]:
             (out / f"snapshot_{tag}.svg").write_text(_meridian_svg(profile))
 
@@ -424,7 +424,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _resolve_config(args.subcommand, args)
         out = args.out or Path("runs") / args.subcommand
         out.mkdir(parents=True, exist_ok=True)
-        return _RUNNERS[args.subcommand](cfg, out, seed)
+        import numpy as np
+        # the finiteness checks report an overflow; numpy's warnings would only precede them
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _RUNNERS[args.subcommand](cfg, out, seed)
     except Exception as exc:  # guard trips exit nonzero with a message
         if args.debug:
             raise

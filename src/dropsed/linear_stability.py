@@ -18,10 +18,9 @@ rate, max log|mu| / dt.
 The nonlocal kernel is the azimuthal integral of the bounded chord ratio on
 the unit sphere, taken in closed form by one arithmetic-geometric mean per
 entry (:func:`~dropsed.kernels.azimuthal_moments`), so it depends on the
-polar grid alone and is cached per node count.  The ``phi_grid`` and
-``n_phi`` arguments and the ``n_phi`` recorded in CLI outputs change no
-value; they stay because the tests, the CLI and the benchmark's trace
-hooks bind them by name.
+polar grid alone and is cached per node count.  The ``n_phi`` of
+:func:`assemble_galerkin` and the ``phi_grid`` of :func:`linearized_evolve`
+change no value; they stay only because the benchmark binds them by name.
 
 On the grid the source is L(h, h') = R (a h + b h') + k h, with the kernel
 R, the coefficient k and the weights (a, b) of :func:`_source_weights`, the
@@ -45,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import azimuthal_moments
-from .quadrature import PhiGrid, ThetaGrid, _polar_angles, basis_matrix, hermite, spline_slopes, step_count
+from .quadrature import ThetaGrid, _polar_angles, basis_matrix, hermite, spline_slopes, step_count
 
 __all__ = [
     "TABLE_TO_OPERATOR",
@@ -156,12 +155,11 @@ def _source_weights(grid: ThetaGrid) -> tuple[np.ndarray, np.ndarray]:
     return -2.5 * ws * st, ws * ct
 
 
-def k_by_quadrature(theta, theta_grid: ThetaGrid, phi_grid: PhiGrid):
+def k_by_quadrature(theta, theta_grid: ThetaGrid):
     """Double-integral form of the multiplicative coefficient.
 
     (1/(16 pi)) times the integral of sin(tbar)^2 against the chord-ratio
     kernel; must match :func:`k_coefficient` up to quadrature error.
-    ``phi_grid`` changes no value.
     """
     tb = theta_grid.nodes
     R = _sphere_kernel(np.atleast_1d(theta), tb)
@@ -169,10 +167,10 @@ def k_by_quadrature(theta, theta_grid: ThetaGrid, phi_grid: PhiGrid):
     return float(out[0]) if np.ndim(theta) == 0 else out
 
 
-def sphere_vertical_chord_integral(theta_grid: ThetaGrid, phi_grid: PhiGrid) -> float:
+def sphere_vertical_chord_integral(theta_grid: ThetaGrid) -> float:
     """Surface integral of w3 |e3 - w| over the unit sphere (equals -16 pi / 15).
 
-    The integrand does not depend on phi, so ``phi_grid`` changes no value.
+    The integrand does not depend on phi, so its azimuthal integral is 2 pi.
     """
     tb = theta_grid.nodes
     chord = np.sqrt(np.maximum(2.0 - 2.0 * np.cos(tb), 0.0))
@@ -201,11 +199,10 @@ def assemble_galerkin(size: int, n_theta: int, n_phi: int | None = None) -> np.n
     Returns the (size, size) array whose entry [i, j] is the Simpson
     projection of (L e_j) onto e_i over the n_theta-node grid; the inner
     double integral runs on the same polar grid with the azimuthal integral
-    in closed form.  ``n_phi`` is unused; it stays only until the phi grid
-    is deleted (ROADMAP item 6), because the benchmark's trace hook binds it
-    by name.  Assembly is deterministic.  The basis normalization reproduces
-    the published eigenvalue table; the intrinsic operator spectrum is a
-    global factor TABLE_TO_OPERATOR smaller.
+    in closed form, so ``n_phi`` changes no value; it stays only because the
+    benchmark's trace hook binds it by name.  Assembly is deterministic.  The
+    basis normalization reproduces the published eigenvalue table; the
+    intrinsic operator spectrum is a global factor TABLE_TO_OPERATOR smaller.
     """
     if size < 1:
         raise ValueError(f"basis size must be >= 1, got {size}")
@@ -349,7 +346,7 @@ def linearized_propagator(theta_grid: ThetaGrid, dt: float) -> np.ndarray:
     return np.linalg.solve(L, rhs)
 
 
-def linearized_evolve(h0: Perturbation, t: float, theta_grid: ThetaGrid, phi_grid: PhiGrid,
+def linearized_evolve(h0: Perturbation, t: float, theta_grid: ThetaGrid, phi_grid=None,
                       dt: float = 0.01, store_every: int | None = None) -> LinearEvolution:
     """Integrate the linearized dynamics on the grid nodes, one propagator matvec per step.
 
@@ -360,7 +357,7 @@ def linearized_evolve(h0: Perturbation, t: float, theta_grid: ThetaGrid, phi_gri
     trajectory that leaves the finite range raises.  ``t`` must be a whole
     number of steps ``dt``.  Every ``store_every``-th state (default: about
     64 over the run) and the final one are stored.  ``phi_grid`` changes no
-    value.
+    value; it stays only because the benchmark passes it.
     """
     if not t >= 0 or not dt > 0:
         raise ValueError("need t >= 0 and dt > 0")

@@ -95,34 +95,15 @@ class ThetaGrid:
 
 @dataclass(frozen=True)
 class PhiGrid:
-    """Uniform azimuthal grid spanning [0, 2*pi]."""
+    """Azimuthal grid size; it changes no value, as every azimuthal integral is closed-form."""
 
     n_phi: int
-    nodes: np.ndarray = field(repr=False)
 
     @classmethod
     def uniform(cls, n_phi: int) -> "PhiGrid":
         if n_phi < 3:
             raise ValueError(f"n_phi must be >= 3, got {n_phi}")
-        return cls(n_phi=n_phi, nodes=np.linspace(0.0, 2.0 * math.pi, n_phi))
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size != self.n_phi:
-            raise ValueError("nodes must be a 1-d array of length n_phi")
-        if nodes[0] != 0.0 or nodes[-1] != 2.0 * math.pi:
-            raise ValueError("nodes must span [0, 2*pi]")
-        d = np.diff(nodes)
-        if not np.allclose(d, d[0], rtol=1e-12, atol=0.0):
-            raise ValueError("nodes must be uniformly spaced")
-        object.__setattr__(self, "nodes", nodes)
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * math.pi / (self.n_phi - 1)
-
-    def weights(self) -> np.ndarray:
-        return simpson_weights(self.n_phi, self.spacing)
+        return cls(n_phi=n_phi)
 
 
 def step_count(T: float, dt: float, name: str = "T") -> int:

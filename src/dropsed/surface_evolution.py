@@ -18,9 +18,8 @@ integrable diagonal of the chord distance never lands on a sample; the two
 half-spacing end strips are closed with a trapezoid correction (the integrand
 vanishes at both poles).
 
-The ``phi_grid`` arguments are still accepted, and the CLI still records
-``--nphi`` in its outputs, but they no longer change any value.  They stay
-because the tests, the CLI and the benchmark's trace hooks bind them by name.
+The ``phi_grid`` that :func:`evolve` hands down changes no value; it stays only
+because the benchmark binds it (``evolve --nphi`` and a trace hook read it).
 """
 
 from __future__ import annotations

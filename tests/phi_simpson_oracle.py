@@ -46,13 +46,17 @@ def desingularized_ratio(theta, thetabar, phi):
     return float(out) if out.ndim == 0 else out
 
 
+def _phi_rule(n_phi: int):
+    """Uniform azimuth nodes spanning [0, 2 pi] and their Simpson weights."""
+    return np.linspace(0.0, 2.0 * math.pi, n_phi), simpson_weights(n_phi, 2.0 * math.pi / (n_phi - 1))
+
+
 def _operators(theta: np.ndarray, n_theta: int, n_phi: int):
     """Static quadrature tensors for evaluation angles ``theta`` on an (n_theta, n_phi) grid pair."""
     h = math.pi / (n_theta - 1)
     mids = (np.arange(n_theta - 1) + 0.5) * h
     w_mid = simpson_weights(mids.size, h)
-    w_phi = PhiGrid.uniform(n_phi).weights()
-    phi = PhiGrid.uniform(n_phi).nodes
+    phi, w_phi = _phi_rule(n_phi)
     st, ct = np.sin(theta), np.cos(theta)
     stb, ctb = np.sin(mids), np.cos(mids)
     cp = np.cos(phi)
@@ -128,8 +132,7 @@ def phi_reduced_kernel(theta_eval: np.ndarray, theta_grid: ThetaGrid, phi_grid: 
     size of the (m, l, phi) intermediate.
     """
     tb = theta_grid.nodes
-    phi = phi_grid.nodes
-    w_phi = phi_grid.weights()
+    phi, w_phi = _phi_rule(phi_grid.n_phi)
     out = np.empty((theta_eval.size, tb.size))
     chunk = max(1, int(8_000_000 // max(tb.size * phi.size, 1)))
     for i0 in range(0, theta_eval.size, chunk):

@@ -92,10 +92,10 @@ def test_criterion_4_spectral_reflection_symmetry(spectra):
 
 
 def test_criterion_5_closed_form_coefficient():
-    tg, pg = ThetaGrid.uniform(401), PhiGrid.uniform(802)
+    tg = ThetaGrid.uniform(401)
     angles = np.linspace(0.0, math.pi, 50)
-    err = np.max(np.abs(ls.k_by_quadrature(angles, tg, pg) - (2.0 / 15.0) * np.cos(angles)))
-    sphere = ls.sphere_vertical_chord_integral(tg, pg)
+    err = np.max(np.abs(ls.k_by_quadrature(angles, tg) - (2.0 / 15.0) * np.cos(angles)))
+    sphere = ls.sphere_vertical_chord_integral(tg)
     sphere_err = abs(sphere + 16.0 * math.pi / 15.0)
     report("5 multiplicative coefficient", err <= 1e-4 and sphere_err <= 1e-6,
            f"coefficient error {err:.1e}; sphere integral error {sphere_err:.1e}")
@@ -195,11 +195,7 @@ def test_criterion_9_micro_mean_field():
     rel = abs(measured[2] - predicted[2]) / abs(predicted[2])
 
     n = 1_000_000
-    def ball(k):
-        v = rng.normal(size=(k, 3))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return v * rng.uniform(size=(k, 1)) ** (1.0 / 3.0)
-    dx = ball(n) - ball(n)
+    dx = pw.sample_unit_ball(n, rng) - pw.sample_unit_ball(n, rng)
     r = np.linalg.norm(dx, axis=1)
     vals = ((-E3)[None, :] / r[:, None] + dx * ((dx @ -E3) / r**3)[:, None]) / (8.0 * math.pi)
     mc_const = -vals.mean(axis=0)[2]

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,13 +142,14 @@ class TestEvolveCommand:
         assert list(out.iterdir()) == []
 
     def test_overflowing_radius_reported_as_non_finite(self, tmp_path, capsys):
-        # r * r' overflows, so the azimuthal moments see inf and nan, not coincident points
-        with np.errstate(over="ignore", invalid="ignore"):
+        # r * r' overflows, so the azimuthal moments see inf and nan, not coincident points;
+        # numpy's overflow warnings do not reach the user ahead of the one-line error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["evolve", "--r0", "const:1e200", "--ntheta", "20",
                          "--out", str(tmp_path / "run")]) == 1
-        err = capsys.readouterr().err
-        assert "azimuthal moments got a non-finite input at entry (0, 0)" in err
-        assert "coincident" not in err
+        assert capsys.readouterr().err == (
+            "dropsed evolve: error: azimuthal moments got a non-finite input at entry (0, 0)\n")
 
     @pytest.mark.parametrize("speed", ["nan", "inf"])
     def test_non_finite_prescribed_speed_names_key(self, tmp_path, capsys, speed):
@@ -207,13 +209,30 @@ class TestEvolveCommand:
         h = CubicSpline(eigvec[:, 0], eigvec[:, 1])(data[:, 0])
         assert np.max(np.abs(data[:, 1] - (1.0 + 0.2 * h / np.max(np.abs(h))))) <= 1e-14
 
+    @pytest.mark.parametrize("cut", ["inner", "reversed"])
+    def test_eigvec_file_not_spanning_the_sphere_rejected(self, tmp_path, capsys, cut):
+        spec = tmp_path / "spec"
+        assert main(["spectrum", "--K", "6", "--ntheta", "40", "--out", str(spec)]) == 0
+        header, *rows = (spec / "eigenvector.csv").read_text().splitlines()
+        if cut == "inner":  # the spline would extrapolate its end cubics
+            rows = [row for row in rows if 0.5 < float(row.split(",")[0]) < 2.5]
+        else:
+            rows = rows[::-1]
+        bad = tmp_path / "eigvec.csv"
+        bad.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "run"
+        assert main(["evolve", "--perturb", "dominant", "--T", "0.01", "--ntheta", "40",
+                     "--eigvec", str(bad), "--out", str(out)]) == 1
+        assert f"error: eigvec {str(bad)!r} must have >= 4 rows of theta,h" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_collapse_writes_last_valid_profile(self, tmp_path, monkeypatch, capsys):
         # the nearly pinched profile of test_collapse_detected: collapses on step 4
         grid = ThetaGrid.uniform(51)
         th = grid.nodes
         p0 = se.RadialProfile(grid=grid, r=0.005 + 0.995 * np.sin(th / 2.0) ** 2
                               + 0.5 * np.sin(th) ** 2)
-        monkeypatch.setattr(cli, "_initial_profile", lambda cfg, out: p0)
+        monkeypatch.setattr(cli, "_initial_profile", lambda cfg: p0)
         out = tmp_path / "run"
         assert main(["evolve", "--ntheta", "51", "--nphi", "102", "--T", "0.01", "--dt", "0.001",
                      "--snapshot-every", "0.002", "--policy", "prescribed",
@@ -380,7 +399,7 @@ class TestConfigHandling:
 # (flag, type, choices) of every config option; each is also a config key
 CONFIG_FLAGS = {
     "patch": [("--R", float), ("--t-max", float), ("--steps", int)],
-    "spectrum": [("--K", int), ("--ntheta", int), ("--nphi", int)],
+    "spectrum": [("--K", int), ("--ntheta", int)],
     "evolve": [("--r0", str), ("--T", float), ("--dt", float), ("--ntheta", int), ("--nphi", int),
                ("--policy", str, ("fixed_wave_speed", "transported", "prescribed")),
                ("--prescribed-speed", float), ("--snapshot-every", float),
@@ -421,7 +440,7 @@ def test_parser_pins_every_flag():
         fields = {f.name for f in dataclasses.fields(cli._CONFIG_TYPES[name])}
         assert fields == {flag[2:].replace("-", "_") for flag, *_ in flags}
         total += len(actions)
-    assert total == 53
+    assert total == 52
 
 
 class TestLoggingAndDebug:

@@ -81,6 +81,41 @@ def test_every_private_helper_is_read_in_its_module():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def _unread_parameters(tree):
+    """``function.parameter`` for each parameter, but ``self`` and ``cls``, never read."""
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{getattr(fn, 'name', '<lambda>')}.{name}" for name in params
+                   if name not in read and name not in ("self", "cls")]
+    return sorted(unread)
+
+
+# parameters that change no value and stay only because the benchmark binds them,
+# each with the bench/child.py line that does
+BENCHMARK_BOUND_PARAMETERS = {
+    "assemble_galerkin.n_phi",  # trace hook reads a["n_phi"] (line 170)
+    "linearized_evolve.phi_grid",  # linear_body passes PhiGrid.uniform(2 * n) (line 86)
+    "advection_and_source.phi_grid",  # trace hook reads a["phi_grid"].n_phi (line 180)
+}
+
+
+def test_every_parameter_is_read():
+    toy = ast.parse("def f(self, a, b, *c, d, **e):\n    return a + d + (lambda g: b)(1)\n"
+                    "class K:\n    def m(cls, x):\n        return cls\n")
+    assert _unread_parameters(toy) == ["<lambda>.g", "f.c", "f.e", "m.x"]
+    package = Path(dropsed.__file__).parent
+    found = [name for path in sorted(package.glob("*.py"))
+             for name in _unread_parameters(ast.parse(path.read_text()))]
+    assert sorted(found) == sorted(BENCHMARK_BOUND_PARAMETERS)
+
+
 def _reads(node):
     """Names a node reads: loaded names and attributes, and names imported from a module."""
     read = set()

@@ -59,8 +59,8 @@ def basis_pair(coeffs):
 
 
 @pytest.fixture(scope="module")
-def grids():
-    return ThetaGrid.uniform(401), PhiGrid.uniform(802)
+def tg():
+    return ThetaGrid.uniform(401)
 
 
 class TestKCoefficient:
@@ -74,30 +74,26 @@ class TestKCoefficient:
         th = math.pi / 5
         assert ls.k_coefficient(th) == pytest.approx(-ls.k_coefficient(math.pi - th), rel=1e-14)
 
-    def test_quadrature_form_matches(self, grids):
-        tg, pg = grids
-        assert ls.k_by_quadrature(math.pi / 3, tg, pg) == pytest.approx(1.0 / 15.0, abs=1e-4)
+    def test_quadrature_form_matches(self, tg):
+        assert ls.k_by_quadrature(math.pi / 3, tg) == pytest.approx(1.0 / 15.0, abs=1e-4)
 
     def test_quadrature_equator(self):
-        tg, pg = ThetaGrid.uniform(801), PhiGrid.uniform(1602)
-        assert ls.k_by_quadrature(math.pi / 2, tg, pg) == pytest.approx(0.0, abs=1e-6)
+        tg = ThetaGrid.uniform(801)
+        assert ls.k_by_quadrature(math.pi / 2, tg) == pytest.approx(0.0, abs=1e-6)
 
-    def test_quadrature_angle_sweep(self, grids):
-        tg, pg = grids
+    def test_quadrature_angle_sweep(self, tg):
         angles = np.linspace(0.0, math.pi, 10)
-        vals = ls.k_by_quadrature(angles, tg, pg)
+        vals = ls.k_by_quadrature(angles, tg)
         assert np.max(np.abs(vals - (2.0 / 15.0) * np.cos(angles))) <= 1e-4
 
-    def test_sphere_integral(self, grids):
-        tg, pg = grids
-        assert ls.sphere_vertical_chord_integral(tg, pg) == pytest.approx(
+    def test_sphere_integral(self, tg):
+        assert ls.sphere_vertical_chord_integral(tg) == pytest.approx(
             -16.0 * math.pi / 15.0, abs=1e-6
         )
 
 
 class TestJApply:
-    def test_zero_input(self, grids):
-        tg, _ = grids
+    def test_zero_input(self, tg):
         assert j_apply(zero, zero, 1.0, tg) == 0.0
 
     def test_constant_input_regression(self, monkeypatch):
@@ -121,8 +117,7 @@ class TestJApply:
             val = j_apply(one, zero, th, tg)
             assert val == pytest.approx(-5.0 * ls.k_coefficient(th), abs=2e-6)
 
-    def test_reflection_identity(self, grids):
-        tg, _ = grids
+    def test_reflection_identity(self, tg):
         t0 = math.pi / 4
         reflected = j_apply(lambda th: np.cos(math.pi - th), lambda th: np.sin(math.pi - th), t0, tg)
         assert j_apply(np.cos, lambda th: -np.sin(th), math.pi - t0, tg) == pytest.approx(
@@ -153,8 +148,7 @@ class TestJApply:
 
 
 class TestLApply:
-    def test_reflection_identity(self, grids):
-        tg, _ = grids
+    def test_reflection_identity(self, tg):
         t0 = math.pi / 3
         reflected = l_apply(lambda th: np.sin(math.pi - th) + np.cos(math.pi - th),
                             lambda th: -np.cos(math.pi - th) + np.sin(math.pi - th), t0, tg)
