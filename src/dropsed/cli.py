@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -187,6 +188,7 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> int:
     import numpy as np
 
     from . import linear_stability as ls
+    from .quadrature import ThetaGrid
 
     if cfg["K"] < 1 or cfg["ntheta"] < 8:
         raise ValueError("need K >= 1 and ntheta >= 8")
@@ -198,7 +200,7 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> int:
         raise
     _write_csv(out / "eigenvalues.csv", "re,im",
                [(lam.real, lam.imag) for lam in report.eigenvalues])
-    theta = np.linspace(0.0, np.pi, cfg["ntheta"])
+    theta = ThetaGrid.uniform(cfg["ntheta"]).nodes
     h = report.eigenvector_perturbation(0)
     _write_csv(out / "eigenvector.csv", "theta,h", np.column_stack([theta, np.real(h(theta))]))
     summary = {
@@ -236,7 +238,12 @@ def _initial_profile(cfg: dict):
     r = np.full(grid.n_theta, r0)
     if cfg["perturb"] == "dominant":
         if cfg["eigvec"]:
-            table = np.loadtxt(cfg["eigvec"], delimiter=",", skiprows=1, ndmin=2)
+            try:  # numpy warns of a file without rows; that is an unreadable file too
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    table = np.loadtxt(cfg["eigvec"], delimiter=",", skiprows=1, ndmin=2)
+            except (UserWarning, ValueError) as exc:
+                raise ValueError(f"eigvec {cfg['eigvec']!r} is not a theta,h table: {exc}") from None
             theta, h = table[:, 0], table[:, -1]
             # the spline would silently extrapolate a file that does not span [0, pi]
             if not (table.shape[0] >= 4 and table.shape[1] == 2 and np.isfinite(h).all()
@@ -276,12 +283,13 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
     import numpy as np
 
     from . import surface_evolution as se
-    from .quadrature import PhiGrid
+    from .quadrature import PhiGrid, step_count
 
+    dt, T = cfg["dt"], cfg["T"]
+    step_count(T, dt)  # before the default cadence below divides by dt
     policy = se.CenterPolicy(mode=cfg["policy"], prescribed_speed=cfg["prescribed_speed"])
     phi_grid = PhiGrid.uniform(cfg["nphi"])
     p = _initial_profile(cfg)
-    dt, T = cfg["dt"], cfg["T"]
     tags = itertools.count()
 
     def dump(profile) -> None:

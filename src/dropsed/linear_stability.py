@@ -18,7 +18,7 @@ rate, max log|mu| / dt.
 The nonlocal kernel is the azimuthal integral of the bounded chord ratio on
 the unit sphere, taken in closed form by one arithmetic-geometric mean per
 entry (:func:`~dropsed.kernels.azimuthal_moments`), so it depends on the
-polar grid alone and is cached per node count.  The ``n_phi`` of
+polar grid alone and is cached per grid.  The ``n_phi`` of
 :func:`assemble_galerkin` and the ``phi_grid`` of :func:`linearized_evolve`
 change no value; they stay only because the benchmark binds them by name.
 
@@ -44,7 +44,8 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import azimuthal_moments
-from .quadrature import ThetaGrid, _polar_angles, basis_matrix, hermite, spline_slopes, step_count
+from .quadrature import (ThetaGrid, _polar_angles, basis_matrix, hermite, snapshot_stride,
+                         spline_slopes, step_count)
 
 __all__ = [
     "TABLE_TO_OPERATOR",
@@ -119,15 +120,15 @@ def _sphere_kernel(theta_eval, thetabar) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _grid_kernel(n_theta: int) -> np.ndarray:
-    """Square kernel on the uniform grid's own nodes, cached and read-only.
+def _grid_kernel(grid: ThetaGrid) -> np.ndarray:
+    """Square kernel on the grid's own nodes, cached and read-only.
 
     Equal entry for entry to ``_sphere_kernel(nodes, nodes)``.  The moments
     depend on the node pair only through A and B, which are symmetric in it,
     so they are taken once per pair i < j and used for both R[i, j] and
     R[j, i].
     """
-    nodes = ThetaGrid.uniform(n_theta).nodes
+    n_theta, nodes = grid.n_theta, grid.nodes
     s, c = np.sin(nodes), np.cos(nodes)
     i, j = np.triu_indices(n_theta, 1)
     a_minus_b = 4.0 * np.sin(0.5 * (nodes[i] - nodes[j])) ** 2
@@ -209,7 +210,7 @@ def assemble_galerkin(size: int, n_theta: int, n_phi: int | None = None) -> np.n
     tg = ThetaGrid.uniform(n_theta)
     a, b = _source_weights(tg)
     E, dE = basis_matrix(size, tg.nodes)
-    l_of_basis = (a * E + b * dE) @ _grid_kernel(n_theta).T + k_coefficient(tg.nodes) * E
+    l_of_basis = (a * E + b * dE) @ _grid_kernel(tg).T + k_coefficient(tg.nodes) * E
     if not np.all(np.isfinite(l_of_basis)):
         j_bad, m_bad = np.unravel_index(int(np.argmax(~np.isfinite(l_of_basis))), l_of_basis.shape)
         raise ArithmeticError(f"quadrature failure assembling entry column j={j_bad} at node {m_bad}")
@@ -252,8 +253,6 @@ class SpectrumReport:
         if abs(ref) > 0:
             c = c * (abs(ref) / ref)
         c = c / (math.sqrt(math.pi / 2.0) * np.linalg.norm(c))
-        if np.allclose(np.asarray(c).imag, 0.0, atol=1e-12):
-            c = np.asarray(c).real
         return Perturbation(c)
 
 
@@ -330,7 +329,7 @@ def linearized_propagator(theta_grid: ThetaGrid, dt: float) -> np.ndarray:
     diag = np.diag_indices(theta.size)
     D *= b[:, None]
     D[diag] += a
-    L = _grid_kernel(theta_grid.n_theta) @ D
+    L = _grid_kernel(theta_grid) @ D
     del D
     L[diag] += k_coefficient(theta)
     norm = float(np.max(np.sum(np.abs(L), axis=1)))
@@ -347,23 +346,21 @@ def linearized_propagator(theta_grid: ThetaGrid, dt: float) -> np.ndarray:
 
 
 def linearized_evolve(h0: Perturbation, t: float, theta_grid: ThetaGrid, phi_grid=None,
-                      dt: float = 0.01, store_every: int | None = None) -> LinearEvolution:
+                      dt: float = 0.01, snapshot_every: float | None = None) -> LinearEvolution:
     """Integrate the linearized dynamics on the grid nodes, one propagator matvec per step.
 
     The step matrix is :func:`linearized_propagator`: transport along the
     closed-form characteristics with cubic-spline interpolation at their feet,
     and the source added by the trapezoidal rule, solved exactly.  A dt too
     large for that corrector is rejected before the first step, and a
-    trajectory that leaves the finite range raises.  ``t`` must be a whole
-    number of steps ``dt``.  Every ``store_every``-th state (default: about
-    64 over the run) and the final one are stored.  ``phi_grid`` changes no
-    value; it stays only because the benchmark passes it.
+    trajectory that leaves the finite range raises.  ``t`` and
+    ``snapshot_every``, the time between stored states (default: only the
+    initial and final ones), must be whole numbers of steps ``dt``.
+    ``phi_grid`` changes no value; it stays only because the benchmark passes it.
     """
-    if not t >= 0 or not dt > 0:
-        raise ValueError("need t >= 0 and dt > 0")
-    n_steps = step_count(t, dt)
+    n_steps = step_count(t, dt, "t")
     P = linearized_propagator(theta_grid, dt)
-    every = store_every or max(1, n_steps // 64)
+    every = snapshot_stride(snapshot_every, dt, n_steps)
     h = np.asarray(h0(theta_grid.nodes), dtype=float)
     times = [0.0]
     values = [h.copy()]

@@ -248,8 +248,8 @@ def evolve_cloud(cloud: ParticleCloud, T: float, dt: float, frame: str = "rescal
     """
     if frame not in _FRAMES:
         raise ValueError(f"frame must be one of {_FRAMES}, got {frame!r}")
-    if not T >= 0 or not dt > 0:
-        raise ValueError("need T >= 0 and dt > 0")
+    n_steps = step_count(T, dt)
+    every = snapshot_stride(snapshot_every, dt, n_steps)
 
     p = cloud.params
     if frame == "rescaled":
@@ -263,8 +263,6 @@ def evolve_cloud(cloud: ParticleCloud, T: float, dt: float, frame: str = "rescal
             vel = vel + stokes_drag_velocity(p)
         return vel, clamps
 
-    n_steps = step_count(T, dt)
-    every = snapshot_stride(snapshot_every, dt, n_steps)
     x = cloud.positions.copy()
     initial_velocity, initial_clamps = velocity(x)
     times = [0.0]

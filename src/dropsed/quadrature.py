@@ -16,7 +16,8 @@ identity matrix in one call each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,30 +65,25 @@ def simpson_weights(n_nodes: int, spacing: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ThetaGrid:
-    """Uniform polar-angle grid on [0, pi] including both endpoints."""
+    """Uniform polar-angle grid on [0, pi] including both endpoints, a value of its node count."""
 
     n_theta: int
-    nodes: np.ndarray = field(repr=False)
-    spacing: float
 
     @classmethod
     def uniform(cls, n_theta: int) -> "ThetaGrid":
-        if n_theta < 3:
-            raise ValueError(f"n_theta must be >= 3, got {n_theta}")
-        nodes = np.linspace(0.0, math.pi, n_theta)
-        return cls(n_theta=n_theta, nodes=nodes, spacing=math.pi / (n_theta - 1))
+        return cls(n_theta)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size != self.n_theta:
-            raise ValueError("nodes must be a 1-d array of length n_theta")
-        if not (np.all(np.diff(nodes) > 0) and nodes[0] == 0.0 and nodes[-1] == math.pi):
-            raise ValueError("nodes must increase strictly from 0 to pi")
-        if not np.allclose(np.diff(nodes), self.spacing, rtol=1e-12, atol=0.0):
-            raise ValueError("nodes must be uniformly spaced")
-        if abs(self.spacing * (self.n_theta - 1) - math.pi) > 1e-12 * math.pi:
-            raise ValueError("spacing inconsistent with node count")
-        object.__setattr__(self, "nodes", nodes)
+        if self.n_theta < 3:
+            raise ValueError(f"n_theta must be >= 3, got {self.n_theta}")
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return np.linspace(0.0, math.pi, self.n_theta)
+
+    @property
+    def spacing(self) -> float:
+        return math.pi / (self.n_theta - 1)
 
     def weights(self) -> np.ndarray:
         return simpson_weights(self.n_theta, self.spacing)
@@ -107,15 +103,17 @@ class PhiGrid:
 
 
 def step_count(T: float, dt: float, name: str = "T") -> int:
-    """Number of steps dt that end exactly at time T.
+    """Number of steps dt that end exactly at time T: the one check of a time grid.
 
-    Raises unless T and dt are finite and T is a whole number of steps, up
-    to a relative rounding tolerance of 1e-9, so a time loop never silently
-    stops short of or past T.  ``name`` is the quantity the error message
-    names.
+    Raises unless T and dt are finite, T >= 0, dt > 0 and T is a whole
+    number of steps, up to a relative rounding tolerance of 1e-9, so a time
+    loop never silently stops short of or past T.  ``name`` is the quantity
+    the error message names.
     """
     if not (math.isfinite(T) and math.isfinite(dt)):
         raise ValueError(f"{name}={T!r} and dt={dt!r} must both be finite")
+    if not (T >= 0 and dt > 0):
+        raise ValueError(f"need {name} >= 0 and dt > 0, got {name}={T!r} and dt={dt!r}")
     ratio = T / dt
     n = round(ratio)
     if abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):

@@ -6,7 +6,7 @@ double integrals over the surface itself.  The time stepper is the classical
 explicit upwind scheme.  Per-node quadratures inside a step run over blocks
 of node rows, each block vectorized over its (node, inner angle) pairs (the
 nodes are independent, so this is the parallel evaluation the scheme
-admits).  The grid geometry they need is cached per node count, so a step
+admits).  The grid geometry they need is cached per grid, so a step
 computes only what depends on the profile, in a few block-sized buffers.
 The time loop itself is sequential and profiles are immutable snapshots.
 
@@ -138,22 +138,18 @@ def theta_derivative(r: np.ndarray, spacing: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _advection_geometry(n_theta: int) -> tuple[np.ndarray, ...]:
+def _advection_geometry(grid: ThetaGrid) -> tuple[np.ndarray, ...]:
     """Profile-independent factors of :func:`advection_and_source`, cached and read-only.
 
-    Returns ``(st, ct, stb, ctb, s4, st2_stb, w_mid)`` for the uniform
-    n_theta-node grid and its mids: the sines and cosines of the nodes and
-    of the mids; 4 sin^2((theta - mid) / 2) and 2 sin(theta) sin(mid), one
-    row per node and one column per mid; and the Simpson weights on the
-    mids with the trapezoid closure of the two half-spacing end strips
-    added to the first and last, where the integrand decays linearly to zero
-    at the poles.  Keyed on the node count, as ``linear_stability._grid_kernel``
-    is: every :class:`ThetaGrid` is uniform, up to the 1e-12 its validation
-    allows.
+    Returns ``(st, ct, stb, ctb, s4, st2_stb, w_mid)`` for the grid and its
+    mids: the sines and cosines of the nodes and of the mids;
+    4 sin^2((theta - mid) / 2) and 2 sin(theta) sin(mid), one row per node
+    and one column per mid; and the Simpson weights on the mids with the
+    trapezoid closure of the two half-spacing end strips added to the first
+    and last, where the integrand decays linearly to zero at the poles.
     """
-    grid = ThetaGrid.uniform(n_theta)
     theta, h = grid.nodes, grid.spacing
-    mids = (np.arange(n_theta - 1) + 0.5) * h
+    mids = (np.arange(grid.n_theta - 1) + 0.5) * h
     st, ct = np.sin(theta), np.cos(theta)
     stb, ctb = np.sin(mids), np.cos(mids)
     s4 = 4.0 * np.sin(0.5 * (theta[:, None] - mids)) ** 2
@@ -184,7 +180,7 @@ def advection_and_source(p: RadialProfile, cdot3: float, phi_grid: PhiGrid):
     """
     n = p.grid.n_theta
     h = p.grid.spacing
-    st, ct, stb, ctb, s4, st2_stb, w_mid = _advection_geometry(n)
+    st, ct, stb, ctb, s4, st2_stb, w_mid = _advection_geometry(p.grid)
     r = p.r
     dr = theta_derivative(r, h)
     rm = 0.5 * (r[:-1] + r[1:])
@@ -254,15 +250,10 @@ def step_upwind(p: RadialProfile, dt: float, policy: CenterPolicy, phi_grid: Phi
         raise CflError(
             f"CFL violated: dt*max|a1| = {dt * float(np.max(np.abs(a1))):.3e} > spacing {h:.3e}"
         )
-    r = p.r
-    backward = np.empty_like(r)
-    backward[1:] = (r[1:] - r[:-1]) / h
-    backward[0] = (r[1] - r[0]) / h
-    forward = np.empty_like(r)
-    forward[:-1] = (r[1:] - r[:-1]) / h
-    forward[-1] = (r[-1] - r[-2]) / h
-    slope = np.where(a1 > 0, backward, forward)
-    r_new = r - dt * a1 * slope + dt * a2
+    # one-sided differences; each end node repeats its neighbour's
+    d = np.diff(p.r) / h
+    slope = np.where(a1 > 0, np.append(d[0], d), np.append(d, d[-1]))
+    r_new = p.r - dt * a1 * slope + dt * a2
     if not np.all(np.isfinite(r_new)):
         raise SurfaceCollapseError(f"non-finite radius at t={p.time + dt}", p)
     if np.min(r_new) <= 0:
@@ -288,8 +279,6 @@ def evolve(p0: RadialProfile, T: float, dt: float, policy: CenterPolicy,
     unchanged; a :class:`SurfaceCollapseError` carries the last valid profile.
     ``phi_grid`` changes no value.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     n_steps = step_count(T, dt)
     if n_steps < 1:
         raise ValueError(f"T={T!r} must span at least one step dt={dt!r}")

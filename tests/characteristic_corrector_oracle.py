@@ -15,12 +15,12 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from dropsed import linear_stability as ls
-from dropsed.quadrature import PhiGrid, ThetaGrid, step_count
+from dropsed.quadrature import PhiGrid, ThetaGrid, snapshot_stride, step_count
 
 
 def _l_operator_matrices(theta_grid: ThetaGrid):
     """Grid-sampled linearized source: value matrix, derivative matrix, diagonal."""
-    R = ls._grid_kernel(theta_grid.n_theta)
+    R = ls._grid_kernel(theta_grid)
     tb = theta_grid.nodes
     w = theta_grid.weights()
     on_h = -(1.0 / (8.0 * math.pi)) * R * (w * 2.5 * np.sin(tb) ** 2)[None, :]
@@ -29,7 +29,7 @@ def _l_operator_matrices(theta_grid: ThetaGrid):
 
 
 def linearized_evolve(h0: ls.Perturbation, t: float, theta_grid: ThetaGrid, phi_grid: PhiGrid,
-                      dt: float = 0.01, store_every: int | None = None) -> ls.LinearEvolution:
+                      dt: float = 0.01, snapshot_every: float | None = None) -> ls.LinearEvolution:
     """Integrate the linearized dynamics by stepping along the exact characteristics.
 
     Each step transports the field along the closed-form characteristics and
@@ -37,18 +37,17 @@ def linearized_evolve(h0: ls.Perturbation, t: float, theta_grid: ThetaGrid, phi_
     fixed point; a corrector that stops contracting (dt too large) raises.
     Values off the grid are cubic-spline interpolated, and the derivative
     consumed by the nonlocal term is the spline derivative.  ``t`` must be a
-    whole number of steps ``dt``.  ``phi_grid`` changes no value.
+    whole number of steps ``dt``, and so must ``snapshot_every`` (default:
+    only the initial and final states).  ``phi_grid`` changes no value.
     """
-    if not t >= 0 or not dt > 0:
-        raise ValueError("need t >= 0 and dt > 0")
-    n_steps = step_count(t, dt)
+    n_steps = step_count(t, dt, "t")
     theta = theta_grid.nodes
     on_h, on_hp, k_diag = _l_operator_matrices(theta_grid)
 
     def l_of(values: np.ndarray, spline: CubicSpline) -> np.ndarray:
         return on_h @ values + on_hp @ spline(theta, 1) + k_diag * values
 
-    every = store_every or max(1, n_steps // 64)
+    every = snapshot_stride(snapshot_every, dt, n_steps)
     feet = ls.characteristic_flow(0.0, dt, theta)  # backtraced nodes, one step
     h = np.asarray(h0(theta), dtype=float)
     times = [0.0]

@@ -153,8 +153,8 @@ def use_phi_simpson_kernels(monkeypatch, phi_grid: PhiGrid) -> None:
     def sphere_kernel(theta_eval, thetabar):
         return phi_reduced_kernel(np.atleast_1d(theta_eval), ThetaGrid.uniform(len(thetabar)), phi_grid)
 
-    def grid_kernel(n_theta):
-        return sphere_kernel(ThetaGrid.uniform(n_theta).nodes, ThetaGrid.uniform(n_theta).nodes)
+    def grid_kernel(grid):
+        return sphere_kernel(grid.nodes, grid.nodes)
 
     monkeypatch.setattr(ls, "_sphere_kernel", sphere_kernel)
     monkeypatch.setattr(ls, "_grid_kernel", grid_kernel)

@@ -124,7 +124,7 @@ def dominant_evolution(spectra):
     lam_op = rep.operator_max_real
     h0 = rep.eigenvector_perturbation(0)
     tg, pg = ThetaGrid.uniform(401), PhiGrid.uniform(802)
-    evo = ls.linearized_evolve(h0, 5.0, tg, pg, dt=0.01, store_every=20)
+    evo = ls.linearized_evolve(h0, 5.0, tg, pg, dt=0.01, snapshot_every=0.2)
     return lam_op, evo
 
 

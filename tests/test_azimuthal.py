@@ -184,8 +184,8 @@ class TestBlockedAdvection:
         assert peak < 2**20
 
     def test_geometry_cache_is_read_only(self):
-        geometry = se._advection_geometry(50)
-        assert se._advection_geometry(50) is geometry
+        geometry = se._advection_geometry(ThetaGrid.uniform(50))
+        assert se._advection_geometry(ThetaGrid.uniform(50)) is geometry
         for arr in geometry:
             with pytest.raises(ValueError):
                 arr[1] = 1.0
@@ -203,12 +203,12 @@ class TestBlockedAdvection:
 class TestSphereKernelAgainstOracle:
     @pytest.mark.parametrize("n", [100, 251])
     def test_symmetric_grid_kernel_equals_full_kernel(self, n):
-        nodes = ThetaGrid.uniform(n).nodes
-        assert np.array_equal(ls._grid_kernel(n), ls._sphere_kernel(nodes, nodes))
+        grid = ThetaGrid.uniform(n)
+        assert np.array_equal(ls._grid_kernel(grid), ls._sphere_kernel(grid.nodes, grid.nodes))
 
     def test_off_diagonal_matches_phi_simpson(self):
         tg = ThetaGrid.uniform(100)
-        R = ls._grid_kernel(100)
+        R = ls._grid_kernel(tg)
         i, j = np.indices(R.shape)
         off = np.abs(i - j) > 5
         for n_phi, tol_off, tol_all in ((200, 1e-5, 2e-3), (1600, 1e-9, 1e-6)):
@@ -218,7 +218,7 @@ class TestSphereKernelAgainstOracle:
 
     def test_diagonal_is_four_cos_theta(self):
         tg = ThetaGrid.uniform(100)
-        R = ls._grid_kernel(100)
+        R = ls._grid_kernel(tg)
         interior = slice(1, -1)
         exact = 4.0 * np.cos(tg.nodes[interior])
         assert np.array_equal(np.diag(R)[interior], exact)
@@ -228,7 +228,7 @@ class TestSphereKernelAgainstOracle:
         assert R[0, 0] == R[-1, -1] == simpson[0, 0] == simpson[-1, -1] == 0.0
 
     def test_grid_kernel_cache_is_read_only(self):
-        R = ls._grid_kernel(50)
-        assert ls._grid_kernel(50) is R
+        R = ls._grid_kernel(ThetaGrid.uniform(50))
+        assert ls._grid_kernel(ThetaGrid.uniform(50)) is R
         with pytest.raises(ValueError):
             R[3, 4] = 1.0

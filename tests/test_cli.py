@@ -209,21 +209,30 @@ class TestEvolveCommand:
         h = CubicSpline(eigvec[:, 0], eigvec[:, 1])(data[:, 0])
         assert np.max(np.abs(data[:, 1] - (1.0 + 0.2 * h / np.max(np.abs(h))))) <= 1e-14
 
-    @pytest.mark.parametrize("cut", ["inner", "reversed"])
+    @pytest.mark.parametrize("cut", ["inner", "reversed", "no_rows", "non_numeric"])
     def test_eigvec_file_not_spanning_the_sphere_rejected(self, tmp_path, capsys, cut):
         spec = tmp_path / "spec"
         assert main(["spectrum", "--K", "6", "--ntheta", "40", "--out", str(spec)]) == 0
         header, *rows = (spec / "eigenvector.csv").read_text().splitlines()
         if cut == "inner":  # the spline would extrapolate its end cubics
             rows = [row for row in rows if 0.5 < float(row.split(",")[0]) < 2.5]
-        else:
+        elif cut == "reversed":
             rows = rows[::-1]
+        elif cut == "no_rows":  # numpy warns of it before failing
+            rows = []
+        else:
+            rows[0] = rows[0].split(",")[0] + ",abc"
         bad = tmp_path / "eigvec.csv"
         bad.write_text("\n".join([header, *rows]) + "\n")
         out = tmp_path / "run"
-        assert main(["evolve", "--perturb", "dominant", "--T", "0.01", "--ntheta", "40",
-                     "--eigvec", str(bad), "--out", str(out)]) == 1
-        assert f"error: eigvec {str(bad)!r} must have >= 4 rows of theta,h" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", "--perturb", "dominant", "--T", "0.01", "--ntheta", "40",
+                         "--eigvec", str(bad), "--out", str(out)]) == 1
+        unreadable = cut in ("no_rows", "non_numeric")
+        reason = "is not a theta,h table" if unreadable else "must have >= 4 rows of theta,h"
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"error: eigvec {str(bad)!r} {reason}" in err
         assert list(out.iterdir()) == []
 
     def test_collapse_writes_last_valid_profile(self, tmp_path, monkeypatch, capsys):
@@ -267,6 +276,15 @@ class TestMicroCommand:
         assert main(["micro", "--N", "5", "--T", "1", "--dt", "inf", "--out", str(out)]) == 1
         assert "dt=inf must both be finite" in capsys.readouterr().err
         assert not list(out.glob("frame_*.csv"))
+
+    @pytest.mark.parametrize("T, dt", [("1", "0"), ("1", "nan"), ("nan", "0.01"), ("inf", "0.01")])
+    def test_evolve_time_grid_checked_before_its_default_cadence(self, tmp_path, capsys, T, dt):
+        # the default snapshot cadence divides T by dt, so both are checked first
+        out = tmp_path / "run"
+        assert main(["evolve", "--T", T, "--dt", dt, "--ntheta", "20", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"T={float(T)!r}" in err and f"dt={float(dt)!r}" in err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("delta", ["nan", "inf"])
     def test_non_finite_delta_rejected(self, tmp_path, capsys, delta):

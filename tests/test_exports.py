@@ -174,3 +174,29 @@ def test_package_imports_neither_scipy_nor_package_metadata():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]"]
+
+
+def _name(node):
+    """The name a node ends in: ``x`` for ``x`` and for ``a.b.x``, else None."""
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def _polar_linspace_lines(tree):
+    """Lines that call ``linspace`` with pi as the stop: a polar grid built by hand."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func) == "linspace":
+            stops = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "stop")]
+            if any(_name(stop) == "pi" for stop in stops):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_quadrature_builds_the_polar_grid():
+    toy = ast.parse("a = np.linspace(0.0, np.pi, 5)\nb = linspace(0, stop=pi)\n"
+                    "c = np.linspace(0.0, 1.0)\nd = np.linspace(math.pi, 0.0)\n")
+    assert _polar_linspace_lines(toy) == [1, 2]
+    package = Path(dropsed.__file__).parent
+    found = {path.name: _polar_linspace_lines(ast.parse(path.read_text()))
+             for path in sorted(package.glob("*.py")) if path.name != "quadrature.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}

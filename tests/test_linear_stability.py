@@ -309,7 +309,7 @@ class TestLinearizedEvolve:
     def test_generic_perturbation_grows_after_transient(self):
         tg, pg = ThetaGrid.uniform(201), PhiGrid.uniform(402)
         h0 = ls.Perturbation(UNIT_MODE * np.array([0.0, 1.0, 0.5, -0.2]))
-        evo = ls.linearized_evolve(h0, 10.0, tg, pg, dt=0.01, store_every=100)
+        evo = ls.linearized_evolve(h0, 10.0, tg, pg, dt=0.01, snapshot_every=1.0)
         late_rate = ls.measured_growth_rate(evo, 5.0, 10.0, norm="sup")
         assert late_rate > 0.05
 
@@ -332,8 +332,8 @@ class TestLinearizedEvolve:
     def test_matches_iterated_corrector(self, n, t):
         tg, pg = ThetaGrid.uniform(n), PhiGrid.uniform(2 * n)
         h0 = ls.Perturbation(UNIT_MODE * np.array([0.0, 1.0, 0.5, -0.2]))
-        evo = ls.linearized_evolve(h0, t, tg, pg, dt=0.01)
-        ref = corrector.linearized_evolve(h0, t, tg, pg, dt=0.01)
+        evo = ls.linearized_evolve(h0, t, tg, pg, dt=0.01, snapshot_every=0.01)
+        ref = corrector.linearized_evolve(h0, t, tg, pg, dt=0.01, snapshot_every=0.01)
         np.testing.assert_array_equal(evo.times, ref.times)
         assert np.max(np.abs(evo.values - ref.values)) <= 1e-10 * np.max(np.abs(ref.values))
 
@@ -349,7 +349,7 @@ class TestLinearizedEvolve:
         with pytest.raises(ValueError, match=r"dt=2\.5 .*corrector.*2/\|\|L\|\|_inf = 2\.4"):
             ls.linearized_evolve(h0, 5.0, tg, pg, dt=2.5)
         assert sampled == []
-        evo = ls.linearized_evolve(h0, 4.0, tg, pg, dt=2.0)
+        evo = ls.linearized_evolve(h0, 4.0, tg, pg, dt=2.0, snapshot_every=2.0)
         assert evo.times.tolist() == [0.0, 2.0, 4.0] and np.all(np.isfinite(evo.values))
 
     @pytest.mark.parametrize("n", [11, 101])
@@ -365,7 +365,7 @@ class TestLinearizedEvolve:
         tg, pg = ThetaGrid.uniform(51), PhiGrid.uniform(102)
         h0 = ls.Perturbation(UNIT_MODE * np.array([1.0, 0.5, 0.25]))
         P = ls.linearized_propagator(tg, 0.05)
-        evo = ls.linearized_evolve(h0, 0.1, tg, pg, dt=0.05, store_every=1)
+        evo = ls.linearized_evolve(h0, 0.1, tg, pg, dt=0.05, snapshot_every=0.05)
         np.testing.assert_allclose(evo.values[2], P @ (P @ h0(tg.nodes)), rtol=0, atol=1e-15)
 
     def test_growth_rate_helper(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,14 @@ class TestGrids:
         assert np.all(np.diff(g.nodes) > 0)
         assert g.spacing * (g.n_theta - 1) == pytest.approx(math.pi, rel=1e-15)
 
+    def test_theta_grid_is_its_node_count(self):
+        # two grids of one size are one value, so the grid caches share their entry
+        assert [f.name for f in dataclasses.fields(ThetaGrid)] == ["n_theta"]
+        a, b = ThetaGrid.uniform(50), ThetaGrid(50)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert ls._grid_kernel(a) is ls._grid_kernel(b)
+        assert se._advection_geometry(a) is se._advection_geometry(b)
+
     def test_phi_grid_invariants(self):
         # the azimuthal integrals are closed-form, so a phi grid is only a checked size
         assert [f.name for f in dataclasses.fields(PhiGrid)] == ["n_phi"]
@@ -97,8 +106,8 @@ class TestGrids:
     def test_bad_grids_rejected(self):
         with pytest.raises(ValueError):
             ThetaGrid.uniform(2)
-        with pytest.raises(ValueError):
-            ThetaGrid(n_theta=3, nodes=np.array([0.0, 1.0, 2.0]), spacing=1.0)
+        with pytest.raises(ValueError, match="n_theta must be >= 3, got 2"):
+            ThetaGrid(2)
 
 
 class TestBasis:
@@ -160,6 +169,12 @@ class TestStepCount:
     def test_non_finite_rejected(self, T, dt):
         with pytest.raises(ValueError, match=f"snapshot_every={T!r} and dt={dt!r} must both be finite"):
             step_count(T, dt, "snapshot_every")
+
+    @pytest.mark.parametrize("T, dt", [(-1.0, 0.01), (1.0, 0.0), (1.0, -0.01)])
+    def test_negative_time_or_nonpositive_step_rejected(self, T, dt):
+        message = f"need T >= 0 and dt > 0, got T={T!r} and dt={dt!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            step_count(T, dt)
 
     @pytest.mark.parametrize("every, dt, n_steps, stride", [(None, 0.01, 5, 5), (0.0, 0.1, 0, 1),
                                                              (0.02, 0.01, 6, 2), (0.5, 0.01, 5, 50)])
