@@ -55,7 +55,7 @@ class SpectrumConfig:
 class EvolveConfig:
     """nonlinear surface evolution"""
 
-    r0: str = "const:1"
+    r0: float = 1.0
     T: float = 10.0
     dt: float = 0.01
     ntheta: int = 100
@@ -188,10 +188,11 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> int:
     import numpy as np
 
     from . import linear_stability as ls
-    from .quadrature import ThetaGrid
+    from .quadrature import MAX_BASIS_DEGREE, ThetaGrid
 
-    if cfg["K"] < 1 or cfg["ntheta"] < 8:
-        raise ValueError("need K >= 1 and ntheta >= 8")
+    if not (1 <= cfg["K"] <= MAX_BASIS_DEGREE + 1 and cfg["ntheta"] >= 8):
+        raise ValueError(f"need 1 <= K <= {MAX_BASIS_DEGREE + 1} and ntheta >= 8, "
+                         f"got K={cfg['K']} and ntheta={cfg['ntheta']}")
     A = ls.assemble_galerkin(cfg["K"], cfg["ntheta"])
     try:
         report = ls.solve_spectrum(A)
@@ -220,19 +221,12 @@ def _initial_profile(cfg: dict):
 
     from . import linear_stability as ls
     from . import surface_evolution as se
-    from .quadrature import ThetaGrid, hermite, spline_slopes
+    from .quadrature import MAX_BASIS_DEGREE, ThetaGrid, hermite, spline_slopes
 
     grid = ThetaGrid.uniform(cfg["ntheta"])
-    kind, _, value = cfg["r0"].partition(":")
-    bad_spec = ValueError(f"unsupported r0 spec {cfg['r0']!r}; expected const:VALUE")
-    if kind != "const":
-        raise bad_spec
-    try:
-        r0 = float(value or 1.0)
-    except ValueError:
-        raise bad_spec from None
+    r0 = cfg["r0"]
     if not 0.0 < r0 < math.inf:
-        raise ValueError(f"r0 must be positive and finite, got {cfg['r0']!r}")
+        raise ValueError(f"r0 must be positive and finite, got {r0!r}")
     if not math.isfinite(cfg["eps"]):
         raise ValueError(f"eps must be finite, got {cfg['eps']!r}")
     r = np.full(grid.n_theta, r0)
@@ -252,7 +246,10 @@ def _initial_profile(cfg: dict):
                                  "increasing strictly from 0 to pi and finite h")
             h = hermite(theta, h, spline_slopes(theta, h), grid.nodes)
         else:
-            A = ls.assemble_galerkin(cfg["perturb_K"], grid.n_theta)
+            K = cfg["perturb_K"]
+            if not 1 <= K <= MAX_BASIS_DEGREE + 1:
+                raise ValueError(f"need 1 <= perturb_K <= {MAX_BASIS_DEGREE + 1}, got {K}")
+            A = ls.assemble_galerkin(K, grid.n_theta)
             report = ls.solve_spectrum(A)
             h = np.real(report.eigenvector_perturbation(0)(grid.nodes))
         # eps is the actual perturbation amplitude: scale to unit sup norm
@@ -287,7 +284,10 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
 
     dt, T = cfg["dt"], cfg["T"]
     step_count(T, dt)  # before the default cadence below divides by dt
-    policy = se.CenterPolicy(mode=cfg["policy"], prescribed_speed=cfg["prescribed_speed"])
+    if not math.isfinite(cfg["prescribed_speed"]):
+        raise ValueError(f"prescribed_speed must be finite, got {cfg['prescribed_speed']!r}")
+    cdot3 = {"fixed_wave_speed": se.WAVE_CENTER_SPEED, "transported": None,
+             "prescribed": cfg["prescribed_speed"]}[cfg["policy"]]
     phi_grid = PhiGrid.uniform(cfg["nphi"])
     p = _initial_profile(cfg)
     tags = itertools.count()
@@ -304,7 +304,7 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
 
     every = cfg["snapshot_every"] or max(1, round(T / 10.0 / dt)) * dt
     try:
-        snaps = se.evolve(p, T, dt, policy, phi_grid, snapshot_every=every, on_snapshot=dump)
+        snaps = se.evolve(p, T, dt, cdot3, phi_grid, snapshot_every=every, on_snapshot=dump)
     except se.SurfaceCollapseError as exc:
         dump(exc.profile)
         _write_manifest(out, "evolve", cfg, seed)

@@ -205,8 +205,6 @@ def assemble_galerkin(size: int, n_theta: int, n_phi: int | None = None) -> np.n
     basis normalization reproduces the published eigenvalue table; the
     intrinsic operator spectrum is a global factor TABLE_TO_OPERATOR smaller.
     """
-    if size < 1:
-        raise ValueError(f"basis size must be >= 1, got {size}")
     tg = ThetaGrid.uniform(n_theta)
     a, b = _source_weights(tg)
     E, dE = basis_matrix(size, tg.nodes)

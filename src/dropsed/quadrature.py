@@ -107,14 +107,18 @@ def step_count(T: float, dt: float, name: str = "T") -> int:
 
     Raises unless T and dt are finite, T >= 0, dt > 0 and T is a whole
     number of steps, up to a relative rounding tolerance of 1e-9, so a time
-    loop never silently stops short of or past T.  ``name`` is the quantity
-    the error message names.
+    loop never silently stops short of or past T.  Past 2**53 steps the step
+    times k*dt are no longer distinct doubles, so no loop could end at T;
+    such a count is rejected too.  ``name`` is the quantity the error
+    message names.
     """
     if not (math.isfinite(T) and math.isfinite(dt)):
         raise ValueError(f"{name}={T!r} and dt={dt!r} must both be finite")
     if not (T >= 0 and dt > 0):
         raise ValueError(f"need {name} >= 0 and dt > 0, got {name}={T!r} and dt={dt!r}")
     ratio = T / dt
+    if not ratio <= 2**53:
+        raise ValueError(f"{name}={T!r} spans more than 2**53 steps dt={dt!r}")
     n = round(ratio)
     if abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
         raise ValueError(f"{name}={T!r} is not a whole number of steps dt={dt!r}")

@@ -37,7 +37,6 @@ from .quadrature import PhiGrid, ThetaGrid, simpson_weights, snapshot_stride, st
 
 __all__ = [
     "RadialProfile",
-    "CenterPolicy",
     "SurfaceCollapseError",
     "CflError",
     "WAVE_CENTER_SPEED",
@@ -89,33 +88,6 @@ class RadialProfile:
         return cls(grid=grid, r=np.full(grid.n_theta, float(radius)))
 
 
-@dataclass(frozen=True)
-class CenterPolicy:
-    """How the reference center moves: with the flow, at the wave speed, or prescribed."""
-
-    mode: str
-    prescribed_speed: float = 0.0
-
-    _MODES = ("transported", "fixed_wave_speed", "prescribed")
-
-    def __post_init__(self):
-        if self.mode not in self._MODES:
-            raise ValueError(f"mode must be one of {self._MODES}, got {self.mode!r}")
-        if not math.isfinite(self.prescribed_speed):
-            raise ValueError(f"prescribed_speed must be finite, got {self.prescribed_speed!r}")
-
-    @classmethod
-    def fixed_wave_speed(cls) -> "CenterPolicy":
-        return cls(mode="fixed_wave_speed")
-
-    def speed(self, profile: "RadialProfile") -> float:
-        if self.mode == "transported":
-            return center_speed(profile)
-        if self.mode == "fixed_wave_speed":
-            return WAVE_CENTER_SPEED
-        return self.prescribed_speed
-
-
 def center_speed(p: RadialProfile) -> float:
     """Vertical speed of the flow-transported reference center.
 
@@ -148,6 +120,8 @@ def _advection_geometry(grid: ThetaGrid) -> tuple[np.ndarray, ...]:
     trapezoid closure of the two half-spacing end strips added to the first
     and last, where the integrand decays linearly to zero at the poles.
     """
+    if grid.n_theta < 4:
+        raise ValueError(f"the upwind scheme needs n_theta >= 4, got {grid.n_theta}")
     theta, h = grid.nodes, grid.spacing
     mids = (np.arange(grid.n_theta - 1) + 0.5) * h
     st, ct = np.sin(theta), np.cos(theta)
@@ -232,9 +206,11 @@ def advection_and_source(p: RadialProfile, cdot3: float, phi_grid: PhiGrid):
     return a1, a2
 
 
-def step_upwind(p: RadialProfile, dt: float, policy: CenterPolicy, phi_grid: PhiGrid) -> RadialProfile:
+def step_upwind(p: RadialProfile, dt: float, cdot3: float | None, phi_grid: PhiGrid) -> RadialProfile:
     """One explicit upwind step of the surface equation.
 
+    ``cdot3`` is the vertical speed of the reference center over the step;
+    None moves the center with the flow, at :func:`center_speed` of ``p``.
     The upwind side follows the sign of the advection speed node by node.
     Violating the CFL bound dt * max|a1| <= spacing raises before any state
     changes; a step that would make min(r) nonpositive raises
@@ -243,7 +219,10 @@ def step_upwind(p: RadialProfile, dt: float, policy: CenterPolicy, phi_grid: Phi
     """
     if not dt >= 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
-    cdot3 = policy.speed(p)
+    if cdot3 is None:
+        cdot3 = center_speed(p)
+    elif not math.isfinite(cdot3):
+        raise ValueError(f"cdot3 must be finite, got {cdot3!r}")
     a1, a2 = advection_and_source(p, cdot3, phi_grid)
     h = p.grid.spacing
     if dt * float(np.max(np.abs(a1))) > h:
@@ -265,11 +244,13 @@ def step_upwind(p: RadialProfile, dt: float, policy: CenterPolicy, phi_grid: Phi
     return replace(p, r=r_new, c3=p.c3 + dt * cdot3, time=p.time + dt)
 
 
-def evolve(p0: RadialProfile, T: float, dt: float, policy: CenterPolicy,
+def evolve(p0: RadialProfile, T: float, dt: float, cdot3: float | None,
            phi_grid: PhiGrid, snapshot_every: float | None = None,
            on_snapshot: Callable[[RadialProfile], None] | None = None) -> list[RadialProfile]:
     """Advance the profile to time T, collecting snapshots.
 
+    The reference center moves at the constant vertical speed ``cdot3``, or
+    with the flow when it is None (see :func:`step_upwind`).
     T must be a whole number of steps dt (:func:`~dropsed.quadrature.step_count`),
     and so must ``snapshot_every``, the time between snapshots (default: only
     at T).  Snapshots always include the initial and final profiles, and each
@@ -292,7 +273,7 @@ def evolve(p0: RadialProfile, T: float, dt: float, policy: CenterPolicy,
 
     p = p0
     for k in range(1, n_steps + 1):
-        p = step_upwind(p, dt, policy, phi_grid)
+        p = step_upwind(p, dt, cdot3, phi_grid)
         if k == 1:
             take(p0)
         if k % every == 0 or k == n_steps:

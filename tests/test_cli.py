@@ -89,8 +89,13 @@ class TestSpectrumCommand:
         _, eig = read_csv(out / "eigenvalues.csv")
         assert eig.shape == (1, 2)
 
-    def test_invalid_k_rejected(self, tmp_path):
-        assert main(["spectrum", "--K", "0", "--out", str(tmp_path / "x")]) == 1
+    @pytest.mark.parametrize("K", [0, 300])
+    def test_invalid_k_rejected(self, tmp_path, capsys, K):
+        out = tmp_path / "run"
+        assert main(["spectrum", "--K", str(K), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "need 1 <= K <= 257" in err and f"got K={K} " in err
+        assert list(out.iterdir()) == []
 
     def test_eigensolver_failure_dumps_matrix(self, tmp_path, monkeypatch, capsys):
         from dropsed import linear_stability as ls
@@ -110,7 +115,7 @@ class TestSpectrumCommand:
 class TestEvolveCommand:
     def test_stationary_run_emits_snapshots(self, tmp_path):
         out = tmp_path / "run"
-        assert main(["evolve", "--r0", "const:1", "--T", "0.2", "--dt", "0.01",
+        assert main(["evolve", "--r0", "1", "--T", "0.2", "--dt", "0.01",
                      "--ntheta", "50", "--nphi", "100", "--snapshot-every", "0.1",
                      "--svg", "--out", str(out)]) == 0
         snaps = sorted(out.glob("snapshot_*.csv"))
@@ -123,22 +128,22 @@ class TestEvolveCommand:
         assert sidecar["time"] == pytest.approx(0.2)
         assert (out / "snapshot_0000.svg").exists()
 
-    @pytest.mark.parametrize("spec", ["const:abc", "sphere:1"])
-    def test_malformed_r0_names_key_and_form(self, tmp_path, capsys, spec):
-        assert main(["evolve", "--r0", spec, "--out", str(tmp_path / "x")]) == 1
-        err = capsys.readouterr().err
-        assert f"r0 spec {spec!r}" in err and "expected const:VALUE" in err
-
     @pytest.mark.parametrize("flags, message", [
-        (["--r0", "const:nan"], "r0 must be positive and finite, got 'const:nan'"),
-        (["--r0", "const:inf"], "r0 must be positive and finite, got 'const:inf'"),
-        (["--r0", "const:0"], "r0 must be positive and finite, got 'const:0'"),
+        (["--r0", "nan"], "r0 must be positive and finite, got nan"),
+        (["--r0", "inf"], "r0 must be positive and finite, got inf"),
+        (["--r0", "0"], "r0 must be positive and finite, got 0.0"),
         (["--perturb", "dominant", "--eps", "nan"], "eps must be finite, got nan"),
-    ], ids=["r0-nan", "r0-inf", "r0-zero", "eps-nan"])
+        (["--perturb", "dominant", "--perturb-K", "0"], "need 1 <= perturb_K <= 257, got 0"),
+        (["--perturb", "dominant", "--perturb-K", "300"], "need 1 <= perturb_K <= 257, got 300"),
+        (["--ntheta", "3"], "the upwind scheme needs n_theta >= 4, got 3"),
+        (["--ntheta", "20", "--T", "0.01", "--dt", "1e-300"],
+         "T=0.01 spans more than 2**53 steps dt=1e-300"),
+    ], ids=["r0-nan", "r0-inf", "r0-zero", "eps-nan", "perturb_K-0", "perturb_K-300",
+            "ntheta-3", "too-many-steps"])
     def test_bad_initial_profile_names_key(self, tmp_path, capsys, flags, message):
         out = tmp_path / "run"
         assert main(["evolve", *flags, "--out", str(out)]) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"dropsed evolve: error: {message}\n"
         assert list(out.iterdir()) == []
 
     def test_overflowing_radius_reported_as_non_finite(self, tmp_path, capsys):
@@ -146,7 +151,7 @@ class TestEvolveCommand:
         # numpy's overflow warnings do not reach the user ahead of the one-line error
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["evolve", "--r0", "const:1e200", "--ntheta", "20",
+            assert main(["evolve", "--r0", "1e200", "--ntheta", "20",
                          "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == (
             "dropsed evolve: error: azimuthal moments got a non-finite input at entry (0, 0)\n")
@@ -159,6 +164,17 @@ class TestEvolveCommand:
         assert f"error: prescribed_speed must be finite, got {speed}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_wave_speed_policy_is_the_prescribed_wave_speed(self, tmp_path):
+        common = ["--T", "1", "--ntheta", "60"]
+        wave, presc = tmp_path / "wave", tmp_path / "prescribed"
+        assert main(["evolve", "--policy", "fixed_wave_speed", *common, "--out", str(wave)]) == 0
+        assert main(["evolve", "--policy", "prescribed", "--prescribed-speed=-0.26666666666666666",
+                     *common, "--out", str(presc)]) == 0
+        names = sorted(p.name for p in wave.glob("snapshot_*"))  # 11 .csv and 11 .json
+        assert len(names) == 22
+        for name in [*names, "summary.json"]:
+            assert (wave / name).read_bytes() == (presc / name).read_bytes()
+
     def test_cfl_rejected_before_stepping(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["evolve", "--dt", "10", "--T", "20", "--ntheta", "50",
@@ -170,15 +186,15 @@ class TestEvolveCommand:
         base = tmp_path / "base"
         pert = tmp_path / "pert"
         common = ["--T", "0.1", "--dt", "0.01", "--ntheta", "40", "--nphi", "80"]
-        assert main(["evolve", "--r0", "const:1", *common, "--out", str(base)]) == 0
-        assert main(["evolve", "--r0", "const:1", "--perturb", "dominant", "--eps", "0",
+        assert main(["evolve", "--r0", "1", *common, "--out", str(base)]) == 0
+        assert main(["evolve", "--r0", "1", "--perturb", "dominant", "--eps", "0",
                      "--perturb-K", "6", *common, "--out", str(pert)]) == 0
         for name in ("snapshot_0000.csv", "snapshot_0001.csv"):
             assert (base / name).read_bytes() == (pert / name).read_bytes()
 
     def test_dominant_perturbation_amplitude(self, tmp_path):
         out = tmp_path / "run"
-        assert main(["evolve", "--r0", "const:1", "--perturb", "dominant", "--eps", "0.2",
+        assert main(["evolve", "--r0", "1", "--perturb", "dominant", "--eps", "0.2",
                      "--perturb-K", "6", "--T", "0.02", "--dt", "0.01",
                      "--ntheta", "40", "--nphi", "80", "--out", str(out)]) == 0
         _, data = read_csv(out / "snapshot_0000.csv")
@@ -247,12 +263,12 @@ class TestEvolveCommand:
                      "--snapshot-every", "0.002", "--policy", "prescribed",
                      "--prescribed-speed", "1", "--out", str(out)]) == 1
         assert "collapsed" in capsys.readouterr().err
-        policy, pg = se.CenterPolicy("prescribed", 1.0), PhiGrid.uniform(102)
+        pg = PhiGrid.uniform(102)
         last = p0
         for _ in range(3):
-            last = se.step_upwind(last, 0.001, policy, pg)
+            last = se.step_upwind(last, 0.001, 1.0, pg)
         with pytest.raises(se.SurfaceCollapseError) as exc:
-            se.step_upwind(last, 0.001, policy, pg)
+            se.step_upwind(last, 0.001, 1.0, pg)
         assert exc.value.profile is last
         snaps = sorted(out.glob("snapshot_*.csv"))
         assert [p.name for p in snaps] == [f"snapshot_000{i}.csv" for i in range(3)]
@@ -379,7 +395,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("subcommand, key, value", [
         ("spectrum", "ntheta", 20.9), ("patch", "steps", 2.5), ("evolve", "svg", "false"),
         ("spectrum", "K", "4"), ("spectrum", "K", True), ("micro", "frame", "labx"),
-        ("patch", "R", True), ("evolve", "policy", 1),
+        ("patch", "R", True), ("evolve", "policy", 1), ("evolve", "r0", "const:1"),
     ])
     def test_config_value_checked_against_its_field(self, tmp_path, capsys, subcommand, key, value):
         cfg = tmp_path / "cfg.json"
@@ -418,7 +434,7 @@ class TestConfigHandling:
 CONFIG_FLAGS = {
     "patch": [("--R", float), ("--t-max", float), ("--steps", int)],
     "spectrum": [("--K", int), ("--ntheta", int)],
-    "evolve": [("--r0", str), ("--T", float), ("--dt", float), ("--ntheta", int), ("--nphi", int),
+    "evolve": [("--r0", float), ("--T", float), ("--dt", float), ("--ntheta", int), ("--nphi", int),
                ("--policy", str, ("fixed_wave_speed", "transported", "prescribed")),
                ("--prescribed-speed", float), ("--snapshot-every", float),
                ("--perturb", str, ("none", "dominant")), ("--eps", float), ("--perturb-K", int),

@@ -176,6 +176,13 @@ class TestStepCount:
         with pytest.raises(ValueError, match=re.escape(message)):
             step_count(T, dt)
 
+    @pytest.mark.parametrize("T, dt", [(0.01, 1e-300), (1e300, 1e-300)])
+    def test_more_than_2_53_steps_rejected(self, T, dt):
+        # beyond 2**53 steps the step times k*dt are not distinct doubles
+        message = f"T={T!r} spans more than 2**53 steps dt={dt!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            step_count(T, dt)
+
     @pytest.mark.parametrize("every, dt, n_steps, stride", [(None, 0.01, 5, 5), (0.0, 0.1, 0, 1),
                                                              (0.02, 0.01, 6, 2), (0.5, 0.01, 5, 50)])
     def test_snapshot_stride(self, every, dt, n_steps, stride):
@@ -192,7 +199,7 @@ class TestStepCount:
         grid, pg = ThetaGrid.uniform(21), PhiGrid.uniform(42)
         runs = {
             "surface": lambda: se.evolve(se.RadialProfile.sphere(grid), T, dt,
-                                         se.CenterPolicy.fixed_wave_speed(), pg),
+                                         se.WAVE_CENTER_SPEED, pg),
             "cloud": lambda: ms.evolve_cloud(
                 ms.ParticleCloud(positions=np.eye(3), cloud_radius=1.0,
                                  params=FluidParams(mu=1.0, force=np.array([0.0, 0.0, -1.0]),

@@ -5,7 +5,6 @@ import pytest
 
 from dropsed.quadrature import PhiGrid, ThetaGrid
 from dropsed.surface_evolution import (
-    CenterPolicy,
     CflError,
     RadialProfile,
     SurfaceCollapseError,
@@ -116,19 +115,19 @@ class TestSourceOperators:
 class TestStepUpwind:
     def test_zero_dt_is_identity(self, grid101, phi202):
         p = RadialProfile.sphere(grid101)
-        q = step_upwind(p, 0.0, CenterPolicy.fixed_wave_speed(), phi202)
+        q = step_upwind(p, 0.0, WAVE, phi202)
         assert np.array_equal(q.r, p.r)
         assert q.time == 0.0
 
     def test_sphere_stays_spherical_one_step(self, grid101, phi202):
         p = RadialProfile.sphere(grid101)
-        q = step_upwind(p, 0.01, CenterPolicy.fixed_wave_speed(), phi202)
+        q = step_upwind(p, 0.01, WAVE, phi202)
         assert np.max(np.abs(q.r - 1.0)) <= 5e-3
 
     def test_cfl_guard(self, grid101, phi202):
         p = RadialProfile.sphere(grid101)
         with pytest.raises(CflError):
-            step_upwind(p, 10.0, CenterPolicy.fixed_wave_speed(), phi202)
+            step_upwind(p, 10.0, WAVE, phi202)
 
     def test_collapse_detected(self):
         # nearly pinched at the north pole; a rising center drives it under
@@ -138,7 +137,7 @@ class TestStepUpwind:
         r = 0.005 + 0.995 * np.sin(th / 2.0) ** 2 + 0.5 * np.sin(th) ** 2
         p = RadialProfile(grid=grid, r=r)
         with pytest.raises(SurfaceCollapseError, match="collapsed"):
-            step_upwind(p, 5e-3, CenterPolicy("prescribed", 1.0), pg)
+            step_upwind(p, 5e-3, 1.0, pg)
 
     def test_upwind_direction_follows_speed_sign(self):
         # pure check of the finite-difference stencil via a linear profile
@@ -152,8 +151,7 @@ class TestEvolve:
         grid = ThetaGrid.uniform(100)
         pg = PhiGrid.uniform(200)
         p0 = RadialProfile.sphere(grid)
-        snaps = evolve(p0, T=1.0, dt=0.01, policy=CenterPolicy.fixed_wave_speed(),
-                       phi_grid=pg, snapshot_every=0.5)
+        snaps = evolve(p0, T=1.0, dt=0.01, cdot3=WAVE, phi_grid=pg, snapshot_every=0.5)
         final = snaps[-1]
         assert final.time == pytest.approx(1.0, rel=1e-12)
         assert np.max(np.abs(final.r - 1.0)) <= 1e-3
@@ -165,7 +163,7 @@ class TestEvolve:
         grid = ThetaGrid.uniform(100)
         pg = PhiGrid.uniform(200)
         p0 = RadialProfile.sphere(grid)
-        snaps = evolve(p0, T=0.5, dt=0.01, policy=CenterPolicy("transported"), phi_grid=pg)
+        snaps = evolve(p0, T=0.5, dt=0.01, cdot3=None, phi_grid=pg)
         assert snaps[-1].c3 == pytest.approx(-0.5 / 3.0, abs=2e-3)
         assert np.max(np.abs(snaps[-1].r - 1.0)) <= 0.05
 
@@ -174,13 +172,13 @@ class TestEvolve:
         pg = PhiGrid.uniform(200)
         p0 = RadialProfile.sphere(grid)
         v0 = enclosed_volume(p0)
-        snaps = evolve(p0, T=2.0, dt=0.01, policy=CenterPolicy.fixed_wave_speed(), phi_grid=pg)
+        snaps = evolve(p0, T=2.0, dt=0.01, cdot3=WAVE, phi_grid=pg)
         assert abs(enclosed_volume(snaps[-1]) - v0) / v0 <= 1e-2
 
     def test_snapshot_callback_sees_every_snapshot(self):
         seen = []
         snaps = evolve(RadialProfile.sphere(ThetaGrid.uniform(21)), T=0.05, dt=0.01,
-                       policy=CenterPolicy.fixed_wave_speed(), phi_grid=PhiGrid.uniform(42),
+                       cdot3=WAVE, phi_grid=PhiGrid.uniform(42),
                        snapshot_every=0.02, on_snapshot=seen.append)
         assert len(seen) == len(snaps) and all(a is b for a, b in zip(seen, snaps))
         assert [p.time for p in snaps] == pytest.approx([0.0, 0.02, 0.04, 0.05], abs=1e-12)
@@ -189,7 +187,7 @@ class TestEvolve:
         seen = []
         with pytest.raises(ValueError, match=r"snapshot_every=0\.015 .*dt=0\.01"):
             evolve(RadialProfile.sphere(ThetaGrid.uniform(21)), T=0.06, dt=0.01,
-                   policy=CenterPolicy.fixed_wave_speed(), phi_grid=PhiGrid.uniform(42),
+                   cdot3=WAVE, phi_grid=PhiGrid.uniform(42),
                    snapshot_every=0.015, on_snapshot=seen.append)
         assert seen == []
 
@@ -197,7 +195,7 @@ class TestEvolve:
         seen = []
         with pytest.raises(CflError):
             evolve(RadialProfile.sphere(grid101), T=20.0, dt=10.0,
-                   policy=CenterPolicy.fixed_wave_speed(), phi_grid=phi202,
+                   cdot3=WAVE, phi_grid=phi202,
                    on_snapshot=seen.append)
         assert seen == []
 
@@ -210,7 +208,7 @@ class TestEvolve:
                 + amp[2] * np.sin(grid.nodes)
             p = RadialProfile(grid=grid, r=r)
             for _ in range(10):
-                p = step_upwind(p, 0.01, CenterPolicy.fixed_wave_speed(), pg)
+                p = step_upwind(p, 0.01, WAVE, pg)
             assert np.all(np.isfinite(p.r))
 
     def test_unit_sphere_volume(self, grid101):
@@ -232,13 +230,8 @@ class TestProfileValidation:
         with pytest.raises(ValueError):
             RadialProfile(grid=grid101, r=r)
 
-    def test_policy_modes(self):
-        assert CenterPolicy.fixed_wave_speed().speed(None) == WAVE
-        assert CenterPolicy("prescribed", -0.25).speed(None) == -0.25
-        with pytest.raises(ValueError):
-            CenterPolicy(mode="bogus")
-
     @pytest.mark.parametrize("speed", [math.nan, math.inf, -math.inf])
     def test_non_finite_prescribed_speed_rejected(self, speed):
-        with pytest.raises(ValueError, match=f"prescribed_speed must be finite, got {speed}"):
-            CenterPolicy("prescribed", speed)
+        with pytest.raises(ValueError, match=f"cdot3 must be finite, got {speed}"):
+            step_upwind(RadialProfile.sphere(ThetaGrid.uniform(21)), 0.01, speed,
+                        PhiGrid.uniform(42))
