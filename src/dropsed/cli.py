@@ -80,7 +80,9 @@ class MicroConfig:
     dt: float = 0.01
     delta: float = -1.0  # negative means the default fraction of mean spacing
     frame: str = field(default="rescaled", metadata={
-        "choices": ("rescaled", "lab", "drift_subtracted")})
+        "choices": ("rescaled", "lab", "drift_subtracted"),
+        "help": "T, dt and snapshot_every are rescaled time for rescaled and physical time "
+                "otherwise; lab and drift_subtracted are images of the rescaled run"})
     snapshot_every: float = 0.0  # 0 means T
 
 
@@ -151,6 +153,15 @@ def _write_manifest(out: Path, subcommand: str, cfg: dict, seed: int, extra: dic
 # runners
 
 
+def _check_galerkin_size(K: int, ntheta: int, key: str) -> None:
+    """Check basis size K (run key ``key``) and grid: K > ntheta gives a rank-deficient matrix."""
+    from .quadrature import MAX_BASIS_DEGREE
+
+    if not (1 <= K <= MAX_BASIS_DEGREE + 1 and 8 <= ntheta and K <= ntheta):
+        raise ValueError(f"need 1 <= {key} <= {MAX_BASIS_DEGREE + 1}, ntheta >= 8 and "
+                         f"{key} <= ntheta, got {key}={K} and ntheta={ntheta}")
+
+
 def run_patch(cfg: dict, out: Path, seed: int) -> int:
     import numpy as np
 
@@ -188,11 +199,9 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> int:
     import numpy as np
 
     from . import linear_stability as ls
-    from .quadrature import MAX_BASIS_DEGREE, ThetaGrid
+    from .quadrature import ThetaGrid
 
-    if not (1 <= cfg["K"] <= MAX_BASIS_DEGREE + 1 and cfg["ntheta"] >= 8):
-        raise ValueError(f"need 1 <= K <= {MAX_BASIS_DEGREE + 1} and ntheta >= 8, "
-                         f"got K={cfg['K']} and ntheta={cfg['ntheta']}")
+    _check_galerkin_size(cfg["K"], cfg["ntheta"], "K")
     A = ls.assemble_galerkin(cfg["K"], cfg["ntheta"])
     try:
         report = ls.solve_spectrum(A)
@@ -221,7 +230,7 @@ def _initial_profile(cfg: dict):
 
     from . import linear_stability as ls
     from . import surface_evolution as se
-    from .quadrature import MAX_BASIS_DEGREE, ThetaGrid, hermite, spline_slopes
+    from .quadrature import ThetaGrid, hermite, spline_slopes
 
     grid = ThetaGrid.uniform(cfg["ntheta"])
     r0 = cfg["r0"]
@@ -246,10 +255,8 @@ def _initial_profile(cfg: dict):
                                  "increasing strictly from 0 to pi and finite h")
             h = hermite(theta, h, spline_slopes(theta, h), grid.nodes)
         else:
-            K = cfg["perturb_K"]
-            if not 1 <= K <= MAX_BASIS_DEGREE + 1:
-                raise ValueError(f"need 1 <= perturb_K <= {MAX_BASIS_DEGREE + 1}, got {K}")
-            A = ls.assemble_galerkin(K, grid.n_theta)
+            _check_galerkin_size(cfg["perturb_K"], grid.n_theta, "perturb_K")
+            A = ls.assemble_galerkin(cfg["perturb_K"], grid.n_theta)
             report = ls.solve_spectrum(A)
             h = np.real(report.eigenvector_perturbation(0)(grid.nodes))
         # eps is the actual perturbation amplitude: scale to unit sup norm
@@ -324,29 +331,35 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
 
     from . import micro_sim as ms
     from .kernels import FluidParams, stokes_drag_velocity
+    from .quadrature import snapshot_stride, step_count
 
     if cfg["N"] < 1:
         raise ValueError(f"N must be >= 1, got {cfg['N']}")
+    frame, T, dt = cfg["frame"], cfg["T"], cfg["dt"]
+    # checked on the user's numbers, before any rescaled clock is formed
+    snapshot_stride(cfg["snapshot_every"], dt, step_count(T, dt))
     rng = np.random.default_rng(seed)
     params = FluidParams(mu=1.0, force=np.array([0.0, 0.0, -1.0]), radius=1e-2)
     delta = None if cfg["delta"] < 0 else cfg["delta"]
     cloud = ms.uniform_ball_cloud(cfg["N"], params, 1.0, rng, delta=delta)
 
     rescaled, velocity_scale = ms.rescale_cloud(cloud)
-    start = rescaled if cfg["frame"] == "rescaled" else cloud
-    traj = ms.evolve_cloud(start, cfg["T"], cfg["dt"], frame=cfg["frame"],
-                           snapshot_every=cfg["snapshot_every"] or None)
+    # The lab and drift-subtracted runs are images of the rescaled run on the
+    # clock tau = (s / R0) t: x(t) = R0 y(tau), plus U_S t in the lab frame.
+    # A lone particle (s = 0) rests in the rescaled frame, so any clock serves.
+    R0 = cloud.cloud_radius
+    clock = 1.0 if frame == "rescaled" else velocity_scale / R0 or 1.0
+    traj = ms.evolve_cloud(rescaled, clock * T, clock * dt,
+                           snapshot_every=clock * cfg["snapshot_every"] or None)
+    times = np.rint(traj.times / (clock * dt)) * dt  # step count times the user's dt
+    positions = traj.positions
+    if frame != "rescaled":
+        drift = stokes_drag_velocity(params) if frame == "lab" else np.zeros(3)
+        positions = [R0 * y + t * drift for t, y in zip(times, positions)]
     # The t = 0 pair sum gives both means.  With the force along -e3 the
     # physical interaction velocity is velocity_scale times the rescaled one.
-    drag = stokes_drag_velocity(params)
-    v0 = traj.initial_velocity.mean(axis=0)
-    if cfg["frame"] == "rescaled":
-        rescaled_mean = v0
-        interaction = velocity_scale * v0
-    else:
-        interaction = v0 - drag if cfg["frame"] == "lab" else v0
-        rescaled_mean = interaction / velocity_scale if velocity_scale else np.zeros(3)
-    measured = drag + interaction
+    rescaled_mean = traj.initial_velocity.mean(axis=0)
+    measured = stokes_drag_velocity(params) + velocity_scale * rescaled_mean
     predicted = ms.mean_velocity_formula(cloud)
     _write_json(out / "mean_velocity.json", {
         "measured": [float(v) for v in measured],
@@ -359,15 +372,15 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
         "rescaled_mean_speed": float(np.linalg.norm(rescaled_mean)),
     })
 
-    for idx, (t, pos) in enumerate(zip(traj.times, traj.positions)):
+    for idx, pos in enumerate(positions):
         _write_csv(out / f"frame_{idx:04d}.csv", "id,x,y,z",
                    np.column_stack([np.arange(len(pos)), pos]))
     _write_manifest(out, "micro", cfg, seed, extra={
         "N": cfg["N"],
-        "dt": cfg["dt"],
-        "T": cfg["T"],
-        "delta": start.delta,
-        "frame_times": [float(t) for t in traj.times],
+        "dt": dt,
+        "T": T,
+        "delta": cloud.delta,
+        "frame_times": [float(t) for t in times],
         "clamp_events": traj.clamp_events,
     })
     return 0

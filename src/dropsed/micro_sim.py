@@ -179,7 +179,7 @@ def mean_velocity_formula(cloud: ParticleCloud) -> np.ndarray:
 def _require_downward_force(force: np.ndarray) -> None:
     """The rescaled dynamics drives along -e3, so it describes only a force along -e3."""
     if not (force[0] == 0.0 and force[1] == 0.0 and force[2] < 0.0):
-        raise ValueError(f"the rescaled frame needs a force along -e3, got {force.tolist()}")
+        raise ValueError(f"the rescaled dynamics needs a force along -e3, got {force.tolist()}")
 
 
 def rescale_cloud(cloud: ParticleCloud) -> tuple[ParticleCloud, float]:
@@ -224,53 +224,38 @@ class CloudTrajectory:
 
     times: np.ndarray = field(repr=False)
     positions: list = field(repr=False)  # list of (N, 3) arrays
-    initial_velocity: np.ndarray = field(repr=False)  # (N, 3), the frame's velocity law at t = 0
+    initial_velocity: np.ndarray = field(repr=False)  # (N, 3), the rescaled velocity at t = 0
     clamp_events: int = 0
 
 
-_FRAMES = ("rescaled", "lab", "drift_subtracted")
-
-
-def evolve_cloud(cloud: ParticleCloud, T: float, dt: float, frame: str = "rescaled",
+def evolve_cloud(cloud: ParticleCloud, T: float, dt: float,
                  snapshot_every: float | None = None) -> CloudTrajectory:
-    """Integrate the cloud with the explicit midpoint rule.
+    """Integrate the rescaled dynamics with the explicit midpoint rule.
 
-    ``frame`` chooses the velocity law: the dimensionless rescaled dynamics
-    (cloud given in rescaled coordinates), the lab frame (drag plus
-    interactions), or the drift-subtracted frame (interactions only, i.e.
-    the lab frame co-moving at the single-particle drag velocity); the
-    rescaled frame needs the cloud's force along -e3.  ``T``
-    and ``snapshot_every`` (default: only at T) must be whole numbers of
-    steps ``dt``.  The velocity at t = 0 is computed once, even for T = 0,
-    returned as ``initial_velocity`` and reused as step 1's first stage, so
-    a run evaluates max(1, 2 n_steps) pair sums; ``clamp_events`` counts the
-    clamps of the integrator's stages.
+    ``cloud`` is given in rescaled coordinates (see :func:`rescale_cloud`)
+    and must carry a force along -e3.  With such a force, the lab-frame run
+    of the physical cloud is x(t) = U_S t + R0 y(s t / R0), y being this run
+    and s the velocity scale, and the drift-subtracted run drops U_S t; the
+    midpoint rule respects that map.  ``T`` and ``snapshot_every`` (default:
+    only at T) must be whole numbers of steps ``dt``.  The velocity at t = 0
+    is computed once, even for T = 0, returned as ``initial_velocity`` and
+    reused as step 1's first stage, so a run evaluates max(1, 2 n_steps)
+    pair sums (none for a lone particle); ``clamp_events`` counts the clamps
+    of the integrator's stages.
     """
-    if frame not in _FRAMES:
-        raise ValueError(f"frame must be one of {_FRAMES}, got {frame!r}")
     n_steps = step_count(T, dt)
     every = snapshot_stride(snapshot_every, dt, n_steps)
+    _require_downward_force(cloud.params.force)
 
-    p = cloud.params
-    if frame == "rescaled":
-        _require_downward_force(p.force)
-
-    def velocity(x: np.ndarray) -> tuple[np.ndarray, int]:
-        if frame == "rescaled":
-            return rescaled_velocities(x, cloud.delta)
-        vel, clamps = _interaction_sum(x, p.force, p.mu, cloud.delta)
-        if frame == "lab":
-            vel = vel + stokes_drag_velocity(p)
-        return vel, clamps
-
+    delta = cloud.delta
     x = cloud.positions.copy()
-    initial_velocity, initial_clamps = velocity(x)
+    initial_velocity, initial_clamps = rescaled_velocities(x, delta)
     times = [0.0]
     snaps = [x.copy()]
     clamp_total = 0
     for k in range(1, n_steps + 1):
-        v1, c1 = (initial_velocity, initial_clamps) if k == 1 else velocity(x)
-        v2, c2 = velocity(x + 0.5 * dt * v1)
+        v1, c1 = (initial_velocity, initial_clamps) if k == 1 else rescaled_velocities(x, delta)
+        v2, c2 = rescaled_velocities(x + 0.5 * dt * v1, delta)
         x = x + dt * v2
         clamp_total += c1 + c2
         if not np.all(np.isfinite(x)):

@@ -18,8 +18,14 @@ from dropsed import cli
 from dropsed import micro_sim as ms
 from dropsed import surface_evolution as se
 from dropsed.cli import main
-from dropsed.kernels import FluidParams
+from dropsed.kernels import FluidParams, stokes_drag_velocity
 from dropsed.quadrature import PhiGrid, ThetaGrid
+
+import lab_frame_oracle as oracle
+
+
+# the cloud parameters of every micro run
+MICRO_PARAMS = FluidParams(mu=1.0, force=np.array([0.0, 0.0, -1.0]), radius=1e-2)
 
 
 def read_csv(path):
@@ -89,12 +95,15 @@ class TestSpectrumCommand:
         _, eig = read_csv(out / "eigenvalues.csv")
         assert eig.shape == (1, 2)
 
-    @pytest.mark.parametrize("K", [0, 300])
-    def test_invalid_k_rejected(self, tmp_path, capsys, K):
+    @pytest.mark.parametrize("K, ntheta", [(0, 200), (300, 200), (25, 8), (4, 7)],
+                             ids=["0", "300", "K-above-ntheta", "ntheta-7"])
+    def test_invalid_k_rejected(self, tmp_path, capsys, K, ntheta):
+        # K basis functions on fewer nodes would give a matrix of rank at most ntheta
         out = tmp_path / "run"
-        assert main(["spectrum", "--K", str(K), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "need 1 <= K <= 257" in err and f"got K={K} " in err
+        assert main(["spectrum", "--K", str(K), "--ntheta", str(ntheta), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "dropsed spectrum: error: need 1 <= K <= 257, ntheta >= 8 and K <= ntheta, "
+            f"got K={K} and ntheta={ntheta}\n")
         assert list(out.iterdir()) == []
 
     def test_eigensolver_failure_dumps_matrix(self, tmp_path, monkeypatch, capsys):
@@ -133,12 +142,20 @@ class TestEvolveCommand:
         (["--r0", "inf"], "r0 must be positive and finite, got inf"),
         (["--r0", "0"], "r0 must be positive and finite, got 0.0"),
         (["--perturb", "dominant", "--eps", "nan"], "eps must be finite, got nan"),
-        (["--perturb", "dominant", "--perturb-K", "0"], "need 1 <= perturb_K <= 257, got 0"),
-        (["--perturb", "dominant", "--perturb-K", "300"], "need 1 <= perturb_K <= 257, got 300"),
+        (["--perturb", "dominant", "--perturb-K", "0"],
+         "need 1 <= perturb_K <= 257, ntheta >= 8 and perturb_K <= ntheta, "
+         "got perturb_K=0 and ntheta=100"),
+        (["--perturb", "dominant", "--perturb-K", "300"],
+         "need 1 <= perturb_K <= 257, ntheta >= 8 and perturb_K <= ntheta, "
+         "got perturb_K=300 and ntheta=100"),
+        (["--perturb", "dominant", "--perturb-K", "25", "--ntheta", "5", "--T", "0.1"],
+         "need 1 <= perturb_K <= 257, ntheta >= 8 and perturb_K <= ntheta, "
+         "got perturb_K=25 and ntheta=5"),
         (["--ntheta", "3"], "the upwind scheme needs n_theta >= 4, got 3"),
         (["--ntheta", "20", "--T", "0.01", "--dt", "1e-300"],
          "T=0.01 spans more than 2**53 steps dt=1e-300"),
     ], ids=["r0-nan", "r0-inf", "r0-zero", "eps-nan", "perturb_K-0", "perturb_K-300",
+            "perturb_K-above-ntheta",
             "ntheta-3", "too-many-steps"])
     def test_bad_initial_profile_names_key(self, tmp_path, capsys, flags, message):
         out = tmp_path / "run"
@@ -287,6 +304,49 @@ class TestMicroCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["N"] == 1 and manifest["frame_times"][-1] == pytest.approx(1.0)
 
+    def test_single_particle_lab_frame_falls_straight(self, tmp_path):
+        # a lone particle rests in the rescaled frame, so its lab image falls at U_S
+        out = tmp_path / "run"
+        assert main(["micro", "--N", "1", "--T", "1", "--dt", "0.1", "--snapshot-every", "0.5",
+                     "--frame", "lab", "--out", str(out)]) == 0
+        x0 = ms.uniform_ball_cloud(1, MICRO_PARAMS, 1.0, np.random.default_rng(0)).positions[0]
+        times = json.loads((out / "manifest.json").read_text())["frame_times"]
+        assert times == [0.0, 0.5, 1.0]
+        for idx, t in enumerate(times):
+            _, data = read_csv(out / f"frame_{idx:04d}.csv")
+            expected = x0 + t * stokes_drag_velocity(MICRO_PARAMS)
+            assert np.allclose(data[0, 1:], expected, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("frame", ["lab", "drift_subtracted"])
+    def test_frames_match_physical_oracle(self, tmp_path, frame):
+        # the frames mapped from the rescaled run against a direct integration
+        # of drag plus interactions (lab) or of interactions alone (drift)
+        out = tmp_path / "run"
+        assert main(["micro", "--N", "300", "--T", "0.2", "--dt", "0.01", "--snapshot-every",
+                     "0.05", "--seed", "3", "--frame", frame, "--out", str(out)]) == 0
+        cloud = ms.uniform_ball_cloud(300, MICRO_PARAMS, 1.0, np.random.default_rng(3))
+        snaps, clamps = oracle.evolve_physical(cloud, 20, 0.01, lab=frame == "lab")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["clamp_events"] == clamps
+        assert manifest["frame_times"] == [0.0, 0.05, 0.1, 0.15, 0.2]
+        for idx, expected in enumerate([cloud.positions, *snaps[4::5]]):
+            _, data = read_csv(out / f"frame_{idx:04d}.csv")
+            assert np.max(np.abs(data[:, 1:] - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("frame", ["rescaled", "lab", "drift_subtracted"])
+    @pytest.mark.parametrize("flags, named", [
+        (["--T", "0.06", "--dt", "0.01", "--snapshot-every", "0.015"],
+         ["snapshot_every=0.015", "dt=0.01"]),
+        (["--T", "nan", "--dt", "0.01"], ["T=nan", "dt=0.01"]),
+    ], ids=["ragged-snapshots", "T-nan"])
+    def test_time_grid_errors_name_the_given_values(self, tmp_path, capsys, frame, flags, named):
+        # the lab and drift runs step a rescaled clock; errors still name the user's numbers
+        out = tmp_path / "run"
+        assert main(["micro", "--N", "20", *flags, "--frame", frame, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and all(value in err for value in named), err
+        assert list(out.iterdir()) == []
+
     def test_infinite_dt_rejected(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["micro", "--N", "5", "--T", "1", "--dt", "inf", "--out", str(out)]) == 1
@@ -331,7 +391,8 @@ class TestMicroCommand:
                                           ("drift_subtracted", 60), ("lab", 1)])
     def test_initial_pair_sum_computed_once(self, tmp_path, monkeypatch, frame, n):
         # five midpoint steps take ten pair sums; the t = 0 sum of step 1 also
-        # gives both reported means, so no further sum is made
+        # gives both reported means, so no further sum is made.  A lone
+        # particle's rescaled velocity is zero without a sum.
         calls = []
         original = ms._interaction_sum
 
@@ -343,10 +404,9 @@ class TestMicroCommand:
         out = tmp_path / "run"
         assert main(["micro", "--N", str(n), "--T", "0.05", "--dt", "0.01", "--seed", "4",
                      "--frame", frame, "--out", str(out)]) == 0
-        assert len(calls) == 10
+        assert len(calls) == (10 if n > 1 else 0)
         report = json.loads((out / "mean_velocity.json").read_text())
-        params = FluidParams(mu=1.0, force=np.array([0.0, 0.0, -1.0]), radius=1e-2)
-        cloud = ms.uniform_ball_cloud(n, params, 1.0, np.random.default_rng(4))
+        cloud = ms.uniform_ball_cloud(n, MICRO_PARAMS, 1.0, np.random.default_rng(4))
         measured = ms.mean_settling_velocity(cloud)
         assert (np.linalg.norm(np.array(report["measured"]) - measured)
                 <= 1e-12 * np.linalg.norm(measured))

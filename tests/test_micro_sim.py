@@ -276,34 +276,25 @@ class TestRescaling:
         with pytest.raises(ValueError, match=named):
             rescale_cloud(cloud)
         with pytest.raises(ValueError, match=named):
-            evolve_cloud(cloud, T=0.1, dt=0.05, frame="rescaled")
-        evolve_cloud(cloud, T=0.1, dt=0.05, frame="drift_subtracted")
+            evolve_cloud(cloud, T=0.1, dt=0.05)
         strong = uniform_ball_cloud(20, FluidParams(mu=1.0, force=-2.0 * E3, radius=1e-2), 1.0, rng)
         assert rescale_cloud(strong)[1] == pytest.approx(19 * 2.0 / (5 * math.pi), rel=1e-12)
 
 
 class TestEvolveCloud:
-    def test_single_particle_straight_fall_lab_frame(self):
-        cloud = ParticleCloud(positions=np.array([[0.2, -0.1, 0.4]]), params=PARAMS,
-                              cloud_radius=1.0)
-        traj = evolve_cloud(cloud, T=1.0, dt=0.1, frame="lab", snapshot_every=0.5)
-        drift = stokes_drag_velocity(PARAMS)
-        for t, pos in zip(traj.times, traj.positions):
-            assert np.allclose(pos[0], cloud.positions[0] + t * drift, atol=1e-14)
-
     def test_snapshot_every_must_be_whole_steps(self):
         cloud = ParticleCloud(positions=np.array([[0.2, -0.1, 0.4]]), params=PARAMS,
                               cloud_radius=1.0)
         with pytest.raises(ValueError, match=r"snapshot_every=0\.015 .*dt=0\.01"):
-            evolve_cloud(cloud, 0.06, 0.01, frame="lab", snapshot_every=0.015)
-        traj = evolve_cloud(cloud, 0.06, 0.01, frame="lab", snapshot_every=0.02)
+            evolve_cloud(cloud, 0.06, 0.01, snapshot_every=0.015)
+        traj = evolve_cloud(cloud, 0.06, 0.01, snapshot_every=0.02)
         assert traj.times == pytest.approx([0.0, 0.02, 0.04, 0.06], abs=1e-12)
 
     def test_antipodal_pair_mirror_symmetry(self):
         pos = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
         cloud = ParticleCloud(positions=pos, params=PARAMS, cloud_radius=1.0,
                               delta=default_regularization(1.0, 2))
-        traj = evolve_cloud(cloud, T=2.0, dt=0.01, frame="rescaled", snapshot_every=0.5)
+        traj = evolve_cloud(cloud, T=2.0, dt=0.01, snapshot_every=0.5)
         for snap in traj.positions:
             assert abs(snap[0, 2] - snap[1, 2]) < 1e-12
             assert abs(snap[0, 0] + snap[1, 0]) < 1e-12
@@ -313,35 +304,22 @@ class TestEvolveCloud:
         shift = np.array([1.0, -2.0, 0.5])
         c1 = ParticleCloud(positions=pos, params=PARAMS, cloud_radius=1.0, delta=1e-4)
         c2 = ParticleCloud(positions=pos + shift, params=PARAMS, cloud_radius=1.0, delta=1e-4)
-        t1 = evolve_cloud(c1, T=0.5, dt=0.05, frame="rescaled")
-        t2 = evolve_cloud(c2, T=0.5, dt=0.05, frame="rescaled")
+        t1 = evolve_cloud(c1, T=0.5, dt=0.05)
+        t2 = evolve_cloud(c2, T=0.5, dt=0.05)
         assert np.allclose(t2.positions[-1], t1.positions[-1] + shift, atol=1e-10)
 
     def test_center_of_mass_falls_at_mean_speed(self, rng):
         cloud = uniform_ball_cloud(500, PARAMS, 1.0, rng)
         rescaled, _ = rescale_cloud(cloud)
         v0, _ = rescaled_velocities(rescaled.positions, rescaled.delta)
-        traj = evolve_cloud(rescaled, T=0.5, dt=0.025, frame="rescaled")
+        traj = evolve_cloud(rescaled, T=0.5, dt=0.025)
         drop = traj.positions[-1][:, 2].mean() - traj.positions[0][:, 2].mean()
         assert drop == pytest.approx(v0.mean(axis=0)[2] * 0.5, rel=0.1)
 
-    def test_drift_subtracted_frame(self):
-        cloud = two_particle_cloud()
-        traj_lab = evolve_cloud(cloud, T=0.2, dt=0.1, frame="lab")
-        traj_rel = evolve_cloud(cloud, T=0.2, dt=0.1, frame="drift_subtracted")
-        drift = stokes_drag_velocity(PARAMS)
-        assert np.allclose(traj_lab.positions[-1], traj_rel.positions[-1] + 0.2 * drift,
-                           atol=1e-12)
-
     def test_trajectory_moments(self, rng):
         cloud = uniform_ball_cloud(50, PARAMS, 1.0, rng)
-        traj = evolve_cloud(cloud, T=0.2, dt=0.1, frame="rescaled")
+        traj = evolve_cloud(cloud, T=0.2, dt=0.1)
         assert isinstance(traj, CloudTrajectory)
         centers = np.array([p.mean(axis=0) for p in traj.positions])
         assert centers.shape == (len(traj.times), 3) and np.all(np.isfinite(centers))
         assert all(p[:, 2].max() > p[:, 2].min() for p in traj.positions)
-
-    def test_bad_frame_rejected(self):
-        cloud = two_particle_cloud()
-        with pytest.raises(ValueError, match="frame"):
-            evolve_cloud(cloud, T=1.0, dt=0.1, frame="warp")
