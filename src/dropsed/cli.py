@@ -135,10 +135,8 @@ def _write_csv(path: Path, header: str, rows) -> None:
     """Write a 2-D table of numbers, every entry as the repr of a Python float."""
     import numpy as np
 
-    with path.open("w") as f:
-        f.write(header + "\n")
-        for row in np.asarray(rows, dtype=float).tolist():
-            f.write(",".join(map(repr, row)) + "\n")
+    table = np.asarray(rows, dtype=float).tolist()
+    path.write_text("\n".join([header, *map(",".join, (map(repr, row) for row in table))]) + "\n")
 
 
 def _write_manifest(out: Path, subcommand: str, cfg: dict, seed: int, extra: dict | None = None) -> None:

@@ -13,6 +13,13 @@ particle blocks (I, J) with J >= I, at most ``_PAIR_TILE`` particles a side,
 and an off-diagonal tile adds its row sums to block I and its column sums
 to block J.  Each tile works in a few buffers allocated once per sum and
 filled in place by the one Oseen kernel, :func:`~dropsed.kernels.oseen_terms`.
+The two whole-tile passes that numpy's broadcasting and axis sums run slowly
+go to BLAS instead.  A tile's separation planes are one batched rank-2
+product [x_i, 1] . [1, -x_j], which is exact: both of its products are
+exact, so each entry is x_i - x_j rounded once, as a subtraction rounds it.
+Its row and column sums are matrix-vector products with a vector of ones;
+they add in another order than ``np.sum`` (velocities move by about 1e-16
+relative), and a run writes the same bytes under one and two BLAS threads.
 A diagonal tile holds both ordered cells of each of its pairs and adds row
 sums only; its self cells need no mask, because a squared distance of +inf
 makes their contribution exactly zero.  Each integrator stage commits
@@ -52,10 +59,14 @@ __all__ = [
 
 _E3 = np.array([0.0, 0.0, 1.0])
 
-# Particles per side of one tile of the pair sum: large enough that numpy's
-# per-call overhead is small against the tile's cells, small enough that the
-# tile's six (b, b) planes (1.9 MB at b = 200) stay in a core's L2 cache.
-_PAIR_TILE = 200
+# Particles per side of one tile of the pair sum: large enough that the
+# per-call overhead of numpy and BLAS is small against the tile's cells, small
+# enough that the tile's six (b, b) float64 planes (four in the work buffer,
+# r2 and coef) stay in a core's L2 cache: 6 b^2 8 B = 1.08 MB at b = 150, half
+# of a 2 MiB L2, where b = 200 fills 1.92 MB of it.  On such a core (Xeon,
+# one BLAS thread, N = 1000-4000) b = 150 was within 5% of the fastest of
+# b = 100, 128, 150, 200 and 256 at each N, and b = 200 was 6-11% slower.
+_PAIR_TILE = 150
 
 
 def default_regularization(cloud_radius: float, n: int) -> float:
@@ -98,6 +109,20 @@ def uniform_ball_cloud(n: int, params: FluidParams, cloud_radius: float,
                          cloud_radius=cloud_radius, delta=delta)
 
 
+def _separation_factors(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors whose batched product holds the separation planes of a tile.
+
+    ``left`` (3, N, 2) has rows [x_ik, 1] and ``right`` (3, 2, N) has columns
+    [1, -x_jk], so (left[:, I] @ right[:, :, J])[k, i, j] = x_ik - x_jk.  Of
+    the two products one is exactly x_ik and the other exactly -x_jk, so
+    whatever order a BLAS adds them in, the entry is x_ik - x_jk rounded
+    once: the value ``np.subtract`` gives, except that an exact zero may
+    come out as +0.0 where the subtraction gives -0.0.
+    """
+    x = positions.T
+    return np.stack([x, np.ones_like(x)], axis=-1), np.stack([np.ones_like(x), -x], axis=1)
+
+
 def _interaction_sum(positions: np.ndarray, force: np.ndarray, mu: float,
                      delta: float) -> tuple[np.ndarray, int]:
     """Sum over j != i of the Oseen response U(x_i - x_j) force, with clamping.
@@ -108,16 +133,23 @@ def _interaction_sum(positions: np.ndarray, force: np.ndarray, mu: float,
     The sum runs over tiles of particle blocks (I, J), J >= I, of at most
     ``_PAIR_TILE`` particles a side.  A tile's separations, squared
     distances and Oseen factors live in buffers allocated once per call and
-    filled in place.  Because U(d) f = U(-d) f for the one shared force, an
-    off-diagonal tile serves both particles of each pair: its row sums go to
-    block I and its column sums to block J, and each of its clamped cells
-    counts twice.  A diagonal tile already holds both ordered cells of its
-    pairs, so it adds row sums only and counts every clamped cell once.
+    filled in place.  The separations are one batched product of the
+    factors of :func:`_separation_factors`, formed once per call, and hold
+    the values a subtraction gives.  The row sums are one matrix-vector
+    product of the work buffer, viewed as (4 rows, cols), with ones, and the
+    column sums are ones times the buffer.  BLAS adds these in another order
+    than ``np.sum``, which moves velocities by about 1e-16 relative.
+    Because U(d) f = U(-d) f for the one shared force, an off-diagonal tile
+    serves both particles of each pair: its row sums go to block I and its
+    column sums to block J, and each of its clamped cells counts twice.  A
+    diagonal tile already holds both ordered cells of its pairs, so it adds
+    row sums only and counts every clamped cell once.
     Coincident particles are an error naming both global indices.
     """
     n = positions.shape[0]
-    x = np.ascontiguousarray(positions.T)
+    left, right = _separation_factors(positions)
     b = min(_PAIR_TILE, n)
+    ones = np.ones(b)
     # rows 0-2: sums of d * coef, row 3: sums of inv_r (see oseen_terms)
     acc = np.zeros((4, n))
     work_buf = np.empty(4 * b * b)  # a tile's d planes, then its inv_r plane
@@ -128,13 +160,13 @@ def _interaction_sum(positions: np.ndarray, force: np.ndarray, mu: float,
         i1 = min(i0 + b, n)
         for j0 in range(i0, n, b):
             j1 = min(j0 + b, n)
-            shape = (i1 - i0, j1 - j0)
-            cells = shape[0] * shape[1]
-            work = work_buf[:4 * cells].reshape(4, *shape)
+            rows, cols = i1 - i0, j1 - j0
+            cells = rows * cols
+            work = work_buf[:4 * cells].reshape(4, rows, cols)
             d = work[:3]
-            r2 = r2_buf[:cells].reshape(shape)
-            coef = coef_buf[:cells].reshape(shape)
-            np.subtract(x[:, i0:i1, None], x[:, None, j0:j1], out=d)
+            r2 = r2_buf[:cells].reshape(rows, cols)
+            coef = coef_buf[:cells].reshape(rows, cols)
+            np.matmul(left[:, i0:i1], right[:, :, j0:j1], out=d)
             np.einsum("kij,kij->ij", d, d, out=r2)
             if i0 == j0:
                 np.fill_diagonal(r2, np.inf)
@@ -148,9 +180,9 @@ def _interaction_sum(positions: np.ndarray, force: np.ndarray, mu: float,
                 clamped_pairs += close if i0 == j0 else 2 * close
             oseen_terms(d, r2, force, mu, delta, work[3], coef)
             np.multiply(d, coef, out=d)
-            acc[:, i0:i1] += work.sum(axis=2)
+            acc[:, i0:i1] += (work.reshape(4 * rows, cols) @ ones[:cols]).reshape(4, rows)
             if i0 != j0:
-                acc[:, j0:j1] += work.sum(axis=1)
+                acc[:, j0:j1] += ones[:rows] @ work
     if clamped_pairs:
         log.info("clamped %d ordered pairs below delta=%.3e", clamped_pairs, delta)
     vel = acc[:3]

@@ -426,6 +426,12 @@ class TestMicroCommand:
         assert json.loads((out / "manifest.json").read_text())["clamp_events"] == clamps
 
 
+@pytest.mark.parametrize("rows", [[], np.empty((0, 4))], ids=["list", "array"])
+def test_csv_of_no_rows_is_the_header_line(tmp_path, rows):
+    cli._write_csv(tmp_path / "t.csv", "a,b,c,d", rows)
+    assert (tmp_path / "t.csv").read_text() == "a,b,c,d\n"
+
+
 def test_csv_bytes_match_per_value_float_repr(tmp_path):
     rows = [(0, 1.0 / 3.0, -0.0, 1e-300), (7, np.float64(2.5), -1, 1e300),
             (np.int64(3), 0.1, 5e-324, -2.0 / 3.0)]
@@ -563,6 +569,15 @@ class TestLoggingAndDebug:
         assert "dropsed patch: error: R must be positive" in capsys.readouterr().err
 
 
+def _fresh_interpreter_env() -> dict:
+    """Environment for a child interpreter that imports this dropsed, with no thread cap set."""
+    src = Path(dropsed.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    return env
+
+
 def test_threads_cap_is_set_before_numpy_loads(tmp_path):
     # a fresh interpreter: this test process has numpy loaded already
     script = (
@@ -573,11 +588,23 @@ def test_threads_cap_is_set_before_numpy_loads(tmp_path):
         "print(rc, *(os.environ[v] for v in ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS',"
         " 'MKL_NUM_THREADS')))\n"
     )
-    src = Path(dropsed.__file__).resolve().parent.parent
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "run")], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "run")],
+                          env=_fresh_interpreter_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "0", "3", "3", "3"]
+
+
+def test_micro_files_do_not_depend_on_blas_threads(tmp_path):
+    # the pair sum reduces its tiles in BLAS; each cap needs its own interpreter
+    written = {}
+    for threads in (1, 2):
+        out = tmp_path / f"threads-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dropsed.cli", "micro", "--N", "400", "--T", "0.02",
+             "--dt", "0.01", "--seed", "5", "--threads", str(threads), "--out", str(out)],
+            env=_fresh_interpreter_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        written[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(written[1]) == ["frame_0000.csv", "frame_0001.csv", "manifest.json",
+                                  "mean_velocity.json"]
+    assert written[1] == written[2]

@@ -23,6 +23,8 @@ from dropsed.micro_sim import (
 )
 from dropsed.patch_waves import sample_unit_ball
 
+import tiled_sum_oracle
+
 E3 = np.array([0.0, 0.0, 1.0])
 PARAMS = FluidParams(mu=1.0, force=-E3, radius=1e-2)
 
@@ -200,6 +202,40 @@ class TestTiledPairSum:
     def test_unit_cloud_is_the_unit_ball_sample(self):
         cloud = uniform_ball_cloud(300, PARAMS, 1.0, np.random.default_rng(11))
         assert np.array_equal(cloud.positions, sample_unit_ball(300, np.random.default_rng(11)))
+
+
+class TestAgainstSubtractTiles:
+    """The product planes and BLAS sums against the subtract-and-np.sum tiles they replaced."""
+
+    @pytest.mark.parametrize("n, seed, delta, clamp_count", [(1200, 0, None, 0), (30, 3, 0.3, 16)],
+                             ids=["N-1200", "N-30-clamped"])
+    def test_matches_subtract_oracle(self, n, seed, delta, clamp_count):
+        pos = sample_unit_ball(n, np.random.default_rng(seed))
+        delta = default_regularization(1.0, n) if delta is None else delta
+        vel, clamps = micro_sim._interaction_sum(pos, E3, 1.0, delta)
+        expected, expected_clamps = tiled_sum_oracle.interaction_sum(pos, E3, 1.0, delta)
+        assert clamps == expected_clamps == clamp_count
+        err = np.linalg.norm(vel - expected, axis=1)
+        assert np.all(err <= 1e-14 * np.linalg.norm(expected, axis=1))
+
+    def test_product_planes_equal_subtraction(self):
+        rng = np.random.default_rng(5)
+        n = 47
+        pos = rng.choice([-1.0, 1.0], size=(n, 3)) * 10.0 ** rng.uniform(-150.0, 150.0, (n, 3))
+        pos[rng.random((n, 3)) < 0.2] = 0.0
+        pos[rng.random((n, 3)) < 0.2] = -0.0
+        pos[:4] = [[0.0, -0.0, 1e-150], [-0.0, 0.0, -1e150], [1e150, -1e-150, 0.0],
+                   [-1e-150, 1e150, -0.0]]
+        left, right = micro_sim._separation_factors(pos)
+        x = pos.T
+        for i0, i1, j0, j1 in [(0, 47, 0, 47), (0, 13, 13, 26), (39, 47, 13, 47), (5, 6, 0, 47),
+                               (20, 33, 40, 47), (0, 4, 0, 4)]:
+            d = np.empty((3, i1 - i0, j1 - j0))
+            np.matmul(left[:, i0:i1], right[:, :, j0:j1], out=d)
+            sub = np.subtract(x[:, i0:i1, None], x[:, None, j0:j1])
+            assert np.array_equal(d, sub)
+            # bit for bit once -0.0 is folded into +0.0, the sign a BLAS may drop
+            assert np.array_equal((d + 0.0).view(np.int64), (sub + 0.0).view(np.int64))
 
 
 class TestMeanVelocity:
