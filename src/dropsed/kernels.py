@@ -3,8 +3,11 @@
 The Oseen pair kernel and the single-sphere drag speed are the microscopic
 building blocks.  The surface integrals are built from the closed-form
 azimuthal moments of the inverse chord.  All functions broadcast over numpy
-arrays where that is useful, and all are pure except :func:`oseen_terms`,
-which writes the Oseen factors into buffers its caller owns.
+arrays where that is useful.  Two write into buffers their caller owns, so a
+caller looping over tiles or blocks reuses one workspace for all of them:
+:func:`oseen_terms`, the Oseen factors of a pair-sum tile, and
+``_moments_into``, the in-place AGM core of :func:`azimuthal_moments` on one
+block.  The rest are pure.
 """
 
 from __future__ import annotations
@@ -21,13 +24,15 @@ __all__ = [
     "azimuthal_moments",
 ]
 
-# Entries per chunk of the AGM loop in :func:`azimuthal_moments`: large enough
-# that numpy's per-call overhead is small against a chunk, small enough that
-# the loop's few chunk-sized buffers (32 kB each) stay in a core's L2 cache
-# and are recycled by the allocator rather than page-faulted in anew.
-# :func:`dropsed.surface_evolution.advection_and_source` sizes its blocks of
-# node rows by it too, so each block is one chunk.
-_MOMENT_CHUNK = 4096
+# Entries per block of the AGM loop.  Each block is one pass of
+# :func:`_moments_into`, whose few dozen numpy calls cost ~0.1 ms whatever the
+# block size, so blocks are large: the n = 100 upwind step is one block.
+# :func:`dropsed.surface_evolution.advection_and_source` keeps all its
+# blocks' buffers in one workspace allocated once per call, which the
+# allocator keeps from call to call; many separate block-sized temporaries of
+# this size would be returned to the OS after each call and faulted back in.
+# Blocks of 8192-12288 entries time alike at n = 201-801.
+_MOMENT_CHUNK = 10240
 
 # The AGM loop stops one step after c_n <= _AGM_TOL x_n.  Each step squares
 # the relative gap, so that final step takes it to ~_AGM_TOL^4 / 32 = 2^-57,
@@ -110,7 +115,71 @@ def _entry(flat: int, shape: tuple[int, ...], first_row: int) -> tuple[int, ...]
     return tuple(int(v) + (first_row if axis == 0 else 0) for axis, v in enumerate(index))
 
 
-def azimuthal_moments(a, b, a_minus_b, *, first_row: int = 0):
+def _row_blocks(n_rows: int, row_size: int, chunk: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` row ranges that cut ``n_rows`` rows of ``row_size`` entries into blocks.
+
+    The blocks are as few as keep each within ``chunk`` entries (one row at
+    least), and their row counts differ by at most one, so no block is a runt.
+    """
+    blocks = -(-n_rows // max(1, chunk // max(1, row_size)))
+    edges = [k * n_rows // blocks for k in range(blocks + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _moments_into(x, y, b, i0, i1, c, tmp, *, shape: tuple[int, ...], first_row: int) -> None:
+    """The AGM of :func:`azimuthal_moments` on one block, in buffers the caller owns.
+
+    All seven are flat float arrays of one nonzero size.  On entry ``x``
+    holds A + B, ``y`` holds A - B and ``b`` holds B; on return ``i0`` and
+    ``i1`` hold the moments, and ``x``, ``y``, ``c`` and ``tmp`` hold scratch.
+    ``b`` is read only until c_1 is formed, so ``i0`` may be the same buffer
+    as ``b``.  Nothing is allocated, so a caller that steps many blocks
+    reuses one workspace for all of them.  The whole block takes the step
+    count of its smallest y0 / x0, plus one final step.  A failing entry is
+    named by its index in an array of ``shape`` whose rows start at row
+    ``first_row`` of the caller's.
+    """
+    if not (y.min() > 0 and b.min() >= 0):
+        finite = np.isfinite(x) & np.isfinite(b) & np.isfinite(y)
+        if not finite.all():
+            raise ArithmeticError(f"azimuthal moments got a non-finite input at entry "
+                                  f"{_entry(int(np.argmax(~finite)), shape, first_row)}")
+        raise ValueError("azimuthal moments need A > B >= 0; coincident points diverge")
+    np.sqrt(x, out=x)  # x0
+    np.sqrt(y, out=y)  # y0
+    np.divide(y, x, out=tmp)
+    j = int(np.argmin(tmp))
+    steps = _agm_steps(float(tmp[j]))
+    if steps is None:
+        raise ArithmeticError(f"AGM of the azimuthal moments did not converge at entry "
+                              f"{_entry(j, shape, first_row)} (y/x = {float(tmp[j])!r})")
+    # i0 holds the running term until I0 is formed, i1 the running total
+    np.add(x, y, out=tmp)  # s = x0 + y0
+    np.divide(b, tmp, out=c)  # c_1
+    np.divide(c, tmp, out=i0)  # 2^(n-1) c_n^2 / B at n = 1
+    np.copyto(i1, i0)
+    c *= 0.25  # c_n / 4 from here on, which makes rho one division
+    y *= x
+    np.sqrt(y, out=y)
+    np.multiply(tmp, 0.5, out=x)
+    for step in range(steps + 1):
+        np.add(x, y, out=tmp)
+        tmp *= 0.5  # the next x
+        if step < steps:  # the last y is never used
+            y *= x
+            np.sqrt(y, out=y)
+        x, tmp = tmp, x
+        np.divide(c, x, out=tmp)  # rho = c_n / (4 x_(n+1))
+        c *= tmp
+        tmp *= tmp
+        tmp *= 2.0
+        i0 *= tmp
+        i1 += i0
+    np.divide(2.0 * math.pi, x, out=i0)
+    i1 *= i0
+
+
+def azimuthal_moments(a, b, a_minus_b):
     """Closed-form azimuthal integrals of the inverse chord, for A > B >= 0.
 
     Returns ``(I0, I1)`` with I0 = integral over [0, 2 pi] of
@@ -122,61 +191,26 @@ def azimuthal_moments(a, b, a_minus_b, *, first_row: int = 0):
     c_(n+1) = c_n^2 / (4 x_(n+1)).  The terms of S / B are positive and finite
     down to B = 0, so nothing cancels and no B needs a separate branch.
     ``a_minus_b`` carries A - B in a cancellation-free form, so nearly
-    coincident rings keep full precision.  The loop runs over flat chunks of
-    ``_MOMENT_CHUNK`` entries, in place in the arrays of x0, y0 and the
-    results plus two chunk-sized buffers; each chunk takes the step count of
-    its smallest y0 / x0, plus one final step.  Coincident points
-    (A - B <= 0) have a divergent I0 and are rejected.  A caller that passes
-    rows ``first_row`` onwards of a larger array gives that offset, so a
-    non-finite entry or one that fails to converge is named by its index there.
+    coincident rings keep full precision.  Coincident points (A - B <= 0)
+    have a divergent I0 and are rejected.  This wrapper allocates the
+    buffers and runs :func:`_moments_into` over even blocks of whole rows,
+    each within ``_MOMENT_CHUNK`` entries unless one row is longer.
     """
     a, b, a_minus_b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, a_minus_b)))
-    if not ((a_minus_b > 0).all() and (b >= 0).all()):
-        finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(a_minus_b)
-        if not finite.all():
-            raise ArithmeticError(f"azimuthal moments got a non-finite input at entry "
-                                  f"{_entry(int(np.argmax(~finite)), a.shape, first_row)}")
-        raise ValueError("azimuthal moments need A > B >= 0; coincident points diverge")
     shape = a.shape
-    x0 = np.sqrt(a + b).reshape(-1)
-    y0 = np.sqrt(a_minus_b).reshape(-1)
+    x = np.add(a, b).reshape(-1)
+    y = a_minus_b.flatten()
     b = b.reshape(-1)
-    i0 = np.empty(x0.size)
-    i1 = np.empty(x0.size)
-    size = min(x0.size, _MOMENT_CHUNK)
-    c_buf, tmp_buf = np.empty(size), np.empty(size)
-    for lo in range(0, x0.size, _MOMENT_CHUNK):
-        hi = min(lo + _MOMENT_CHUNK, x0.size)
-        # x and y overwrite x0 and y0, term and total the two results
-        x, y, term, total = x0[lo:hi], y0[lo:hi], i0[lo:hi], i1[lo:hi]
-        c, tmp = c_buf[:hi - lo], tmp_buf[:hi - lo]
-        np.divide(y, x, out=tmp)
-        j = int(np.argmin(tmp))
-        steps = _agm_steps(float(tmp[j]))
-        if steps is None:
-            raise ArithmeticError(f"AGM of the azimuthal moments did not converge at entry "
-                                  f"{_entry(lo + j, shape, first_row)} (y/x = {float(tmp[j])!r})")
-        np.add(x, y, out=tmp)  # s = x0 + y0
-        np.divide(b[lo:hi], tmp, out=c)  # c_1
-        np.divide(c, tmp, out=term)  # 2^(n-1) c_n^2 / B at n = 1
-        np.copyto(total, term)
-        c *= 0.25  # c_n / 4 from here on, which makes rho one division
-        y *= x
-        np.sqrt(y, out=y)
-        np.multiply(tmp, 0.5, out=x)
-        for step in range(steps + 1):
-            np.add(x, y, out=tmp)
-            tmp *= 0.5  # the next x
-            if step < steps:  # the last y is never used
-                y *= x
-                np.sqrt(y, out=y)
-            x, tmp = tmp, x
-            np.divide(c, x, out=tmp)  # rho = c_n / (4 x_(n+1))
-            c *= tmp
-            tmp *= tmp
-            tmp *= 2.0
-            term *= tmp
-            total += term
-        np.divide(2.0 * math.pi, x, out=i0[lo:hi])
-        total *= i0[lo:hi]
+    i0, i1 = np.empty(x.size), np.empty(x.size)
+    if x.size:
+        n_rows = shape[0] if shape else 1
+        row_size = x.size // n_rows
+        blocks = _row_blocks(n_rows, row_size, _MOMENT_CHUNK)
+        c_buf, tmp_buf = np.empty((2, max(hi - lo for lo, hi in blocks) * row_size))
+        for lo, hi in blocks:
+            block = slice(lo * row_size, hi * row_size)
+            size = (hi - lo) * row_size
+            block_shape = (hi - lo,) + shape[1:] if shape else ()
+            _moments_into(x[block], y[block], b[block], i0[block], i1[block],
+                          c_buf[:size], tmp_buf[:size], shape=block_shape, first_row=lo)
     return i0.reshape(shape), i1.reshape(shape)

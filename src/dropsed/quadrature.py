@@ -79,14 +79,25 @@ class ThetaGrid:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, math.pi, self.n_theta)
+        """The n_theta nodes, cached and read-only."""
+        return _read_only(np.linspace(0.0, math.pi, self.n_theta))
 
     @property
     def spacing(self) -> float:
         return math.pi / (self.n_theta - 1)
 
     def weights(self) -> np.ndarray:
-        return simpson_weights(self.n_theta, self.spacing)
+        """Simpson weights on the nodes, cached and read-only."""
+        return self._weights
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        return _read_only(simpson_weights(self.n_theta, self.spacing))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)

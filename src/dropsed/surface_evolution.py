@@ -7,7 +7,8 @@ explicit upwind scheme.  Per-node quadratures inside a step run over blocks
 of node rows, each block vectorized over its (node, inner angle) pairs (the
 nodes are independent, so this is the parallel evaluation the scheme
 admits).  The grid geometry they need is cached per grid, so a step
-computes only what depends on the profile, in a few block-sized buffers.
+computes only what depends on the profile, in one workspace of six
+block-sized planes that every block, and its AGM, reuses.
 The time loop itself is sequential and profiles are immutable snapshots.
 
 Every azimuthal integrand has the form (alpha + beta cos phi) / sqrt(A - B cos phi),
@@ -31,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import _MOMENT_CHUNK, azimuthal_moments
+from .kernels import _MOMENT_CHUNK, _moments_into, _row_blocks
 from .patch_waves import WAVE_VELOCITY_UNIT
 from .quadrature import PhiGrid, ThetaGrid, simpson_weights, snapshot_stride, step_count
 
@@ -149,8 +150,10 @@ def advection_and_source(p: RadialProfile, cdot3: float, phi_grid: PhiGrid):
     linear in the moments I0 and I1 with coefficients that factor into a
     node part and a mid part, so each quadrature is a sum of a few matrix
     products of the moments with weighted mid vectors.  Rows of nodes are
-    taken in blocks of about ``_MOMENT_CHUNK`` (node, mid) pairs, so the
-    per-call working set is a few block-sized buffers whatever the grid size.
+    taken in even blocks of at most ``_MOMENT_CHUNK`` (node, mid) pairs, and
+    one workspace allocated per call holds every block's A + B, A - B and B
+    and the AGM's scratch, so the working set is six block-sized planes
+    whatever the grid size.
     """
     n = p.grid.n_theta
     h = p.grid.spacing
@@ -172,22 +175,24 @@ def advection_and_source(p: RadialProfile, cdot3: float, phi_grid: PhiGrid):
     s12 = np.empty((n, 2))
 
     m = n - 1
-    rows = max(1, _MOMENT_CHUNK // m)
-    a_buf, b_buf, amb_buf = (np.empty((rows, m)) for _ in range(3))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        a, b, amb = a_buf[:hi - lo], b_buf[:hi - lo], amb_buf[:hi - lo]
+    blocks = _row_blocks(n, m, _MOMENT_CHUNK)
+    work = np.empty((6, max(hi - lo for lo, hi in blocks) * m))
+    for lo, hi in blocks:
+        # b's plane holds B, then the running term, then I0
+        x, y, b, i1, c, tmp = work[:, :(hi - lo) * m]
+        xb, yb, bb = (v.reshape(hi - lo, m) for v in (x, y, b))
         rc = r[lo:hi, None]
-        rr = np.multiply(rc, rm, out=a)  # a holds r * rm until A is formed
-        np.subtract(rc, rm, out=amb)
-        amb *= amb
-        np.multiply(rr, s4[lo:hi], out=b)
-        amb += b  # A - B = (r - rm)^2 + 4 r rm sin^2((theta - mid) / 2)
-        np.multiply(rr, st2_stb[lo:hi], out=b)
-        np.add(amb, b, out=a)
-        i0, i1 = azimuthal_moments(a, b, amb, first_row=lo)
-        np.matmul(i0, by_i0, out=s0[lo:hi])
-        np.matmul(i1, by_i1, out=s12[lo:hi])
+        rr = np.multiply(rc, rm, out=xb)  # x holds r * rm until A + B is formed
+        np.subtract(rc, rm, out=yb)
+        y *= y
+        np.multiply(rr, s4[lo:hi], out=bb)
+        y += b  # A - B = (r - rm)^2 + 4 r rm sin^2((theta - mid) / 2)
+        np.multiply(rr, st2_stb[lo:hi], out=bb)
+        np.add(y, b, out=x)  # A
+        x += b
+        _moments_into(x, y, b, b, i1, c, tmp, shape=(hi - lo, m), first_row=lo)
+        np.matmul(bb, by_i0, out=s0[lo:hi])
+        np.matmul(i1.reshape(hi - lo, m), by_i1, out=s12[lo:hi])
 
     s1, s2 = s12.T
     q2 = ct * s0 - st * s1

@@ -113,15 +113,84 @@ class TestAzimuthalMoments:
     def test_non_finite_input_named_by_entry_not_as_coincident(self):
         # an overflowing r * r' gives A = inf and B = nan, which fails the
         # A > B >= 0 check; the entry is named with the caller's row offset
-        a = [[2.0, 2.0], [2.0, np.inf]]
-        b = [[1.0, 1.0], [1.0, np.nan]]
+        x = np.array([3.0, 3.0, 3.0, np.inf])
+        b = np.array([1.0, 1.0, 1.0, np.nan])
+        y = np.array([1.0, 1.0, 1.0, np.inf])
         with pytest.raises(ArithmeticError, match=r"non-finite input at entry \(5, 1\)$"):
-            azimuthal_moments(a, b, [[1.0, 1.0], [1.0, np.inf]], first_row=4)
+            kernels._moments_into(x, y, b, *np.empty((4, 4)), shape=(2, 2), first_row=4)
 
     def test_non_finite_input_raises(self):
         with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError,
                                                          match=r"did not converge at entry \(1,\)"):
             azimuthal_moments([1.0, np.inf], [0.5, 0.5], [0.5, np.inf])
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    def test_empty_input_gives_empty_moments(self, shape):
+        # the AGM core's A > B >= 0 reductions would fail on a zero-size block
+        empty = np.empty(shape)
+        for moment in azimuthal_moments(empty, empty, empty):
+            assert moment.shape == shape
+
+
+def _fill(n: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A, A - B and B for n random pairs, B / A spread over [0, 1) with both ends."""
+    a = rng.uniform(0.1, 10.0, n)
+    ratio = rng.uniform(0.0, 1.0, n)
+    ratio[:: 7] = 0.0
+    ratio[3:: 11] = 1.0 - 1e-12
+    b = ratio * a
+    return a, a - b, b
+
+
+class TestMomentsCore:
+    @pytest.mark.parametrize("n", [1, 37, 4099, kernels._MOMENT_CHUNK, 2 * kernels._MOMENT_CHUNK + 5])
+    def test_equals_wrapper_bit_for_bit(self, n, rng):
+        # the wrapper's blocks, each run by the core in one workspace with I0
+        # written over B, as the upwind step runs it
+        a, a_minus_b, b = _fill(n, rng)
+        want = azimuthal_moments(a, b, a_minus_b)
+        blocks = kernels._row_blocks(n, 1, kernels._MOMENT_CHUNK)
+        work = np.empty((6, max(hi - lo for lo, hi in blocks)))
+        got = np.empty((2, n))
+        for lo, hi in blocks:
+            x, y, bw, i1, c, tmp = work[:, :hi - lo]
+            np.add(a[lo:hi], b[lo:hi], out=x)
+            np.copyto(y, a_minus_b[lo:hi])
+            np.copyto(bw, b[lo:hi])
+            kernels._moments_into(x, y, bw, bw, i1, c, tmp, shape=(hi - lo,), first_row=lo)
+            got[:, lo:hi] = bw, i1
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_warm_call_allocates_no_block(self, rng):
+        a, a_minus_b, b = _fill(10_000, rng)
+        work = np.empty((6, a.size))
+
+        def call():
+            np.add(a, b, out=work[0])
+            np.copyto(work[1], a_minus_b)
+            np.copyto(work[2], b)
+            kernels._moments_into(*work[:3], work[2], *work[3:], shape=(a.size,),
+                                  first_row=0)
+
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**10
+
+    @pytest.mark.parametrize("n_rows, row_size, chunk, sizes", [
+        (100, 99, 10240, {100}), (201, 200, 10240, {50, 51}), (401, 400, 10240, {23, 24}),
+        (21, 20, 1, {1}), (7, 1, 3, {2, 3}), (1, 5000, 10, {1}),
+    ])
+    def test_blocks_have_no_runt(self, n_rows, row_size, chunk, sizes):
+        blocks = kernels._row_blocks(n_rows, row_size, chunk)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n_rows
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(blocks, blocks[1:]))
+        assert {hi - lo for lo, hi in blocks} == sizes
+        assert all((hi - lo) * row_size <= chunk for lo, hi in blocks if hi - lo > 1)
 
 
 def dominant_profile(grid: ThetaGrid, eps: float = 0.05) -> se.RadialProfile:

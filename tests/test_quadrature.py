@@ -84,6 +84,14 @@ class TestGrids:
         assert np.all(np.diff(g.nodes) > 0)
         assert g.spacing * (g.n_theta - 1) == pytest.approx(math.pi, rel=1e-15)
 
+    def test_theta_grid_caches_read_only_arrays(self):
+        g = ThetaGrid.uniform(30)
+        assert g.nodes is g.nodes and g.weights() is g.weights()
+        assert np.array_equal(g.weights(), simpson_weights(30, g.spacing))
+        for arr in (g.nodes, g.weights()):
+            with pytest.raises(ValueError):
+                arr[1] = 1.0
+
     def test_theta_grid_is_its_node_count(self):
         # two grids of one size are one value, so the grid caches share their entry
         assert [f.name for f in dataclasses.fields(ThetaGrid)] == ["n_theta"]
