@@ -1,11 +1,14 @@
 """Closed-form hydrodynamic kernels.
 
 The Oseen pair kernel and the single-sphere drag speed are the microscopic
-building blocks.  The surface integrals are built from the closed-form
-azimuthal moments of the inverse chord.  All functions broadcast over numpy
-arrays where that is useful.  Two write into buffers their caller owns, so a
-caller looping over tiles or blocks reuses one workspace for all of them:
-:func:`oseen_terms`, the Oseen factors of a pair-sum tile, and
+building blocks.  Every particle carries the same gravity force along -e3,
+which :class:`FluidParams` enforces, so the pair kernel
+:func:`oseen_terms` computes the one response U(d) e3 at unit viscosity and
+its callers scale it by the force over the viscosity.  The surface integrals
+are built from the closed-form azimuthal moments of the inverse chord,
+:func:`azimuthal_moments`.  Two functions write into buffers their caller
+owns, so a caller looping over tiles or blocks reuses one workspace for all
+of them: :func:`oseen_terms`, the Oseen factors of a pair-sum tile, and
 ``_moments_into``, the in-place AGM core of :func:`azimuthal_moments` on one
 block.  The rest are pure.
 """
@@ -45,44 +48,43 @@ _AGM_MAX_STEPS = 64
 
 @dataclass(frozen=True)
 class FluidParams:
-    """Viscosity, per-particle body force, and particle/blob radius."""
+    """Viscosity, per-particle gravity force along -e3, and particle/blob radius."""
 
     mu: float
     force: np.ndarray = field(repr=False)
     radius: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         f = np.asarray(self.force, dtype=float)
-        if f.shape != (3,) or not np.all(np.isfinite(f)):
-            raise ValueError("force must be a finite 3-vector")
+        if not (f.shape == (3,) and f[0] == f[1] == 0.0 and -math.inf < f[2] < 0.0):
+            raise ValueError(f"force must be a finite 3-vector along -e3, got {f.tolist()}")
         object.__setattr__(self, "force", f)
 
 
-def oseen_terms(d: np.ndarray, r2: np.ndarray, force: np.ndarray, mu: float, delta: float,
-                inv_r: np.ndarray, coef: np.ndarray) -> None:
-    """Fill the two scalar factors of the Oseen response U(d) @ force in place.
+def oseen_terms(d: np.ndarray, r2: np.ndarray, delta: float, inv_r: np.ndarray,
+                coef: np.ndarray) -> None:
+    """Fill the two scalar factors of the Oseen response U(d) e3 at mu = 1 in place.
 
     Separations are stored components-first: ``d`` has shape (3, ...) and
     ``r2``, ``inv_r`` and ``coef`` hold one value per separation, shape
-    (...); ``coef`` must be C-contiguous.  With r_eff = max(r, delta) this
-    writes inv_r = 1 / (8 pi mu r_eff) and coef = (force . d) inv_r / r^2, so
-    that U(d) @ force = force inv_r + d coef.  A separation shorter than
-    ``delta`` thus acts as if it were exactly ``delta`` long in the same
-    direction.  An entry with d = 0 and r2 = +inf gets inv_r = coef = 0,
-    which is how a caller drops a self pair.  Zero separations are the
-    caller's to reject: they produce non-finite values here.  Writing into
-    caller-owned buffers lets a tiled pair sum reuse a few small arrays for
-    every tile instead of allocating each temporary anew.
+    (...).  With r_eff = max(r, delta) this writes inv_r = 1 / (8 pi r_eff)
+    and coef = d_3 inv_r / r^2, so that U(d) e3 = e3 inv_r + d coef; the
+    response to a force f e3 at viscosity mu is that times f / mu.  A
+    separation shorter than ``delta`` thus acts as if it were exactly
+    ``delta`` long in the same direction.  An entry with d = 0 and r2 = +inf
+    gets inv_r = coef = 0, which is how a caller drops a self pair.  Zero
+    separations are the caller's to reject: they produce non-finite values
+    here.  Writing into caller-owned buffers lets a tiled pair sum reuse a
+    few small arrays for every tile instead of allocating each temporary anew.
     """
     np.sqrt(r2, out=inv_r)
     np.maximum(inv_r, delta, out=inv_r)
-    np.divide(1.0 / (8.0 * math.pi * mu), inv_r, out=inv_r)
-    np.matmul(force, d.reshape(3, -1), out=coef.reshape(-1))
-    coef *= inv_r
+    np.divide(1.0 / (8.0 * math.pi), inv_r, out=inv_r)
+    np.multiply(d[2], inv_r, out=coef)
     coef /= r2
 
 
@@ -179,7 +181,7 @@ def _moments_into(x, y, b, i0, i1, c, tmp, *, shape: tuple[int, ...], first_row:
     i1 *= i0
 
 
-def azimuthal_moments(a, b, a_minus_b):
+def azimuthal_moments(b, a_minus_b):
     """Closed-form azimuthal integrals of the inverse chord, for A > B >= 0.
 
     Returns ``(I0, I1)`` with I0 = integral over [0, 2 pi] of
@@ -191,14 +193,15 @@ def azimuthal_moments(a, b, a_minus_b):
     c_(n+1) = c_n^2 / (4 x_(n+1)).  The terms of S / B are positive and finite
     down to B = 0, so nothing cancels and no B needs a separate branch.
     ``a_minus_b`` carries A - B in a cancellation-free form, so nearly
-    coincident rings keep full precision.  Coincident points (A - B <= 0)
+    coincident rings keep full precision; A itself is never needed, and
+    A + B is formed as ((A - B) + B) + B.  Coincident points (A - B <= 0)
     have a divergent I0 and are rejected.  This wrapper allocates the
     buffers and runs :func:`_moments_into` over even blocks of whole rows,
     each within ``_MOMENT_CHUNK`` entries unless one row is longer.
     """
-    a, b, a_minus_b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, a_minus_b)))
-    shape = a.shape
-    x = np.add(a, b).reshape(-1)
+    b, a_minus_b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (b, a_minus_b)))
+    shape = b.shape
+    x = (a_minus_b + b + b).reshape(-1)
     y = a_minus_b.flatten()
     b = b.reshape(-1)
     i0, i1 = np.empty(x.size), np.empty(x.size)

@@ -113,7 +113,7 @@ def _sphere_kernel(theta_eval, thetabar) -> np.ndarray:
     a_minus_b = 4.0 * np.sin(0.5 * (t - tb)) ** 2
     b = 2.0 * st * stb
     apart = a_minus_b > 0
-    i0, i1 = azimuthal_moments(a_minus_b[apart] + b[apart], b[apart], a_minus_b[apart])
+    i0, i1 = azimuthal_moments(b[apart], a_minus_b[apart])
     R = np.where(4.0 * np.sin(0.5 * (t + tb)) ** 2 < 1e-24, 0.0, 4.0 * ct)
     R[apart] = ct[apart] * stb[apart] * i0 - st[apart] * ctb[apart] * i1
     return R
@@ -134,7 +134,7 @@ def _grid_kernel(grid: ThetaGrid) -> np.ndarray:
     a_minus_b = 4.0 * np.sin(0.5 * (nodes[i] - nodes[j])) ** 2
     b = 2.0 * s[i] * s[j]
     i0, i1 = np.zeros((2, n_theta, n_theta))
-    i0[i, j], i1[i, j] = azimuthal_moments(a_minus_b + b, b, a_minus_b)
+    i0[i, j], i1[i, j] = azimuthal_moments(b, a_minus_b)
     R = c[:, None] * s * (i0 + i0.T) - s[:, None] * c * (i1 + i1.T)
     # coincident points: the ratio integrates to 4 cos t, and to 0 on a pole
     R[np.diag_indices(n_theta)] = 4.0 * c
@@ -152,7 +152,7 @@ def _source_weights(grid: ThetaGrid) -> tuple[np.ndarray, np.ndarray]:
     b = w sin(theta) cos(theta) / (8 pi).
     """
     st, ct = np.sin(grid.nodes), np.cos(grid.nodes)
-    ws = grid.weights() * st / (8.0 * math.pi)
+    ws = grid.weights * st / (8.0 * math.pi)
     return -2.5 * ws * st, ws * ct
 
 
@@ -164,7 +164,7 @@ def k_by_quadrature(theta, theta_grid: ThetaGrid):
     """
     tb = theta_grid.nodes
     R = _sphere_kernel(np.atleast_1d(theta), tb)
-    out = (R @ (theta_grid.weights() * np.sin(tb) ** 2)) / (16.0 * math.pi)
+    out = (R @ (theta_grid.weights * np.sin(tb) ** 2)) / (16.0 * math.pi)
     return float(out[0]) if np.ndim(theta) == 0 else out
 
 
@@ -176,7 +176,7 @@ def sphere_vertical_chord_integral(theta_grid: ThetaGrid) -> float:
     tb = theta_grid.nodes
     chord = np.sqrt(np.maximum(2.0 - 2.0 * np.cos(tb), 0.0))
     per_theta = np.cos(tb) * chord * np.sin(tb)
-    return float((theta_grid.weights() @ per_theta) * 2.0 * math.pi)
+    return float((theta_grid.weights @ per_theta) * 2.0 * math.pi)
 
 
 def characteristic_flow(t, s, theta):
@@ -212,7 +212,7 @@ def assemble_galerkin(size: int, n_theta: int, n_phi: int | None = None) -> np.n
     if not np.all(np.isfinite(l_of_basis)):
         j_bad, m_bad = np.unravel_index(int(np.argmax(~np.isfinite(l_of_basis))), l_of_basis.shape)
         raise ArithmeticError(f"quadrature failure assembling entry column j={j_bad} at node {m_bad}")
-    return (E * tg.weights()) @ l_of_basis.T
+    return (E * tg.weights) @ l_of_basis.T
 
 
 class EigensolverError(RuntimeError):

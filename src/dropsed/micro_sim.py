@@ -7,26 +7,28 @@ produces a dimensionless dynamics whose mean fall speed is one; that is the
 form integrated by the trajectory driver.
 
 Force evaluation is an O(N^2) pairwise sum over a read-only position
-snapshot.  Every particle carries the same force and U(d) f = U(-d) f, so
-each unordered pair is evaluated once: the sum runs over square tiles of
-particle blocks (I, J) with J >= I, at most ``_PAIR_TILE`` particles a side,
-and an off-diagonal tile adds its row sums to block I and its column sums
-to block J.  Each tile works in a few buffers allocated once per sum and
-filled in place by the one Oseen kernel, :func:`~dropsed.kernels.oseen_terms`.
-The two whole-tile passes that numpy's broadcasting and axis sums run slowly
-go to BLAS instead.  A tile's separation planes are one batched rank-2
-product [x_i, 1] . [1, -x_j], which is exact: both of its products are
-exact, so each entry is x_i - x_j rounded once, as a subtraction rounds it.
-Its row and column sums are matrix-vector products with a vector of ones;
-they add in another order than ``np.sum`` (velocities move by about 1e-16
-relative), and a run writes the same bytes under one and two BLAS threads.
-A diagonal tile holds both ordered cells of each of its pairs and adds row
-sums only; its self cells need no mask, because a squared distance of +inf
-makes their contribution exactly zero.  Each integrator stage commits
-positions in a single assignment.  Pairs closer than the regularization
-distance interact as if separated by exactly that distance along the same
-direction (r_eff = max(r, delta)), and every such clamp is counted, as
-ordered pairs, and logged.
+snapshot.  Every particle carries the same force along -e3, so the sum needs
+only the response U(d) e3 to a unit force at unit viscosity, which its
+callers scale by the force over the viscosity.  The Oseen tensor is even,
+U(d) = U(-d), so each unordered pair is evaluated once: the sum runs over
+square tiles of particle blocks (I, J) with J >= I, at most ``_PAIR_TILE``
+particles a side, and an off-diagonal tile adds its row sums to block I and
+its column sums to block J.  Each tile works in a few buffers allocated once
+per sum and filled in place by the one Oseen kernel,
+:func:`~dropsed.kernels.oseen_terms`.  The two whole-tile passes that
+numpy's broadcasting and axis sums run slowly go to BLAS instead.  A tile's
+separation planes are one batched rank-2 product [x_i, 1] . [1, -x_j], which
+is exact: both of its products are exact, so each entry is x_i - x_j rounded
+once, as a subtraction rounds it.  Its row and column sums are matrix-vector
+products with a vector of ones; they add in another order than ``np.sum``
+(velocities move by about 1e-16 relative), and a run writes the same bytes
+under one and two BLAS threads.  A diagonal tile holds both ordered cells of
+each of its pairs and adds row sums only; its self cells need no mask,
+because a squared distance of +inf makes their contribution exactly zero.
+Each integrator stage commits positions in a single assignment.  Pairs
+closer than the regularization distance interact as if separated by exactly
+that distance along the same direction (r_eff = max(r, delta)), and every
+such clamp is counted, as ordered pairs, and logged.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ __all__ = [
     "CloudTrajectory",
     "evolve_cloud",
 ]
-
-_E3 = np.array([0.0, 0.0, 1.0])
 
 # Particles per side of one tile of the pair sum: large enough that the
 # per-call overhead of numpy and BLAS is small against the tile's cells, small
@@ -123,9 +123,8 @@ def _separation_factors(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([x, np.ones_like(x)], axis=-1), np.stack([np.ones_like(x), -x], axis=1)
 
 
-def _interaction_sum(positions: np.ndarray, force: np.ndarray, mu: float,
-                     delta: float) -> tuple[np.ndarray, int]:
-    """Sum over j != i of the Oseen response U(x_i - x_j) force, with clamping.
+def _interaction_sum(positions: np.ndarray, delta: float) -> tuple[np.ndarray, int]:
+    """Sum over j != i of the Oseen response U(x_i - x_j) e3 at mu = 1, with clamping.
 
     Returns the (N, 3) interaction velocities and the number of clamped pairs
     (ordered pairs, so each close pair counts twice).
@@ -139,12 +138,12 @@ def _interaction_sum(positions: np.ndarray, force: np.ndarray, mu: float,
     product of the work buffer, viewed as (4 rows, cols), with ones, and the
     column sums are ones times the buffer.  BLAS adds these in another order
     than ``np.sum``, which moves velocities by about 1e-16 relative.
-    Because U(d) f = U(-d) f for the one shared force, an off-diagonal tile
-    serves both particles of each pair: its row sums go to block I and its
-    column sums to block J, and each of its clamped cells counts twice.  A
-    diagonal tile already holds both ordered cells of its pairs, so it adds
-    row sums only and counts every clamped cell once.
-    Coincident particles are an error naming both global indices.
+    Because U(d) e3 = U(-d) e3, an off-diagonal tile serves both particles
+    of each pair: its row sums go to block I and its column sums to block J,
+    and each of its clamped cells counts twice.  A diagonal tile already
+    holds both ordered cells of its pairs, so it adds row sums only and
+    counts every clamped cell once.  Coincident particles are an error
+    naming both global indices.
     """
     n = positions.shape[0]
     left, right = _separation_factors(positions)
@@ -178,7 +177,7 @@ def _interaction_sum(positions: np.ndarray, force: np.ndarray, mu: float,
             if closest < delta * delta:
                 close = int(np.count_nonzero(r2 < delta * delta))
                 clamped_pairs += close if i0 == j0 else 2 * close
-            oseen_terms(d, r2, force, mu, delta, work[3], coef)
+            oseen_terms(d, r2, delta, work[3], coef)
             np.multiply(d, coef, out=d)
             acc[:, i0:i1] += (work.reshape(4 * rows, cols) @ ones[:cols]).reshape(4, rows)
             if i0 != j0:
@@ -186,14 +185,15 @@ def _interaction_sum(positions: np.ndarray, force: np.ndarray, mu: float,
     if clamped_pairs:
         log.info("clamped %d ordered pairs below delta=%.3e", clamped_pairs, delta)
     vel = acc[:3]
-    vel += np.multiply.outer(force, acc[3])
+    vel[2] += acc[3]
     return vel.T, clamped_pairs
 
 
 def cloud_velocities(cloud: ParticleCloud) -> tuple[np.ndarray, int]:
     """All particle velocities (drag + interactions) and the clamp-event count."""
-    vel, clamps = _interaction_sum(cloud.positions, cloud.params.force, cloud.params.mu, cloud.delta)
-    return stokes_drag_velocity(cloud.params) + vel, clamps
+    p = cloud.params
+    vel, clamps = _interaction_sum(cloud.positions, cloud.delta)
+    return stokes_drag_velocity(p) + (p.force[2] / p.mu) * vel, clamps
 
 
 def mean_settling_velocity(cloud: ParticleCloud) -> np.ndarray:
@@ -208,12 +208,6 @@ def mean_velocity_formula(cloud: ParticleCloud) -> np.ndarray:
     return stokes_drag_velocity(p) + (cloud.n - 1) * p.force / (5.0 * math.pi * p.mu * cloud.cloud_radius)
 
 
-def _require_downward_force(force: np.ndarray) -> None:
-    """The rescaled dynamics drives along -e3, so it describes only a force along -e3."""
-    if not (force[0] == 0.0 and force[1] == 0.0 and force[2] < 0.0):
-        raise ValueError(f"the rescaled dynamics needs a force along -e3, got {force.tolist()}")
-
-
 def rescale_cloud(cloud: ParticleCloud) -> tuple[ParticleCloud, float]:
     """Nondimensionalize: positions by R0, velocities by the collective fall speed.
 
@@ -221,11 +215,9 @@ def rescale_cloud(cloud: ParticleCloud) -> tuple[ParticleCloud, float]:
     alike) and the velocity scale |(N - 1) F| / (5 pi mu R0) that divides
     physical velocities.  The rescaled dynamics is supplied by
     :func:`rescaled_velocities`; its mean fall speed is one by construction.
-    It drives along -e3, so any other force direction is rejected.
     """
     p = cloud.params
-    _require_downward_force(p.force)
-    scale = (cloud.n - 1) * float(np.linalg.norm(p.force)) / (5.0 * math.pi * p.mu * cloud.cloud_radius)
+    scale = (cloud.n - 1) * -float(p.force[2]) / (5.0 * math.pi * p.mu * cloud.cloud_radius)
     rescaled = ParticleCloud(
         positions=cloud.positions / cloud.cloud_radius,
         params=p,
@@ -246,7 +238,7 @@ def rescaled_velocities(positions: np.ndarray, delta: float) -> tuple[np.ndarray
     if n == 1:
         return np.zeros((1, 3)), 0
     # bare kernel = 8 pi * Oseen with unit viscosity; direction e3, force magnitude 1
-    vel, clamps = _interaction_sum(positions, _E3, 1.0, delta)
+    vel, clamps = _interaction_sum(positions, delta)
     return -(5.0 / (8.0 * (n - 1))) * (8.0 * math.pi) * vel, clamps
 
 
@@ -264,21 +256,19 @@ def evolve_cloud(cloud: ParticleCloud, T: float, dt: float,
                  snapshot_every: float | None = None) -> CloudTrajectory:
     """Integrate the rescaled dynamics with the explicit midpoint rule.
 
-    ``cloud`` is given in rescaled coordinates (see :func:`rescale_cloud`)
-    and must carry a force along -e3.  With such a force, the lab-frame run
-    of the physical cloud is x(t) = U_S t + R0 y(s t / R0), y being this run
-    and s the velocity scale, and the drift-subtracted run drops U_S t; the
-    midpoint rule respects that map.  ``T`` and ``snapshot_every`` (default:
-    only at T) must be whole numbers of steps ``dt``.  The velocity at t = 0
-    is computed once, even for T = 0, returned as ``initial_velocity`` and
-    reused as step 1's first stage, so a run evaluates max(1, 2 n_steps)
-    pair sums (none for a lone particle); ``clamp_events`` counts the clamps
-    of the integrator's stages.
+    ``cloud`` is given in rescaled coordinates (see :func:`rescale_cloud`).
+    As every force is along -e3 (see :class:`~dropsed.kernels.FluidParams`),
+    the lab-frame run of the physical cloud is x(t) = U_S t + R0 y(s t / R0),
+    y being this run and s the velocity scale, and the drift-subtracted run
+    drops U_S t; the midpoint rule respects that map.  ``T`` and
+    ``snapshot_every`` (default: only at T) must be whole numbers of steps
+    ``dt``.  The velocity at t = 0 is computed once, even for T = 0,
+    returned as ``initial_velocity`` and reused as step 1's first stage, so
+    a run evaluates max(1, 2 n_steps) pair sums (none for a lone particle);
+    ``clamp_events`` counts the clamps of the integrator's stages.
     """
     n_steps = step_count(T, dt)
     every = snapshot_stride(snapshot_every, dt, n_steps)
-    _require_downward_force(cloud.params.force)
-
     delta = cloud.delta
     x = cloud.positions.copy()
     initial_velocity, initial_clamps = rescaled_velocities(x, delta)

@@ -86,12 +86,9 @@ class ThetaGrid:
     def spacing(self) -> float:
         return math.pi / (self.n_theta - 1)
 
+    @cached_property
     def weights(self) -> np.ndarray:
         """Simpson weights on the nodes, cached and read-only."""
-        return self._weights
-
-    @cached_property
-    def _weights(self) -> np.ndarray:
         return _read_only(simpson_weights(self.n_theta, self.spacing))
 
 

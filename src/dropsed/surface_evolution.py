@@ -98,7 +98,7 @@ def center_speed(p: RadialProfile) -> float:
     """
     tb = p.grid.nodes
     integrand = p.r**2 * np.sin(tb) * (1.0 - 0.5 * np.sin(tb) ** 2)
-    return -0.25 * float(p.grid.weights() @ integrand)
+    return -0.25 * float(p.grid.weights @ integrand)
 
 
 def theta_derivative(r: np.ndarray, spacing: float) -> np.ndarray:
@@ -230,13 +230,17 @@ def step_upwind(p: RadialProfile, dt: float, cdot3: float | None, phi_grid: PhiG
         raise ValueError(f"cdot3 must be finite, got {cdot3!r}")
     a1, a2 = advection_and_source(p, cdot3, phi_grid)
     h = p.grid.spacing
-    if dt * float(np.max(np.abs(a1))) > h:
-        raise CflError(
-            f"CFL violated: dt*max|a1| = {dt * float(np.max(np.abs(a1))):.3e} > spacing {h:.3e}"
-        )
-    # one-sided differences; each end node repeats its neighbour's
-    d = np.diff(p.r) / h
-    slope = np.where(a1 > 0, np.append(d[0], d), np.append(d, d[-1]))
+    travel = dt * float(np.max(np.abs(a1)))
+    if travel > h:
+        raise CflError(f"CFL violated: dt*max|a1| = {travel:.3e} > spacing {h:.3e}")
+    # one-sided differences: the backward and forward ones are the two
+    # length-n views of one padded array, where each end node repeats its
+    # neighbour's
+    d = np.empty(p.r.size + 1)
+    np.subtract(p.r[1:], p.r[:-1], out=d[1:-1])
+    d[1:-1] /= h
+    d[0], d[-1] = d[1], d[-2]
+    slope = np.where(a1 > 0, d[:-1], d[1:])
     r_new = p.r - dt * a1 * slope + dt * a2
     if not np.all(np.isfinite(r_new)):
         raise SurfaceCollapseError(f"non-finite radius at t={p.time + dt}", p)
@@ -289,4 +293,4 @@ def evolve(p0: RadialProfile, T: float, dt: float, cdot3: float | None,
 def enclosed_volume(p: RadialProfile) -> float:
     """Volume of the axisymmetric body, (2 pi / 3) * integral of r^3 sin(theta)."""
     integrand = p.r**3 * np.sin(p.grid.nodes)
-    return (2.0 * math.pi / 3.0) * float(p.grid.weights() @ integrand)
+    return (2.0 * math.pi / 3.0) * float(p.grid.weights @ integrand)

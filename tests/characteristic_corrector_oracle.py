@@ -22,7 +22,7 @@ def _l_operator_matrices(theta_grid: ThetaGrid):
     """Grid-sampled linearized source: value matrix, derivative matrix, diagonal."""
     R = ls._grid_kernel(theta_grid)
     tb = theta_grid.nodes
-    w = theta_grid.weights()
+    w = theta_grid.weights
     on_h = -(1.0 / (8.0 * math.pi)) * R * (w * 2.5 * np.sin(tb) ** 2)[None, :]
     on_hp = +(1.0 / (8.0 * math.pi)) * R * (w * np.sin(tb) * np.cos(tb))[None, :]
     return on_h, on_hp, ls.k_coefficient(tb)

@@ -20,8 +20,8 @@ def evolve_physical(cloud: ParticleCloud, n_steps: int, dt: float, lab: bool):
     drift = stokes_drag_velocity(p) if lab else np.zeros(3)
 
     def velocity(x):
-        vel, clamps = _interaction_sum(x, p.force, p.mu, cloud.delta)
-        return vel + drift, clamps
+        vel, clamps = _interaction_sum(x, cloud.delta)
+        return (p.force[2] / p.mu) * vel + drift, clamps
 
     x, snaps, clamp_total = cloud.positions.copy(), [], 0
     for _ in range(n_steps):

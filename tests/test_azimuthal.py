@@ -68,7 +68,7 @@ class TestAzimuthalMoments:
     def test_matches_quadrature(self, ratio):
         a = 1.7
         b = ratio * a
-        i0, i1 = azimuthal_moments(a, b, a - b)
+        i0, i1 = azimuthal_moments(b, a - b)
         r0, r1 = quad_moments(a, b, a - b)
         assert abs(i0 / r0 - 1.0) <= 1e-13
         if ratio == 0.0:
@@ -80,7 +80,7 @@ class TestAzimuthalMoments:
     def test_matches_elliptic_integrals(self, ratio):
         a = 1.7
         b = ratio * a
-        moments = azimuthal_moments(a, b, a - b)
+        moments = azimuthal_moments(b, a - b)
         for got, want in zip(moments, elliptic_moments(a, b, a - b)):
             assert abs(got / want - 1.0) <= 1e-13
 
@@ -90,9 +90,9 @@ class TestAzimuthalMoments:
         ratio = np.linspace(0.0, 1.0 - 1e-3, 20000)
         ratio[-1] = 1.0 - 1e-14
         a = np.full(ratio.size, 1.3)
-        i0, i1 = azimuthal_moments(a, ratio * a, a - ratio * a)
+        i0, i1 = azimuthal_moments(ratio * a, a - ratio * a)
         for k in (0, 1, 9000, 19998, 19999):
-            s0, s1 = azimuthal_moments(a[k], ratio[k] * a[k], a[k] - ratio[k] * a[k])
+            s0, s1 = azimuthal_moments(ratio[k] * a[k], a[k] - ratio[k] * a[k])
             assert s0.shape == s1.shape == ()
             assert abs(i0[k] / s0 - 1.0) <= 1e-15
             assert abs(i1[k] - s1) <= 1e-15 * abs(s1)
@@ -103,12 +103,12 @@ class TestAzimuthalMoments:
         # elliptic/series pair this formula replaced showed 2.8e-13 here.
         a = np.ones(9)
         b = 0.1 + 1e-4 * np.arange(-4, 5)
-        for moment in azimuthal_moments(a, b, a - b):
+        for moment in azimuthal_moments(b, a - b):
             assert np.max(np.abs(np.diff(moment, 4))) <= 5e-14 * abs(moment[4])
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError, match="coincident"):
-            azimuthal_moments([2.0, 2.0], [1.0, 2.0], [1.0, 0.0])
+            azimuthal_moments([1.0, 2.0], [1.0, 0.0])
 
     def test_non_finite_input_named_by_entry_not_as_coincident(self):
         # an overflowing r * r' gives A = inf and B = nan, which fails the
@@ -122,24 +122,24 @@ class TestAzimuthalMoments:
     def test_non_finite_input_raises(self):
         with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError,
                                                          match=r"did not converge at entry \(1,\)"):
-            azimuthal_moments([1.0, np.inf], [0.5, 0.5], [0.5, np.inf])
+            azimuthal_moments([0.5, 0.5], [0.5, np.inf])
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
     def test_empty_input_gives_empty_moments(self, shape):
         # the AGM core's A > B >= 0 reductions would fail on a zero-size block
         empty = np.empty(shape)
-        for moment in azimuthal_moments(empty, empty, empty):
+        for moment in azimuthal_moments(empty, empty):
             assert moment.shape == shape
 
 
-def _fill(n: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A, A - B and B for n random pairs, B / A spread over [0, 1) with both ends."""
+def _fill(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """A - B and B for n random pairs, B / A spread over [0, 1) with both ends."""
     a = rng.uniform(0.1, 10.0, n)
     ratio = rng.uniform(0.0, 1.0, n)
     ratio[:: 7] = 0.0
     ratio[3:: 11] = 1.0 - 1e-12
     b = ratio * a
-    return a, a - b, b
+    return a - b, b
 
 
 class TestMomentsCore:
@@ -147,14 +147,15 @@ class TestMomentsCore:
     def test_equals_wrapper_bit_for_bit(self, n, rng):
         # the wrapper's blocks, each run by the core in one workspace with I0
         # written over B, as the upwind step runs it
-        a, a_minus_b, b = _fill(n, rng)
-        want = azimuthal_moments(a, b, a_minus_b)
+        a_minus_b, b = _fill(n, rng)
+        want = azimuthal_moments(b, a_minus_b)
         blocks = kernels._row_blocks(n, 1, kernels._MOMENT_CHUNK)
         work = np.empty((6, max(hi - lo for lo, hi in blocks)))
         got = np.empty((2, n))
         for lo, hi in blocks:
             x, y, bw, i1, c, tmp = work[:, :hi - lo]
-            np.add(a[lo:hi], b[lo:hi], out=x)
+            np.add(a_minus_b[lo:hi], b[lo:hi], out=x)
+            x += b[lo:hi]
             np.copyto(y, a_minus_b[lo:hi])
             np.copyto(bw, b[lo:hi])
             kernels._moments_into(x, y, bw, bw, i1, c, tmp, shape=(hi - lo,), first_row=lo)
@@ -162,14 +163,15 @@ class TestMomentsCore:
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_warm_call_allocates_no_block(self, rng):
-        a, a_minus_b, b = _fill(10_000, rng)
-        work = np.empty((6, a.size))
+        a_minus_b, b = _fill(10_000, rng)
+        work = np.empty((6, b.size))
 
         def call():
-            np.add(a, b, out=work[0])
+            np.add(a_minus_b, b, out=work[0])
+            work[0] += b
             np.copyto(work[1], a_minus_b)
             np.copyto(work[2], b)
-            kernels._moments_into(*work[:3], work[2], *work[3:], shape=(a.size,),
+            kernels._moments_into(*work[:3], work[2], *work[3:], shape=(b.size,),
                                   first_row=0)
 
         call()

@@ -98,11 +98,11 @@ def _unread_parameters(tree):
 
 
 # parameters that change no value and stay only because the benchmark binds them,
-# each with the bench/child.py line that does
+# each with the bench/child.py function that does
 BENCHMARK_BOUND_PARAMETERS = {
-    "assemble_galerkin.n_phi",  # trace hook reads a["n_phi"] (line 170)
-    "linearized_evolve.phi_grid",  # linear_body passes PhiGrid.uniform(2 * n) (line 86)
-    "advection_and_source.phi_grid",  # trace hook reads a["phi_grid"].n_phi (line 180)
+    "assemble_galerkin.n_phi",  # the assembly trace hook reads a["n_phi"]
+    "linearized_evolve.phi_grid",  # linear_body passes PhiGrid.uniform(2 * n)
+    "advection_and_source.phi_grid",  # the quadrature trace hook reads a["phi_grid"].n_phi
 }
 
 

@@ -243,7 +243,7 @@ class TestGalerkin:
         grid = ThetaGrid.uniform(n)
         E, _ = basis_matrix(size, grid.nodes)
         columns = [l_apply(*basis_pair(np.eye(size)[j]), grid.nodes, grid) for j in range(size)]
-        projected = (E * grid.weights()) @ np.array(columns).T
+        projected = (E * grid.weights) @ np.array(columns).T
         entries = ls.assemble_galerkin(size, n)
         assert entries.shape == (size, size)
         assert np.max(np.abs(entries - projected)) <= 1e-13 * np.max(np.abs(entries))

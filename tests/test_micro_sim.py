@@ -52,6 +52,17 @@ class TestPairwiseVelocity:
         vel, _ = cloud_velocities(cloud)
         assert np.allclose(vel, stokes_drag_velocity(PARAMS) + manual, rtol=1e-12)
 
+    def test_force_and_viscosity_scale_the_unit_response(self, rng, monkeypatch):
+        # the pair sum is the response to e3 at mu = 1; |F| = 3 and mu = 0.7 scale it
+        monkeypatch.setattr(micro_sim, "_PAIR_TILE", 7)
+        params = FluidParams(mu=0.7, force=-3.0 * E3, radius=1e-2)
+        pos = rng.uniform(-1.0, 1.0, size=(40, 3))
+        cloud = ParticleCloud(positions=pos, params=params, cloud_radius=1.0, delta=0.0)
+        vel, _ = cloud_velocities(cloud)
+        expected, _ = tensor_double_loop(pos, params.force, params.mu, 0.0)
+        err = np.linalg.norm(vel - stokes_drag_velocity(params) - expected, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(expected, axis=1))
+
     def test_relabeling_invariance_sorted_reduction(self, rng):
         pos = rng.normal(size=(12, 3))
         perm = rng.permutation(12)
@@ -134,14 +145,13 @@ class TestTiledPairSum:
     """The pair sum run over several tiles (a shrunken tile keeps N small)."""
 
     def test_matches_tensor_double_loop(self, rng, monkeypatch):
-        n, tile, delta, mu = 40, 7, 1e-3, 0.7
+        n, tile, delta = 40, 7, 1e-3
         monkeypatch.setattr(micro_sim, "_PAIR_TILE", tile)
         pos = rng.uniform(-1.0, 1.0, size=(n, 3))
         # a clamped pair straddling the boundary between tiles 0 and 1
         pos[tile] = pos[tile - 1] + 0.3 * delta * np.array([0.6, 0.0, 0.8])
-        force = np.array([0.3, -1.2, 0.7])
-        vel, clamps = micro_sim._interaction_sum(pos, force, mu, delta)
-        expected, expected_clamps = tensor_double_loop(pos, force, mu, delta)
+        vel, clamps = micro_sim._interaction_sum(pos, delta)
+        expected, expected_clamps = tensor_double_loop(pos, E3, 1.0, delta)
         assert clamps == expected_clamps == 2
         err = np.linalg.norm(vel - expected, axis=1)
         assert np.all(err <= 1e-12 * np.linalg.norm(expected, axis=1))
@@ -151,9 +161,8 @@ class TestTiledPairSum:
     def test_tile_layouts_match_double_loop(self, rng, monkeypatch, n, tile):
         monkeypatch.setattr(micro_sim, "_PAIR_TILE", tile)
         pos = rng.uniform(-1.0, 1.0, size=(n, 3))
-        force = np.array([0.3, -1.2, 0.7])
-        vel, clamps = micro_sim._interaction_sum(pos, force, 0.7, 0.0)
-        expected, _ = tensor_double_loop(pos, force, 0.7, 0.0)
+        vel, clamps = micro_sim._interaction_sum(pos, 0.0)
+        expected, _ = tensor_double_loop(pos, E3, 1.0, 0.0)
         assert vel.shape == (n, 3) and clamps == 0
         err = np.linalg.norm(vel - expected, axis=1)
         assert np.all(err <= 1e-12 * np.linalg.norm(expected, axis=1))
@@ -163,8 +172,8 @@ class TestTiledPairSum:
         monkeypatch.setattr(micro_sim, "_PAIR_TILE", tile)
         pos = rng.uniform(-1.0, 1.0, size=(n, 3))
         pos[30] = pos[2] + 0.5 * delta * np.array([0.0, 0.6, -0.8])  # tiles 0 and 4
-        vel, clamps = micro_sim._interaction_sum(pos, -E3, 1.0, delta)
-        expected, expected_clamps = tensor_double_loop(pos, -E3, 1.0, delta)
+        vel, clamps = micro_sim._interaction_sum(pos, delta)
+        expected, expected_clamps = tensor_double_loop(pos, E3, 1.0, delta)
         assert clamps == expected_clamps == 2
         err = np.linalg.norm(vel - expected, axis=1)
         assert np.all(err <= 1e-12 * np.linalg.norm(expected, axis=1))
@@ -175,14 +184,14 @@ class TestTiledPairSum:
         pos = rng.uniform(-1.0, 1.0, size=(n, 3))
         pos[8] = pos[6]  # both particles fall in the diagonal tile of block 1 (5..9)
         with pytest.raises(ValueError, match="coincident particles 6 and 8"):
-            micro_sim._interaction_sum(pos, -E3, 1.0, 0.0)
+            micro_sim._interaction_sum(pos, 0.0)
 
     def test_coincident_pair_in_off_diagonal_tile_reports_global_indices(self, rng, monkeypatch):
         monkeypatch.setattr(micro_sim, "_PAIR_TILE", 7)
         pos = rng.uniform(-1.0, 1.0, size=(40, 3))
         pos[30] = pos[2]  # tiles 0 and 4
         with pytest.raises(ValueError, match="coincident particles 2 and 30"):
-            micro_sim._interaction_sum(pos, -E3, 1.0, 1e-3)
+            micro_sim._interaction_sum(pos, 1e-3)
 
     @given(n=st.integers(1, 40), tile=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
            delta=st.floats(0.0, 0.5))
@@ -190,12 +199,10 @@ class TestTiledPairSum:
     def test_random_tilings_match_double_loop(self, n, tile, seed, delta):
         rng = np.random.default_rng(seed)
         pos = rng.uniform(-1.0, 1.0, size=(n, 3))
-        force = rng.normal(size=3)
-        mu = rng.uniform(0.5, 2.0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(micro_sim, "_PAIR_TILE", tile)
-            vel, clamps = micro_sim._interaction_sum(pos, force, mu, delta)
-        expected, expected_clamps = tensor_double_loop(pos, force, mu, delta)
+            vel, clamps = micro_sim._interaction_sum(pos, delta)
+        expected, expected_clamps = tensor_double_loop(pos, E3, 1.0, delta)
         assert clamps == expected_clamps
         assert np.linalg.norm(vel - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -212,8 +219,8 @@ class TestAgainstSubtractTiles:
     def test_matches_subtract_oracle(self, n, seed, delta, clamp_count):
         pos = sample_unit_ball(n, np.random.default_rng(seed))
         delta = default_regularization(1.0, n) if delta is None else delta
-        vel, clamps = micro_sim._interaction_sum(pos, E3, 1.0, delta)
-        expected, expected_clamps = tiled_sum_oracle.interaction_sum(pos, E3, 1.0, delta)
+        vel, clamps = micro_sim._interaction_sum(pos, delta)
+        expected, expected_clamps = tiled_sum_oracle.interaction_sum(pos, delta)
         assert clamps == expected_clamps == clamp_count
         err = np.linalg.norm(vel - expected, axis=1)
         assert np.all(err <= 1e-14 * np.linalg.norm(expected, axis=1))
@@ -305,14 +312,9 @@ class TestRescaling:
 
     @pytest.mark.parametrize("force", [E3, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1e-9, -1.0])])
     def test_force_off_minus_e3_rejected(self, rng, force):
-        # the rescaled dynamics always drives along -e3, whatever the force
-        params = FluidParams(mu=1.0, force=force, radius=1e-2)
-        cloud = uniform_ball_cloud(20, params, 1.0, rng)
-        named = re.escape(str(force.tolist()))
-        with pytest.raises(ValueError, match=named):
-            rescale_cloud(cloud)
-        with pytest.raises(ValueError, match=named):
-            evolve_cloud(cloud, T=0.1, dt=0.05)
+        # the rescaled dynamics drives along -e3, and no cloud can carry another force
+        with pytest.raises(ValueError, match=re.escape(str(force.tolist()))):
+            FluidParams(mu=1.0, force=force, radius=1e-2)
         strong = uniform_ball_cloud(20, FluidParams(mu=1.0, force=-2.0 * E3, radius=1e-2), 1.0, rng)
         assert rescale_cloud(strong)[1] == pytest.approx(19 * 2.0 / (5 * math.pi), rel=1e-12)
 

@@ -86,9 +86,9 @@ class TestGrids:
 
     def test_theta_grid_caches_read_only_arrays(self):
         g = ThetaGrid.uniform(30)
-        assert g.nodes is g.nodes and g.weights() is g.weights()
-        assert np.array_equal(g.weights(), simpson_weights(30, g.spacing))
-        for arr in (g.nodes, g.weights()):
+        assert g.nodes is g.nodes and g.weights is g.weights
+        assert np.array_equal(g.weights, simpson_weights(30, g.spacing))
+        for arr in (g.nodes, g.weights):
             with pytest.raises(ValueError):
                 arr[1] = 1.0
 

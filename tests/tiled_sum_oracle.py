@@ -15,9 +15,8 @@ import numpy as np
 from dropsed.kernels import oseen_terms
 
 
-def interaction_sum(positions: np.ndarray, force: np.ndarray, mu: float,
-                    delta: float) -> tuple[np.ndarray, int]:
-    """The (N, 3) interaction velocities and the count of clamped ordered pairs."""
+def interaction_sum(positions: np.ndarray, delta: float) -> tuple[np.ndarray, int]:
+    """The (N, 3) responses to e3 at mu = 1 and the count of clamped ordered pairs."""
     n = positions.shape[0]
     x = np.ascontiguousarray(positions.T)
     b = min(200, n)  # the replaced sum's tile
@@ -42,11 +41,11 @@ def interaction_sum(positions: np.ndarray, force: np.ndarray, mu: float,
                 np.fill_diagonal(r2, np.inf)
             close = int(np.count_nonzero(r2 < delta * delta))
             clamped_pairs += close if i0 == j0 else 2 * close
-            oseen_terms(d, r2, force, mu, delta, work[3], coef)
+            oseen_terms(d, r2, delta, work[3], coef)
             np.multiply(d, coef, out=d)
             acc[:, i0:i1] += work.sum(axis=2)
             if i0 != j0:
                 acc[:, j0:j1] += work.sum(axis=1)
     vel = acc[:3]
-    vel += np.multiply.outer(force, acc[3])
+    vel[2] += acc[3]
     return vel.T, clamped_pairs

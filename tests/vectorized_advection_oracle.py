@@ -35,7 +35,7 @@ def advection_and_source(p: RadialProfile, cdot3: float):
     rr = r[:, None] * rm
     a_minus_b = (r[:, None] - rm) ** 2 + 4.0 * rr * np.sin(0.5 * (theta[:, None] - mids)) ** 2
     b = 2.0 * rr * st * stb
-    i0, i1 = azimuthal_moments(a_minus_b + b, b, a_minus_b)
+    i0, i1 = azimuthal_moments(b, a_minus_b)
     base = rm * stb - drm * ctb
     w_mid = simpson_weights(mids.size, h)
 
