@@ -329,13 +329,13 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
 
     from . import micro_sim as ms
     from .kernels import FluidParams, stokes_drag_velocity
-    from .quadrature import snapshot_stride, step_count
+    from .quadrature import snapshot_steps
 
     if cfg["N"] < 1:
         raise ValueError(f"N must be >= 1, got {cfg['N']}")
     frame, T, dt = cfg["frame"], cfg["T"], cfg["dt"]
     # checked on the user's numbers, before any rescaled clock is formed
-    snapshot_stride(cfg["snapshot_every"], dt, step_count(T, dt))
+    frame_times = np.array(snapshot_steps(T, dt, cfg["snapshot_every"])) * dt
     rng = np.random.default_rng(seed)
     params = FluidParams(mu=1.0, force=np.array([0.0, 0.0, -1.0]), radius=1e-2)
     delta = None if cfg["delta"] < 0 else cfg["delta"]
@@ -349,11 +349,10 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
     clock = 1.0 if frame == "rescaled" else velocity_scale / R0 or 1.0
     traj = ms.evolve_cloud(rescaled, clock * T, clock * dt,
                            snapshot_every=clock * cfg["snapshot_every"] or None)
-    times = np.rint(traj.times / (clock * dt)) * dt  # step count times the user's dt
     positions = traj.positions
     if frame != "rescaled":
         drift = stokes_drag_velocity(params) if frame == "lab" else np.zeros(3)
-        positions = [R0 * y + t * drift for t, y in zip(times, positions)]
+        positions = [R0 * y + t * drift for t, y in zip(frame_times, positions, strict=True)]
     # The t = 0 pair sum gives both means.  With the force along -e3 the
     # physical interaction velocity is velocity_scale times the rescaled one.
     rescaled_mean = traj.initial_velocity.mean(axis=0)
@@ -378,7 +377,7 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
         "dt": dt,
         "T": T,
         "delta": cloud.delta,
-        "frame_times": [float(t) for t in times],
+        "frame_times": [float(t) for t in frame_times],
         "clamp_events": traj.clamp_events,
     })
     return 0

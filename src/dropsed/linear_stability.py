@@ -44,8 +44,8 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import azimuthal_moments
-from .quadrature import (ThetaGrid, _polar_angles, basis_matrix, hermite, snapshot_stride,
-                         spline_slopes, step_count)
+from .quadrature import (ThetaGrid, _polar_angles, basis_matrix, hermite, snapshot_steps,
+                         spline_slopes)
 
 __all__ = [
     "TABLE_TO_OPERATOR",
@@ -353,25 +353,24 @@ def linearized_evolve(h0: Perturbation, t: float, theta_grid: ThetaGrid, phi_gri
     large for that corrector is rejected before the first step, and a
     trajectory that leaves the finite range raises.  ``t`` and
     ``snapshot_every``, the time between stored states (default: only the
-    initial and final ones), must be whole numbers of steps ``dt``.
+    initial and final ones), must be whole numbers of steps ``dt``, checked
+    before the propagator is built; states are stored at the times k*dt of
+    :func:`~dropsed.quadrature.snapshot_steps`.
     ``phi_grid`` changes no value; it stays only because the benchmark passes it.
     """
-    n_steps = step_count(t, dt, "t")
+    stored = snapshot_steps(t, dt, snapshot_every, "t")
     P = linearized_propagator(theta_grid, dt)
-    every = snapshot_stride(snapshot_every, dt, n_steps)
     h = np.asarray(h0(theta_grid.nodes), dtype=float)
-    times = [0.0]
     values = [h.copy()]
     scale0 = float(np.max(np.abs(h))) or 1.0
-    for k in range(1, n_steps + 1):
-        h = P @ h
-        # one reduction: NaN fails the comparison, and so do +-inf and blow-up
-        if not np.max(np.abs(h)) <= 1e12 * scale0:
-            raise ValueError(f"linearized evolution diverged at step {k}; reduce dt={dt}")
-        if k % every == 0 or k == n_steps:
-            times.append(k * dt)
-            values.append(h.copy())
-    return LinearEvolution(times=np.array(times), values=np.array(values))
+    for k0, k1 in zip(stored, stored[1:]):
+        for k in range(k0 + 1, k1 + 1):
+            h = P @ h
+            # one reduction: NaN fails the comparison, and so do +-inf and blow-up
+            if not np.max(np.abs(h)) <= 1e12 * scale0:
+                raise ValueError(f"linearized evolution diverged at step {k}; reduce dt={dt}")
+        values.append(h.copy())
+    return LinearEvolution(times=np.array(stored) * dt, values=np.array(values))
 
 
 def measured_growth_rate(evolution: LinearEvolution, t1: float, t2: float,

@@ -42,7 +42,7 @@ from numpy.random import Generator
 
 from .kernels import FluidParams, oseen_terms, stokes_drag_velocity
 from .patch_waves import sample_unit_ball
-from .quadrature import snapshot_stride, step_count
+from .quadrature import snapshot_steps
 
 log = logging.getLogger(__name__)
 
@@ -89,8 +89,8 @@ class ParticleCloud:
             raise ValueError("positions must have shape (N, 3) with N >= 1")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
-        if not self.cloud_radius > 0:
-            raise ValueError("cloud radius must be positive")
+        if not 0 < self.cloud_radius < math.inf:
+            raise ValueError(f"cloud_radius must be positive and finite, got {self.cloud_radius!r}")
         if not 0.0 <= self.delta < math.inf:
             raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
         object.__setattr__(self, "positions", pos)
@@ -262,29 +262,27 @@ def evolve_cloud(cloud: ParticleCloud, T: float, dt: float,
     y being this run and s the velocity scale, and the drift-subtracted run
     drops U_S t; the midpoint rule respects that map.  ``T`` and
     ``snapshot_every`` (default: only at T) must be whole numbers of steps
-    ``dt``.  The velocity at t = 0 is computed once, even for T = 0,
-    returned as ``initial_velocity`` and reused as step 1's first stage, so
-    a run evaluates max(1, 2 n_steps) pair sums (none for a lone particle);
-    ``clamp_events`` counts the clamps of the integrator's stages.
+    ``dt``, and snapshots are taken at the times k*dt of
+    :func:`~dropsed.quadrature.snapshot_steps`.  The velocity at t = 0 is
+    computed once, even for T = 0, returned as ``initial_velocity`` and reused
+    as step 1's first stage, so a run of n steps evaluates max(1, 2n) pair sums
+    (none for a lone particle); ``clamp_events`` counts the integrator's clamps.
     """
-    n_steps = step_count(T, dt)
-    every = snapshot_stride(snapshot_every, dt, n_steps)
+    stored = snapshot_steps(T, dt, snapshot_every)
     delta = cloud.delta
     x = cloud.positions.copy()
     initial_velocity, initial_clamps = rescaled_velocities(x, delta)
-    times = [0.0]
     snaps = [x.copy()]
     clamp_total = 0
-    for k in range(1, n_steps + 1):
-        v1, c1 = (initial_velocity, initial_clamps) if k == 1 else rescaled_velocities(x, delta)
-        v2, c2 = rescaled_velocities(x + 0.5 * dt * v1, delta)
-        x = x + dt * v2
-        clamp_total += c1 + c2
-        if not np.all(np.isfinite(x)):
-            bad = int(np.argmax(~np.isfinite(x).all(axis=1)))
-            raise ArithmeticError(f"non-finite position for particle {bad} at t={k * dt:.4f}")
-        if k % every == 0 or k == n_steps:
-            times.append(k * dt)
-            snaps.append(x.copy())
-    return CloudTrajectory(times=np.array(times), positions=snaps,
+    for k0, k1 in zip(stored, stored[1:]):
+        for k in range(k0 + 1, k1 + 1):
+            v1, c1 = (initial_velocity, initial_clamps) if k == 1 else rescaled_velocities(x, delta)
+            v2, c2 = rescaled_velocities(x + 0.5 * dt * v1, delta)
+            x = x + dt * v2
+            clamp_total += c1 + c2
+            if not np.all(np.isfinite(x)):
+                bad = int(np.argmax(~np.isfinite(x).all(axis=1)))
+                raise ArithmeticError(f"non-finite position for particle {bad} at t={k * dt:.4f}")
+        snaps.append(x.copy())
+    return CloudTrajectory(times=np.array(stored) * dt, positions=snaps,
                            initial_velocity=initial_velocity, clamp_events=clamp_total)

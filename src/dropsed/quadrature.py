@@ -4,13 +4,13 @@ Everything here is deterministic and stateless: grids are frozen dataclasses,
 the rest are pure functions of their inputs.  Composite Simpson is the
 package's one quadrature rule; its weights are built here and contracted by
 the callers with samples taken once on the whole node array.  The step
-count of a uniform time grid lives here too, shared by every time loop in
-the package.  The polynomial basis is the shifted Legendre family in the
-eigenvalue table's normalization.  The package's one interpolant is the
-not-a-knot cubic spline, split into its node slopes
-(:func:`spline_slopes`) and the cubic-Hermite evaluation between nodes
-(:func:`hermite`), so a linear map of the samples can be built from the
-identity matrix in one call each.
+count of a uniform time grid and its snapshots, stored at the times k*dt
+exactly, live here too, shared by every time loop in the package.  The
+polynomial basis is the shifted Legendre family in the eigenvalue table's
+normalization.  The package's one interpolant is the not-a-knot cubic
+spline, split into its node slopes (:func:`spline_slopes`) and the
+cubic-Hermite evaluation between nodes (:func:`hermite`), so a linear map
+of the samples can be built from the identity matrix in one call each.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ __all__ = [
     "PhiGrid",
     "simpson_weights",
     "step_count",
-    "snapshot_stride",
+    "snapshot_steps",
     "basis_matrix",
     "MAX_BASIS_DEGREE",
     "spline_slopes",
@@ -133,18 +133,20 @@ def step_count(T: float, dt: float, name: str = "T") -> int:
     return int(n)
 
 
-def snapshot_stride(snapshot_every: float | None, dt: float, n_steps: int) -> int:
-    """Steps between stored snapshots of a time loop of ``n_steps`` steps dt.
+def snapshot_steps(T: float, dt: float, snapshot_every: float | None = None,
+                   name: str = "T") -> list[int]:
+    """Indices [0, m, 2m, ..., n] of the steps after which a time loop stores its state.
 
-    ``snapshot_every`` must be a whole number (at least one) of steps dt, so
-    snapshots land exactly where asked; None or 0 means only the final state.
+    n = :func:`step_count` (T, dt), the list is [0] for n = 0, and the stored
+    times are k*dt.  ``snapshot_every`` must be a whole number m >= 1 of steps
+    dt, so snapshots land exactly where asked; None or 0 means only the initial
+    and final states.  ``name`` is what error messages call T.
     """
-    if not snapshot_every:
-        return max(1, n_steps)
-    every = step_count(snapshot_every, dt, "snapshot_every")
+    n_steps = step_count(T, dt, name)
+    every = step_count(snapshot_every, dt, "snapshot_every") if snapshot_every else max(1, n_steps)
     if every < 1:
         raise ValueError(f"snapshot_every={snapshot_every!r} must span at least one step dt={dt!r}")
-    return every
+    return [*range(0, n_steps, every), n_steps]
 
 
 def _legendre_pair(k_max: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .kernels import _MOMENT_CHUNK, _moments_into, _row_blocks
 from .patch_waves import WAVE_VELOCITY_UNIT
-from .quadrature import PhiGrid, ThetaGrid, simpson_weights, snapshot_stride, step_count
+from .quadrature import PhiGrid, ThetaGrid, simpson_weights, snapshot_steps
 
 __all__ = [
     "RadialProfile",
@@ -260,19 +260,19 @@ def evolve(p0: RadialProfile, T: float, dt: float, cdot3: float | None,
 
     The reference center moves at the constant vertical speed ``cdot3``, or
     with the flow when it is None (see :func:`step_upwind`).
-    T must be a whole number of steps dt (:func:`~dropsed.quadrature.step_count`),
-    and so must ``snapshot_every``, the time between snapshots (default: only
-    at T).  Snapshots always include the initial and final profiles, and each
+    T must be a whole number of steps dt, and so must ``snapshot_every``, the
+    time between snapshots (default: only at T); the snapshots are those of
+    :func:`~dropsed.quadrature.snapshot_steps`, each at the time p0.time + k*dt
+    exactly.  They always include the initial and final profiles, and each
     one is handed to ``on_snapshot`` as soon as it is taken.  The initial profile is
     emitted only after step 1 has passed the CFL check in :func:`step_upwind`,
     so a dt rejected at t=0 emits nothing.  Errors from the stepper propagate
     unchanged; a :class:`SurfaceCollapseError` carries the last valid profile.
     ``phi_grid`` changes no value.
     """
-    n_steps = step_count(T, dt)
-    if n_steps < 1:
+    stored = snapshot_steps(T, dt, snapshot_every)
+    if stored[-1] < 1:
         raise ValueError(f"T={T!r} must span at least one step dt={dt!r}")
-    every = snapshot_stride(snapshot_every, dt, n_steps)
     snaps = []
 
     def take(p: RadialProfile) -> None:
@@ -281,12 +281,13 @@ def evolve(p0: RadialProfile, T: float, dt: float, cdot3: float | None,
             on_snapshot(p)
 
     p = p0
-    for k in range(1, n_steps + 1):
-        p = step_upwind(p, dt, cdot3, phi_grid)
-        if k == 1:
-            take(p0)
-        if k % every == 0 or k == n_steps:
-            take(p)
+    for k0, k1 in zip(stored, stored[1:]):
+        for k in range(k0 + 1, k1 + 1):
+            p = step_upwind(p, dt, cdot3, phi_grid)
+            if k == 1:
+                take(p0)
+        p = replace(p, time=p0.time + k1 * dt)
+        take(p)
     return snaps
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from dropsed import linear_stability as ls
-from dropsed.quadrature import PhiGrid, ThetaGrid, snapshot_stride, step_count
+from dropsed.quadrature import PhiGrid, ThetaGrid, snapshot_steps
 
 
 def _l_operator_matrices(theta_grid: ThetaGrid):
@@ -38,40 +38,38 @@ def linearized_evolve(h0: ls.Perturbation, t: float, theta_grid: ThetaGrid, phi_
     Values off the grid are cubic-spline interpolated, and the derivative
     consumed by the nonlocal term is the spline derivative.  ``t`` must be a
     whole number of steps ``dt``, and so must ``snapshot_every`` (default:
-    only the initial and final states).  ``phi_grid`` changes no value.
+    only the initial and final states); states are stored at the times k*dt
+    of :func:`dropsed.quadrature.snapshot_steps`.  ``phi_grid`` changes no value.
     """
-    n_steps = step_count(t, dt, "t")
+    stored = snapshot_steps(t, dt, snapshot_every, "t")
     theta = theta_grid.nodes
     on_h, on_hp, k_diag = _l_operator_matrices(theta_grid)
 
     def l_of(values: np.ndarray, spline: CubicSpline) -> np.ndarray:
         return on_h @ values + on_hp @ spline(theta, 1) + k_diag * values
 
-    every = snapshot_stride(snapshot_every, dt, n_steps)
     feet = ls.characteristic_flow(0.0, dt, theta)  # backtraced nodes, one step
     h = np.asarray(h0(theta), dtype=float)
-    times = [0.0]
     values = [h.copy()]
     scale0 = float(np.max(np.abs(h))) or 1.0
-    for k in range(1, n_steps + 1):
-        spline = CubicSpline(theta, h)
-        h_foot = spline(feet)
-        lh = l_of(h, spline)
-        lh_foot = CubicSpline(theta, lh)(feet)
-        h_next = h_foot + dt * lh_foot
-        for it in range(30):
-            spline_next = CubicSpline(theta, h_next)
-            h_new = h_foot + 0.5 * dt * (lh_foot + l_of(h_next, spline_next))
-            delta = float(np.max(np.abs(h_new - h_next)))
-            h_next = h_new
-            if delta <= 1e-12 * max(1.0, float(np.max(np.abs(h_next)))):
-                break
-        else:
-            raise ValueError(f"corrector not contracting at step {k}; reduce dt={dt}")
-        h = h_next
-        if not np.all(np.isfinite(h)) or np.max(np.abs(h)) > 1e12 * scale0:
-            raise ValueError(f"linearized evolution diverged at step {k}; reduce dt={dt}")
-        if k % every == 0 or k == n_steps:
-            times.append(k * dt)
-            values.append(h.copy())
-    return ls.LinearEvolution(times=np.array(times), values=np.array(values))
+    for k0, k1 in zip(stored, stored[1:]):
+        for k in range(k0 + 1, k1 + 1):
+            spline = CubicSpline(theta, h)
+            h_foot = spline(feet)
+            lh = l_of(h, spline)
+            lh_foot = CubicSpline(theta, lh)(feet)
+            h_next = h_foot + dt * lh_foot
+            for it in range(30):
+                spline_next = CubicSpline(theta, h_next)
+                h_new = h_foot + 0.5 * dt * (lh_foot + l_of(h_next, spline_next))
+                delta = float(np.max(np.abs(h_new - h_next)))
+                h_next = h_new
+                if delta <= 1e-12 * max(1.0, float(np.max(np.abs(h_next)))):
+                    break
+            else:
+                raise ValueError(f"corrector not contracting at step {k}; reduce dt={dt}")
+            h = h_next
+            if not np.all(np.isfinite(h)) or np.max(np.abs(h)) > 1e12 * scale0:
+                raise ValueError(f"linearized evolution diverged at step {k}; reduce dt={dt}")
+        values.append(h.copy())
+    return ls.LinearEvolution(times=np.array(stored) * dt, values=np.array(values))

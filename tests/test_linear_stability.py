@@ -352,6 +352,16 @@ class TestLinearizedEvolve:
         evo = ls.linearized_evolve(h0, 4.0, tg, pg, dt=2.0, snapshot_every=2.0)
         assert evo.times.tolist() == [0.0, 2.0, 4.0] and np.all(np.isfinite(evo.values))
 
+    @pytest.mark.parametrize("every", [0.015, -0.02])
+    def test_bad_snapshot_every_rejected_before_the_propagator(self, monkeypatch, every):
+        def propagator(*args):
+            pytest.fail("the O(n^3) propagator was built for a schedule that is rejected")
+
+        monkeypatch.setattr(ls, "linearized_propagator", propagator)
+        tg, pg = ThetaGrid.uniform(21), PhiGrid.uniform(42)
+        with pytest.raises(ValueError, match=f"snapshot_every={every!r} .*dt=0.01"):
+            ls.linearized_evolve(np.cos, 0.06, tg, pg, dt=0.01, snapshot_every=every)
+
     @pytest.mark.parametrize("n", [11, 101])
     def test_spline_matrices_match_cubic_spline(self, n):
         theta = ThetaGrid.uniform(n).nodes

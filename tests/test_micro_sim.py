@@ -89,6 +89,14 @@ class TestPairwiseVelocity:
         with pytest.raises(ValueError, match=f"delta must be finite and >= 0, got {delta}"):
             ParticleCloud(positions=np.zeros((1, 3)), params=PARAMS, cloud_radius=1.0, delta=delta)
 
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0, -1.0])
+    def test_non_positive_or_non_finite_cloud_radius_rejected(self, radius):
+        # an infinite radius would rescale every position to 0 and fail later
+        # as coincident particles, far from its cause
+        message = f"cloud_radius must be positive and finite, got {radius!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ParticleCloud(positions=np.eye(3), params=PARAMS, cloud_radius=radius)
+
     @pytest.mark.parametrize("delta", [0.0, 0.05])
     def test_matches_cloud_velocities_row(self, rng, delta):
         # more particles than one pair-sum tile of the production size, and at

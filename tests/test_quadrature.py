@@ -18,7 +18,7 @@ from dropsed.quadrature import (
     basis_matrix,
     hermite,
     simpson_weights,
-    snapshot_stride,
+    snapshot_steps,
     spline_slopes,
     step_count,
 )
@@ -191,21 +191,25 @@ class TestStepCount:
         with pytest.raises(ValueError, match=re.escape(message)):
             step_count(T, dt)
 
-    @pytest.mark.parametrize("every, dt, n_steps, stride", [(None, 0.01, 5, 5), (0.0, 0.1, 0, 1),
-                                                             (0.02, 0.01, 6, 2), (0.5, 0.01, 5, 50)])
-    def test_snapshot_stride(self, every, dt, n_steps, stride):
-        assert snapshot_stride(every, dt, n_steps) == stride
+    @pytest.mark.parametrize("T, every, dt, stored", [
+        (0.06, 0.02, 0.01, [0, 2, 4, 6]), (0.05, 0.02, 0.01, [0, 2, 4, 5]),
+        (0.05, None, 0.01, [0, 5]), (0.05, 0.5, 0.01, [0, 5]),
+        (0.0, 0.0, 0.1, [0]), (0.0, 0.02, 0.01, [0]),
+    ], ids=["6-steps-every-2", "5-steps-every-2", "5-steps-default", "5-steps-every-50",
+            "0-steps-default", "0-steps-every-2"])
+    def test_snapshot_steps(self, T, every, dt, stored):
+        assert snapshot_steps(T, dt, every) == stored
 
     @pytest.mark.parametrize("every", [0.015, -0.02, 1e-12])
-    def test_snapshot_stride_rejects(self, every):
+    def test_snapshot_steps_rejects(self, every):
         with pytest.raises(ValueError, match=f"snapshot_every={every!r} .*dt=0.01"):
-            snapshot_stride(every, 0.01, 6)
+            snapshot_steps(0.06, 0.01, every)
 
-    @pytest.mark.parametrize("loop", ["surface", "cloud", "linearized"])
-    def test_time_loops_reject_partial_last_step(self, loop):
-        T, dt = 0.105, 0.01
+    @staticmethod
+    def loop_runs(T: float, dt: float) -> dict:
+        """Each time loop as a call that runs it from 0 to T in steps dt on a small problem."""
         grid, pg = ThetaGrid.uniform(21), PhiGrid.uniform(42)
-        runs = {
+        return {
             "surface": lambda: se.evolve(se.RadialProfile.sphere(grid), T, dt,
                                          se.WAVE_CENTER_SPEED, pg),
             "cloud": lambda: ms.evolve_cloud(
@@ -214,8 +218,18 @@ class TestStepCount:
                                                     radius=1e-2)), T, dt),
             "linearized": lambda: ls.linearized_evolve(np.zeros_like, T, grid, pg, dt=dt),
         }
+
+    @pytest.mark.parametrize("loop", ["surface", "cloud", "linearized"])
+    def test_time_loops_reject_partial_last_step(self, loop):
         with pytest.raises(ValueError, match="whole number of steps"):
-            runs[loop]()
+            self.loop_runs(0.105, 0.01)[loop]()
+
+    @pytest.mark.parametrize("loop", ["surface", "cloud", "linearized"])
+    def test_time_loops_end_exactly_at_T(self, loop):
+        # 1000 steps of 0.01: a time summed step by step ends at 9.999999999999831
+        run = self.loop_runs(10.0, 0.01)[loop]()
+        end = run[-1].time if loop == "surface" else run.times[-1]
+        assert end == 10.0
 
 
 class TestSpline:
