@@ -61,7 +61,8 @@ class EvolveConfig:
     ntheta: int = 100
     nphi: int = field(default=200, metadata={"help": "azimuthal grid size; changes no value"})
     policy: str = field(default="fixed_wave_speed", metadata={
-        "choices": ("fixed_wave_speed", "transported", "prescribed")})
+        "choices": ("fixed_wave_speed", "transported", "prescribed"),
+        "help": "fixed_wave_speed: the wave speed of the initial sphere of radius r0"})
     prescribed_speed: float = 0.0
     snapshot_every: float = 0.0  # 0 means T / 10, rounded to whole steps (at least one)
     perturb: str = field(default="none", metadata={"choices": ("none", "dominant")})
@@ -285,13 +286,17 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
     import numpy as np
 
     from . import surface_evolution as se
+    from .patch_waves import wave_speed
     from .quadrature import PhiGrid, step_count
 
     dt, T = cfg["dt"], cfg["T"]
     step_count(T, dt)  # before the default cadence below divides by dt
     if not math.isfinite(cfg["prescribed_speed"]):
         raise ValueError(f"prescribed_speed must be finite, got {cfg['prescribed_speed']!r}")
-    cdot3 = {"fixed_wave_speed": se.WAVE_CENTER_SPEED, "transported": None,
+    if cfg["prescribed_speed"] and cfg["policy"] != "prescribed":
+        raise ValueError(f"prescribed_speed={cfg['prescribed_speed']!r} is read only under "
+                         f"policy prescribed, got policy {cfg['policy']}")
+    cdot3 = {"fixed_wave_speed": wave_speed(cfg["r0"]), "transported": None,
              "prescribed": cfg["prescribed_speed"]}[cfg["policy"]]
     phi_grid = PhiGrid.uniform(cfg["nphi"])
     p = _initial_profile(cfg)

@@ -41,7 +41,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .kernels import FluidParams, oseen_terms, stokes_drag_velocity
-from .patch_waves import sample_unit_ball
+from .patch_waves import UNIT_BALL_VOLUME, sample_unit_ball, wave_speed
 from .quadrature import snapshot_steps
 
 log = logging.getLogger(__name__)
@@ -202,10 +202,15 @@ def mean_settling_velocity(cloud: ParticleCloud) -> np.ndarray:
     return vel.mean(axis=0)
 
 
+def _collective_speed(cloud: ParticleCloud) -> float:
+    """The cloud's vertical fall speed as a uniform ball of density (N - 1) / (|B_1| R0^3)."""
+    density = (cloud.n - 1) / (UNIT_BALL_VOLUME * cloud.cloud_radius**3)
+    return wave_speed(cloud.cloud_radius, density) * -float(cloud.params.force[2]) / cloud.params.mu
+
+
 def mean_velocity_formula(cloud: ParticleCloud) -> np.ndarray:
-    """Collective fall-speed prediction U_S + (N - 1) F / (5 pi mu R0)."""
-    p = cloud.params
-    return stokes_drag_velocity(p) + (cloud.n - 1) * p.force / (5.0 * math.pi * p.mu * cloud.cloud_radius)
+    """Collective fall-speed prediction: U_S plus the wave speed of the cloud as a uniform ball."""
+    return stokes_drag_velocity(cloud.params) + np.array([0.0, 0.0, _collective_speed(cloud)])
 
 
 def rescale_cloud(cloud: ParticleCloud) -> tuple[ParticleCloud, float]:
@@ -216,19 +221,17 @@ def rescale_cloud(cloud: ParticleCloud) -> tuple[ParticleCloud, float]:
     physical velocities.  The rescaled dynamics is supplied by
     :func:`rescaled_velocities`; its mean fall speed is one by construction.
     """
-    p = cloud.params
-    scale = (cloud.n - 1) * -float(p.force[2]) / (5.0 * math.pi * p.mu * cloud.cloud_radius)
     rescaled = ParticleCloud(
         positions=cloud.positions / cloud.cloud_radius,
-        params=p,
+        params=cloud.params,
         cloud_radius=1.0,
         delta=cloud.delta / cloud.cloud_radius,
     )
-    return rescaled, scale
+    return rescaled, -_collective_speed(cloud)
 
 
 def rescaled_velocities(positions: np.ndarray, delta: float) -> tuple[np.ndarray, int]:
-    """Dimensionless cloud dynamics: -(5/(8(N-1))) sum of the bare Oseen kernel on e3.
+    """Dimensionless cloud dynamics: the Oseen sum on e3 over its unit ball's speed -(N - 1)/(5 pi).
 
     For a single particle the interaction sum is empty and the velocity is
     zero (stationary in the co-moving frame).
@@ -237,9 +240,8 @@ def rescaled_velocities(positions: np.ndarray, delta: float) -> tuple[np.ndarray
     n = positions.shape[0]
     if n == 1:
         return np.zeros((1, 3)), 0
-    # bare kernel = 8 pi * Oseen with unit viscosity; direction e3, force magnitude 1
     vel, clamps = _interaction_sum(positions, delta)
-    return -(5.0 / (8.0 * (n - 1))) * (8.0 * math.pi) * vel, clamps
+    return vel / wave_speed(1.0, (n - 1) / UNIT_BALL_VOLUME), clamps
 
 
 @dataclass(frozen=True)

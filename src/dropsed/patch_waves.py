@@ -1,10 +1,15 @@
 """Exact traveling-wave patch solutions and their instability certificates.
 
-A uniform spherical blob of total mass one falls rigidly: radius R fixes the
-fall speed, so two patches with different radii separate linearly in time.
-That separation is quantified here in L^1 (the overlap volume of the two
-supports: nested at t = 0, a spherical lens, then disjoint) and by the
-vertical-coordinate lower bound for the Wasserstein-1 distance.
+One law sets every fall speed of the package (:func:`wave_speed`, after
+Hadamard and Rybczynski): a uniform ball of radius R and density rho, under a
+unit downward force per unit volume at unit viscosity, falls rigidly at
+-(4/15) rho R^2.  Its densities are 1 for the surface model's sphere,
+1/(|B_1| R^3) for a patch of mass one (which thus falls at a speed
+proportional to 1/R) and (N - 1)/(|B_1| R0^3) for a cloud of N particles.
+Two patches with different radii separate linearly in time.  That separation is
+quantified here in L^1 (the overlap volume of the two supports: nested at
+t = 0, a spherical lens, then disjoint) and by the vertical-coordinate lower
+bound for the Wasserstein-1 distance.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 __all__ = [
     "UNIT_BALL_VOLUME",
-    "WAVE_VELOCITY_UNIT",
+    "wave_speed",
     "overlap_volume",
     "l1_distance",
     "separation_time",
@@ -26,16 +31,17 @@ __all__ = [
 
 UNIT_BALL_VOLUME = 4.0 * math.pi / 3.0
 
-# Translation velocity of the unit patch (radius 1, density normalized to
-# total mass one is irrelevant here: the indicator patch moves at c).
-WAVE_VELOCITY_UNIT = np.array([0.0, 0.0, -4.0 / 15.0])
+
+def wave_speed(R: float, density: float = 1.0) -> float:
+    """Vertical velocity -(4/15) density R^2 of a uniform ball under unit force density and viscosity."""
+    return -(4.0 / 15.0) * density * R * R
 
 
 def _gap_speed(R: float) -> float:
-    """|c / (w1 R) - c / w1| = |c| |1/R - 1| / w1, the speed at which the two patch centers part."""
+    """Speed |c| |1/R - 1| at which the centers part, c = wave_speed(1, 1/|B_1|); c/R - c would cancel."""
     if not R > 0:
         raise ValueError(f"radius must be positive, got {R}")
-    return -float(WAVE_VELOCITY_UNIT[2]) * abs(1.0 / R - 1.0) / UNIT_BALL_VOLUME
+    return abs(wave_speed(1.0, 1.0 / UNIT_BALL_VOLUME)) * abs(1.0 / R - 1.0)
 
 
 def overlap_volume(r1: float, r2: float, d: float) -> float:

@@ -33,14 +33,12 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import _MOMENT_CHUNK, _moments_into, _row_blocks
-from .patch_waves import WAVE_VELOCITY_UNIT
 from .quadrature import PhiGrid, ThetaGrid, simpson_weights, snapshot_steps
 
 __all__ = [
     "RadialProfile",
     "SurfaceCollapseError",
     "CflError",
-    "WAVE_CENTER_SPEED",
     "center_speed",
     "theta_derivative",
     "advection_and_source",
@@ -48,9 +46,6 @@ __all__ = [
     "evolve",
     "enclosed_volume",
 ]
-
-# Vertical speed of the exact unit-patch traveling wave.
-WAVE_CENTER_SPEED = float(WAVE_VELOCITY_UNIT[2])
 
 
 class SurfaceCollapseError(RuntimeError):
@@ -263,8 +258,9 @@ def evolve(p0: RadialProfile, T: float, dt: float, cdot3: float | None,
     T must be a whole number of steps dt, and so must ``snapshot_every``, the
     time between snapshots (default: only at T); the snapshots are those of
     :func:`~dropsed.quadrature.snapshot_steps`, each at the time p0.time + k*dt
-    exactly.  They always include the initial and final profiles, and each
-    one is handed to ``on_snapshot`` as soon as it is taken.  The initial profile is
+    exactly (and, under a constant ``cdot3``, at the height p0.c3 + k*dt*cdot3).
+    They always include the initial and final profiles, and each one is
+    handed to ``on_snapshot`` as soon as it is taken.  The initial profile is
     emitted only after step 1 has passed the CFL check in :func:`step_upwind`,
     so a dt rejected at t=0 emits nothing.  Errors from the stepper propagate
     unchanged; a :class:`SurfaceCollapseError` carries the last valid profile.
@@ -286,7 +282,8 @@ def evolve(p0: RadialProfile, T: float, dt: float, cdot3: float | None,
             p = step_upwind(p, dt, cdot3, phi_grid)
             if k == 1:
                 take(p0)
-        p = replace(p, time=p0.time + k1 * dt)
+        c3 = p.c3 if cdot3 is None else p0.c3 + k1 * dt * cdot3
+        p = replace(p, c3=c3, time=p0.time + k1 * dt)
         take(p)
     return snaps
 

@@ -105,9 +105,9 @@ def test_criterion_6_stationary_traveling_wave():
     grid = ThetaGrid.uniform(100)
     pg = PhiGrid.uniform(200)
     p0 = se.RadialProfile.sphere(grid)
-    a1, _ = se.advection_and_source(p0, se.WAVE_CENTER_SPEED, pg)
+    a1, _ = se.advection_and_source(p0, pw.wave_speed(1.0), pg)
     a1_err = np.max(np.abs(a1 + np.sin(grid.nodes) / 15.0))
-    snaps = se.evolve(p0, T=10.0, dt=0.01, cdot3=se.WAVE_CENTER_SPEED,
+    snaps = se.evolve(p0, T=10.0, dt=0.01, cdot3=pw.wave_speed(1.0),
                       phi_grid=pg, snapshot_every=2.0)
     dev = np.max(np.abs(snaps[-1].r - 1.0))
     drift = abs(se.enclosed_volume(snaps[-1]) - se.enclosed_volume(p0)) / se.enclosed_volume(p0)

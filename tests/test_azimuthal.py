@@ -10,6 +10,7 @@ from scipy.special import ellipe, ellipkm1
 
 from dropsed import kernels
 from dropsed import linear_stability as ls
+from dropsed import patch_waves as pw
 from dropsed import surface_evolution as se
 from dropsed.kernels import azimuthal_moments
 from dropsed.quadrature import PhiGrid, ThetaGrid
@@ -217,14 +218,14 @@ class TestSurfaceQuadratureAgainstOracle:
     def test_phi_grid_changes_nothing(self):
         grid = ThetaGrid.uniform(60)
         p = dominant_profile(grid)
-        coarse = se.advection_and_source(p, se.WAVE_CENTER_SPEED, PhiGrid.uniform(7))
-        fine = se.advection_and_source(p, se.WAVE_CENTER_SPEED, PhiGrid.uniform(900))
+        coarse = se.advection_and_source(p, pw.wave_speed(1.0), PhiGrid.uniform(7))
+        fine = se.advection_and_source(p, pw.wave_speed(1.0), PhiGrid.uniform(900))
         assert all(np.array_equal(x, y) for x, y in zip(coarse, fine))
 
     def test_sphere_advection_identity_fine_grid(self):
         grid = ThetaGrid.uniform(401)
         p = se.RadialProfile.sphere(grid)
-        a1, _ = se.advection_and_source(p, se.WAVE_CENTER_SPEED, PhiGrid.uniform(802))
+        a1, _ = se.advection_and_source(p, pw.wave_speed(1.0), PhiGrid.uniform(802))
         assert np.max(np.abs(a1 + np.sin(grid.nodes) / 15.0)) <= 1e-8
 
 
@@ -245,10 +246,10 @@ class TestBlockedAdvection:
         # set to a few block-sized buffers
         grid = ThetaGrid.uniform(401)
         p = dominant_profile(grid)
-        se.advection_and_source(p, se.WAVE_CENTER_SPEED, None)
+        se.advection_and_source(p, pw.wave_speed(1.0), None)
         tracemalloc.start()
         try:
-            se.advection_and_source(p, se.WAVE_CENTER_SPEED, None)
+            se.advection_and_source(p, pw.wave_speed(1.0), None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -268,7 +269,7 @@ class TestBlockedAdvection:
         monkeypatch.setattr(se, "_MOMENT_CHUNK", 1)
         monkeypatch.setattr(kernels, "_AGM_MAX_STEPS", 0)
         with pytest.raises(ArithmeticError, match=r"did not converge at entry \(1, \d+\)"):
-            se.advection_and_source(p, se.WAVE_CENTER_SPEED, None)
+            se.advection_and_source(p, pw.wave_speed(1.0), None)
 
 
 class TestSphereKernelAgainstOracle:

@@ -16,6 +16,7 @@ from scipy.interpolate import CubicSpline
 import dropsed
 from dropsed import cli
 from dropsed import micro_sim as ms
+from dropsed import patch_waves as pw
 from dropsed import surface_evolution as se
 from dropsed.cli import main
 from dropsed.kernels import FluidParams, stokes_drag_velocity
@@ -165,10 +166,11 @@ class TestEvolveCommand:
 
     def test_overflowing_radius_reported_as_non_finite(self, tmp_path, capsys):
         # r * r' overflows, so the azimuthal moments see inf and nan, not coincident points;
-        # numpy's overflow warnings do not reach the user ahead of the one-line error
+        # numpy's overflow warnings do not reach the user ahead of the one-line error.  (The
+        # default policy stops before the moments: its wave speed -(4/15) r0^2 is -inf.)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["evolve", "--r0", "1e200", "--ntheta", "20",
+            assert main(["evolve", "--r0", "1e200", "--ntheta", "20", "--policy", "transported",
                          "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == (
             "dropsed evolve: error: azimuthal moments got a non-finite input at entry (0, 0)\n")
@@ -191,6 +193,25 @@ class TestEvolveCommand:
         assert len(names) == 22
         for name in [*names, "summary.json"]:
             assert (wave / name).read_bytes() == (presc / name).read_bytes()
+
+    def test_prescribed_speed_under_another_policy_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["evolve", "--prescribed-speed", "5", "--T", "0.1", "--ntheta", "20",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "dropsed evolve: error: prescribed_speed=5.0 is read only under policy prescribed, "
+            "got policy fixed_wave_speed\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("r0", ["0.5", "2"])
+    def test_wave_speed_policy_keeps_any_sphere_stationary(self, tmp_path, r0):
+        # the sphere ends 1.4e-5 (r0 = 0.5) and 7.5e-5 (r0 = 2) from round, the bound is 2.7
+        # times the larger; at the unit sphere's speed -4/15 it ended 0.49 and 1.96 from round
+        out = tmp_path / "run"
+        assert main(["evolve", "--r0", r0, "--T", "2", "--ntheta", "50", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["final_sup_deviation_from_mean"] <= 2e-4
+        assert summary["final_c3"] == 2.0 * pw.wave_speed(float(r0))
 
     def test_cfl_rejected_before_stepping(self, tmp_path, capsys):
         out = tmp_path / "run"

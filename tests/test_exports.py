@@ -200,3 +200,36 @@ def test_only_quadrature_builds_the_polar_grid():
     found = {path.name: _polar_linspace_lines(ast.parse(path.read_text()))
              for path in sorted(package.glob("*.py")) if path.name != "quadrature.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _number(node):
+    """The magnitude of a numeric literal, with or without a minus sign, else None."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    return None
+
+
+def _fall_speed_law_lines(tree):
+    """Lines that write 4/15 or 5 pi, the constants of a uniform ball's fall speed."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.BinOp):
+            continue
+        numbers = (_number(node.left), _number(node.right))
+        if (isinstance(node.op, ast.Div) and numbers == (4, 15)
+                or isinstance(node.op, ast.Mult) and 5 in numbers
+                and "pi" in (_name(node.left), _name(node.right))):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_patch_waves_writes_the_fall_speed_law():
+    toy = ast.parse("a = -4.0 / 15.0\nb = 5.0 * math.pi\nc = np.pi * 5\nd = 4.0 / 3.0\n"
+                    "e = 8.0 * math.pi\nf = 15.0 / 4.0\ng = 5 * x\n")
+    assert _fall_speed_law_lines(toy) == [1, 2, 3]
+    package = Path(dropsed.__file__).parent
+    found = {path.name: _fall_speed_law_lines(ast.parse(path.read_text()))
+             for path in sorted(package.glob("*.py")) if path.name != "patch_waves.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -15,7 +15,21 @@ from dropsed.patch_waves import (
     sample_unit_ball,
     separation_time,
     wasserstein_bounds,
+    wave_speed,
 )
+
+
+class TestWaveSpeed:
+    def test_unit_sphere_keeps_its_bits(self):
+        assert wave_speed(1.0) == -4.0 / 15.0
+        assert wave_speed(2.0) == 4.0 * wave_speed(1.0)
+
+    def test_patch_and_cloud_densities(self):
+        # a mass-one patch falls at a speed proportional to 1/R; a cloud of N at -(N - 1)/(5 pi)
+        patch = [wave_speed(R, 1.0 / (UNIT_BALL_VOLUME * R**3)) for R in (0.5, 1.0)]
+        assert patch[0] == pytest.approx(2.0 * patch[1], rel=1e-15)
+        assert wave_speed(1.0, 1999 / UNIT_BALL_VOLUME) == pytest.approx(-1999 / (5 * math.pi),
+                                                                         rel=1e-15)
 
 
 class TestL1Distance:

@@ -10,6 +10,7 @@ from scipy.interpolate import CubicSpline
 
 from dropsed import linear_stability as ls
 from dropsed import micro_sim as ms
+from dropsed import patch_waves as pw
 from dropsed import surface_evolution as se
 from dropsed.kernels import FluidParams
 from dropsed.quadrature import (
@@ -211,7 +212,7 @@ class TestStepCount:
         grid, pg = ThetaGrid.uniform(21), PhiGrid.uniform(42)
         return {
             "surface": lambda: se.evolve(se.RadialProfile.sphere(grid), T, dt,
-                                         se.WAVE_CENTER_SPEED, pg),
+                                         pw.wave_speed(1.0), pg),
             "cloud": lambda: ms.evolve_cloud(
                 ms.ParticleCloud(positions=np.eye(3), cloud_radius=1.0,
                                  params=FluidParams(mu=1.0, force=np.array([0.0, 0.0, -1.0]),
@@ -230,6 +231,8 @@ class TestStepCount:
         run = self.loop_runs(10.0, 0.01)[loop]()
         end = run[-1].time if loop == "surface" else run.times[-1]
         assert end == 10.0
+        if loop == "surface":  # and the center height summed so ends at -2.6666666666666834
+            assert run[-1].c3 == 10.0 * pw.wave_speed(1.0) == -2.6666666666666665
 
 
 class TestSpline:
