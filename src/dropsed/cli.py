@@ -296,10 +296,13 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
     if cfg["prescribed_speed"] and cfg["policy"] != "prescribed":
         raise ValueError(f"prescribed_speed={cfg['prescribed_speed']!r} is read only under "
                          f"policy prescribed, got policy {cfg['policy']}")
+    phi_grid = PhiGrid.uniform(cfg["nphi"])
+    p = _initial_profile(cfg)  # rejects a bad r0 before its wave speed is read
     cdot3 = {"fixed_wave_speed": wave_speed(cfg["r0"]), "transported": None,
              "prescribed": cfg["prescribed_speed"]}[cfg["policy"]]
-    phi_grid = PhiGrid.uniform(cfg["nphi"])
-    p = _initial_profile(cfg)
+    if cdot3 is not None and not math.isfinite(cdot3):
+        raise ValueError(f"policy {cfg['policy']} gives a non-finite center speed {cdot3!r} "
+                         f"at r0={cfg['r0']!r}")
     tags = itertools.count()
 
     def dump(profile) -> None:

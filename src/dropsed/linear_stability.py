@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import azimuthal_moments
+from .kernels import _MOMENT_CHUNK, _row_blocks, azimuthal_moments
 from .quadrature import (ThetaGrid, _polar_angles, basis_matrix, hermite, snapshot_steps,
                          spline_slopes)
 
@@ -71,6 +71,14 @@ TABLE_TO_OPERATOR = 2.0 / math.pi
 
 # Every tabulated maximal eigenvalue is checked against this growth margin.
 INSTABILITY_THRESHOLD = 1.0 / 15.0
+
+# Spline-map entries below this magnitude are set to 0.  They decay like
+# (2 - sqrt(3))^|i - j| off the diagonal and leave the normal range (2.2e-308)
+# past |i - j| ~ 538, where every product with them runs as slow subnormal
+# arithmetic.  A product of two kept entries is at least 1e-300, still
+# normal, and a dropped entry lies far below the rounding of the O(1) sums it
+# would enter.
+_FLUSH_BELOW = 1e-150
 
 
 class Perturbation:
@@ -125,17 +133,26 @@ def _grid_kernel(grid: ThetaGrid) -> np.ndarray:
 
     Equal entry for entry to ``_sphere_kernel(nodes, nodes)``.  The moments
     depend on the node pair only through A and B, which are symmetric in it,
-    so they are taken once per pair i < j and used for both R[i, j] and
-    R[j, i].
+    so the upper triangle is walked in row tiles [lo, hi) of
+    :func:`~dropsed.kernels._row_blocks`, each one AGM block: the moments of
+    rows lo..hi-1 against columns lo..n-1, taken once, give both
+    R[lo:hi, lo:] and R[lo:, lo:hi].  A tile's coincident pairs get the
+    placeholder A - B = 1, B = 0, and the diagonal written last replaces
+    them.  Nothing but R is as large as n^2.
     """
     n_theta, nodes = grid.n_theta, grid.nodes
     s, c = np.sin(nodes), np.cos(nodes)
-    i, j = np.triu_indices(n_theta, 1)
-    a_minus_b = 4.0 * np.sin(0.5 * (nodes[i] - nodes[j])) ** 2
-    b = 2.0 * s[i] * s[j]
-    i0, i1 = np.zeros((2, n_theta, n_theta))
-    i0[i, j], i1[i, j] = azimuthal_moments(b, a_minus_b)
-    R = c[:, None] * s * (i0 + i0.T) - s[:, None] * c * (i1 + i1.T)
+    R = np.empty((n_theta, n_theta))
+    for lo, hi in _row_blocks(n_theta, n_theta, _MOMENT_CHUNK):
+        a_minus_b = 4.0 * np.sin(0.5 * (nodes[lo:hi, None] - nodes[lo:])) ** 2
+        b = 2.0 * s[lo:hi, None] * s[lo:]
+        np.fill_diagonal(a_minus_b, 1.0)  # the tile's coincident pairs
+        np.fill_diagonal(b, 0.0)
+        i0, i1 = azimuthal_moments(b, a_minus_b)
+        # R[i, j] = c_i s_j I0 - s_i c_j I1, and R[j, i] swaps the two products
+        cs, sc = c[lo:hi, None] * s[lo:], s[lo:hi, None] * c[lo:]
+        R[lo:hi, lo:] = cs * i0 - sc * i1
+        R[lo:, lo:hi] = (sc * i0 - cs * i1).T
     # coincident points: the ratio integrates to 4 cos t, and to 0 on a pole
     R[np.diag_indices(n_theta)] = 4.0 * c
     R[0, 0] = R[-1, -1] = 0.0
@@ -299,11 +316,18 @@ def _spline_matrices(theta: np.ndarray, feet: np.ndarray) -> tuple[np.ndarray, n
 
     D @ h is the spline derivative of the samples h at the nodes and S @ h the
     spline's values at ``feet``: the spline of the identity matrix, one
-    column per unit sample.
+    column per unit sample.  Entries below _FLUSH_BELOW = 1e-150 in magnitude
+    are set to 0, in D before S is formed from it and then in S, so neither
+    holds a subnormal entry; the propagator built from them keeps its bits
+    and is spared subnormal arithmetic, which took over half its time at
+    n = 801.
     """
     unit = np.eye(theta.size)
     D = spline_slopes(theta, unit)
-    return D, hermite(theta, unit, D, feet)
+    D[np.abs(D) < _FLUSH_BELOW] = 0.0
+    S = hermite(theta, unit, D, feet)
+    S[np.abs(S) < _FLUSH_BELOW] = 0.0
+    return D, S
 
 
 def linearized_propagator(theta_grid: ThetaGrid, dt: float) -> np.ndarray:

@@ -199,12 +199,15 @@ def spline_slopes(nodes, values) -> np.ndarray:
     not-a-knot ends).  With fewer than 4 nodes those two end conditions are
     one and the same, so such a spline is rejected.
 
-    The system is solved by one forward and one back sweep over the rows,
-    each row update vectorized over the trailing axes.  No pivoting is
-    needed: the pivots are dx1, then dx0 + dx1, then each interior one
-    exceeds 2 dx(i-1) + dx(i), which leaves the last one positive too.  A
-    pivot that still comes out nonpositive (overflow or underflow in the
-    spacings) raises.
+    The right-hand side is formed in the output array, the interior rows
+    as 3 (dx[i] slope[i-1] + dx[i-1] slope[i]) with the second product
+    taken in the slope array, so the only scratch array of the values' size
+    is the slopes.  The system is solved in place by one forward and one
+    back sweep over the rows, each row update vectorized over the trailing
+    axes.  No pivoting is needed: the pivots are dx1, then dx0 + dx1, then
+    each interior one exceeds 2 dx(i-1) + dx(i), which leaves the last one
+    positive too.  A pivot that still comes out nonpositive (overflow or
+    underflow in the spacings) raises.
     """
     x = np.asarray(nodes, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -218,15 +221,20 @@ def spline_slopes(nodes, values) -> np.ndarray:
     if not np.all(dx > 0):
         raise ValueError("spline nodes must increase strictly")
     col = dx.reshape((-1,) + (1,) * (y.ndim - 1))
-    slope = np.diff(y, axis=0) / col
+    slope = np.diff(y, axis=0)
+    slope /= col
     rhs = np.empty_like(y)
-    rhs[1:-1] = 3.0 * (col[1:] * slope[:-1] + col[:-1] * slope[1:])
     d = x[2] - x[0]
     rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
     upper = [d, *dx[:-1].tolist()]  # upper[i] couples row i to slope i + 1
     d = x[-1] - x[-3]
     rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
     lower = [*dx[1:].tolist(), d]  # lower[i - 1] couples row i to slope i - 1
+    # the second product overwrites slope, which nothing reads after it
+    np.multiply(col[1:], slope[:-1], out=rhs[1:-1])
+    slope[1:] *= col[:-1]
+    rhs[1:-1] += slope[1:]
+    rhs[1:-1] *= 3.0
     diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])).tolist(), dx[-2]]
     pivot = [diag[0]]
     factor = []
@@ -251,7 +259,9 @@ def hermite(nodes, values, slopes, at) -> np.ndarray:
     ``at.shape + values.shape[1:]``.  With the slopes of :func:`spline_slopes`
     this is the not-a-knot spline.  A point outside the nodes' range
     continues the end interval's cubic, and a node returns its own value
-    exactly.
+    exactly.  The four terms w0 y[k] + w1 s[k] + w2 y[k+1] + w3 s[k+1] are
+    summed left to right into the output, each formed in one scratch array
+    of the output's size, with the bits of the one-expression sum.
     """
     x = np.asarray(nodes, dtype=float)
     at = np.asarray(at, dtype=float)
@@ -264,5 +274,11 @@ def hermite(nodes, values, slopes, at) -> np.ndarray:
     w = ((1.0 + 2.0 * t) * (1.0 - t) ** 2, h * t * (1.0 - t) ** 2,
          t * t * (3.0 - 2.0 * t), h * t * t * (t - 1.0))
     w = [wi.reshape((-1,) + (1,) * (y.ndim - 1)) for wi in w]
-    out = w[0] * y[k] + w[1] * s[k] + w[2] * y[k + 1] + w[3] * s[k + 1]
+    # k and k + 1 are in range, so "clip" only spares np.take a buffer
+    out, term = np.take(y, k, axis=0), np.empty((pts.size,) + y.shape[1:])
+    out *= w[0]
+    for wi, rows, knots in ((w[1], k, s), (w[2], k + 1, y), (w[3], k + 1, s)):
+        np.take(knots, rows, axis=0, out=term, mode="clip")
+        term *= wi
+        out += term
     return out.reshape(at.shape + y.shape[1:])

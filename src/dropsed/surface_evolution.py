@@ -263,8 +263,9 @@ def evolve(p0: RadialProfile, T: float, dt: float, cdot3: float | None,
     handed to ``on_snapshot`` as soon as it is taken.  The initial profile is
     emitted only after step 1 has passed the CFL check in :func:`step_upwind`,
     so a dt rejected at t=0 emits nothing.  Errors from the stepper propagate
-    unchanged; a :class:`SurfaceCollapseError` carries the last valid profile.
-    ``phi_grid`` changes no value.
+    unchanged, except that a :class:`SurfaceCollapseError` carries the last
+    valid profile at the exact time (and height) of its step, as a snapshot
+    would.  ``phi_grid`` changes no value.
     """
     stored = snapshot_steps(T, dt, snapshot_every)
     if stored[-1] < 1:
@@ -276,14 +277,22 @@ def evolve(p0: RadialProfile, T: float, dt: float, cdot3: float | None,
         if on_snapshot is not None:
             on_snapshot(p)
 
+    def exact(p: RadialProfile, k: int) -> RadialProfile:
+        """``p`` after k steps, at the time (and constant-speed height) of step k exactly."""
+        c3 = p.c3 if cdot3 is None else p0.c3 + k * dt * cdot3
+        return replace(p, c3=c3, time=p0.time + k * dt)
+
     p = p0
     for k0, k1 in zip(stored, stored[1:]):
         for k in range(k0 + 1, k1 + 1):
-            p = step_upwind(p, dt, cdot3, phi_grid)
+            try:
+                p = step_upwind(p, dt, cdot3, phi_grid)
+            except SurfaceCollapseError as exc:
+                exc.profile = exact(exc.profile, k - 1)
+                raise
             if k == 1:
                 take(p0)
-        c3 = p.c3 if cdot3 is None else p0.c3 + k1 * dt * cdot3
-        p = replace(p, c3=c3, time=p0.time + k1 * dt)
+        p = exact(p, k1)
         take(p)
     return snaps
 

@@ -273,10 +273,34 @@ class TestBlockedAdvection:
 
 
 class TestSphereKernelAgainstOracle:
-    @pytest.mark.parametrize("n", [100, 251])
+    # up to n = 101 the upper triangle is one row tile; 251 is cut into 7
+    # tiles of 35-36 rows and 801 into 67 of 11-12
+    @pytest.mark.parametrize("n", [4, 5, 33, 64, 100, 251, 801])
     def test_symmetric_grid_kernel_equals_full_kernel(self, n):
         grid = ThetaGrid.uniform(n)
         assert np.array_equal(ls._grid_kernel(grid), ls._sphere_kernel(grid.nodes, grid.nodes))
+
+    @pytest.mark.parametrize("n, rows", [(4, 1), (5, 2), (33, 1), (33, 4), (64, 3)])
+    def test_grid_kernel_in_small_row_tiles_equals_full_kernel(self, monkeypatch, n, rows):
+        # tiles of at most ``rows`` rows; the cache is bypassed, as it holds
+        # kernels built in the default tiles
+        monkeypatch.setattr(ls, "_MOMENT_CHUNK", rows * n)
+        grid = ThetaGrid.uniform(n)
+        R = ls._grid_kernel.__wrapped__(grid)
+        assert np.array_equal(R, ls._sphere_kernel(grid.nodes, grid.nodes))
+
+    def test_grid_kernel_builds_without_square_scratch(self):
+        # the row tiles keep nothing but R as large as n^2: a cold n = 801
+        # build peaks at 6.0 MB traced, R alone being 5.1 MB
+        grid = ThetaGrid.uniform(801)
+        grid.nodes  # cached before tracing
+        tracemalloc.start()
+        try:
+            R = ls._grid_kernel.__wrapped__(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * R.nbytes
 
     def test_off_diagonal_matches_phi_simpson(self):
         tg = ThetaGrid.uniform(100)

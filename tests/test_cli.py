@@ -142,6 +142,8 @@ class TestEvolveCommand:
         (["--r0", "nan"], "r0 must be positive and finite, got nan"),
         (["--r0", "inf"], "r0 must be positive and finite, got inf"),
         (["--r0", "0"], "r0 must be positive and finite, got 0.0"),
+        (["--r0", "1e200"],  # -(4/15) r0^2 overflows
+         "policy fixed_wave_speed gives a non-finite center speed -inf at r0=1e+200"),
         (["--perturb", "dominant", "--eps", "nan"], "eps must be finite, got nan"),
         (["--perturb", "dominant", "--perturb-K", "0"],
          "need 1 <= perturb_K <= 257, ntheta >= 8 and perturb_K <= ntheta, "
@@ -155,8 +157,8 @@ class TestEvolveCommand:
         (["--ntheta", "3"], "the upwind scheme needs n_theta >= 4, got 3"),
         (["--ntheta", "20", "--T", "0.01", "--dt", "1e-300"],
          "T=0.01 spans more than 2**53 steps dt=1e-300"),
-    ], ids=["r0-nan", "r0-inf", "r0-zero", "eps-nan", "perturb_K-0", "perturb_K-300",
-            "perturb_K-above-ntheta",
+    ], ids=["r0-nan", "r0-inf", "r0-zero", "r0-overflows-wave-speed", "eps-nan", "perturb_K-0",
+            "perturb_K-300", "perturb_K-above-ntheta",
             "ntheta-3", "too-many-steps"])
     def test_bad_initial_profile_names_key(self, tmp_path, capsys, flags, message):
         out = tmp_path / "run"

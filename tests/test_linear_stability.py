@@ -371,6 +371,18 @@ class TestLinearizedEvolve:
         assert np.max(np.abs(D - ref(theta, 1))) <= 1e-13 * np.max(np.abs(D))
         assert np.max(np.abs(S - ref(feet))) <= 1e-14
 
+    def test_spline_matrices_hold_no_subnormal_entry(self, monkeypatch):
+        # their entries decay like (2 - sqrt 3)^|i - j|; unflushed, D and S
+        # hold 5 075 subnormal entries at n = 601, and the propagator built
+        # from them is the same bits, only slower
+        tg = ThetaGrid.uniform(601)
+        D, S = ls._spline_matrices(tg.nodes, ls.characteristic_flow(0.0, 0.01, tg.nodes))
+        for M in (D, S):
+            assert not np.any((M != 0) & (np.abs(M) < np.finfo(float).tiny))
+        P = ls.linearized_propagator(tg, 0.01)
+        monkeypatch.setattr(ls, "_FLUSH_BELOW", 0.0)
+        assert np.array_equal(P, ls.linearized_propagator(tg, 0.01))
+
     def test_propagator_is_one_step(self):
         tg, pg = ThetaGrid.uniform(51), PhiGrid.uniform(102)
         h0 = ls.Perturbation(UNIT_MODE * np.array([1.0, 0.5, 0.25]))

@@ -24,6 +24,8 @@ from dropsed.quadrature import (
     step_count,
 )
 
+import spline_expression_oracle as one_expression
+
 
 def simpson(f, a: float, b: float, n_panels: int) -> float:
     """Composite Simpson value of the integral of f over [a, b] with n_panels panels."""
@@ -273,6 +275,20 @@ class TestSpline:
             scale = np.max(np.abs(s))
             assert np.max(np.abs(s - dense_spline_slopes(x, y))) <= 1e-13 * scale
             assert np.max(np.abs(s - CubicSpline(x, y)(x, 1))) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("values", ["vector", "matrix", "identity"])
+    def test_in_place_maps_equal_one_expression_forms(self, rng, values):
+        # same arithmetic in the same order, so the same bits, extrapolated
+        # points, nodes and 0-d, 1-d and 2-d ``at`` included
+        for n in (4, 5, 9, 60):
+            x = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))))
+            y = {"vector": rng.standard_normal(n), "matrix": rng.standard_normal((n, 3)),
+                 "identity": np.eye(n)}[values]
+            s = spline_slopes(x, y)
+            assert np.array_equal(s, one_expression.spline_slopes(x, y))
+            points = np.concatenate([rng.uniform(x[0] - 0.5, x[-1] + 0.5, 38), x[[0, -1]]])
+            for at in (points, points.reshape(5, 8), x, float(points[3])):
+                assert np.array_equal(hermite(x, y, s, at), one_expression.hermite(x, y, s, at))
 
     @pytest.mark.parametrize("x", [[0.0, 1.0, 2.0], [0.0, 1.0], [0.0, 1.0, 1.0, 2.0],
                                    [0.0, 2.0, 1.0, 3.0]])

@@ -147,6 +147,25 @@ class TestStepUpwind:
 
 
 class TestEvolve:
+    @pytest.mark.parametrize("dt, valid_steps", [(0.0009, 6), (0.0011, 5)])
+    def test_collapse_carries_profile_at_exact_step_time(self, dt, valid_steps):
+        # the pinched profile of test_collapse_detected, at center speed 0.6;
+        # six steps of 0.0009 sum to 0.005399999999999999, not 6 dt = 0.0054,
+        # and 0.6 dt summed five times for dt = 0.0011 is 0.0033, not
+        # 5 dt 0.6 = 0.0033000000000000004
+        grid, pg = ThetaGrid.uniform(51), PhiGrid.uniform(102)
+        th = grid.nodes
+        p0 = RadialProfile(grid=grid, r=0.005 + 0.995 * np.sin(th / 2.0) ** 2
+                           + 0.5 * np.sin(th) ** 2)
+        last = p0
+        for _ in range(valid_steps):
+            last = step_upwind(last, dt, 0.6, pg)
+        with pytest.raises(SurfaceCollapseError, match="collapsed") as exc:
+            evolve(p0, 40 * dt, dt, 0.6, pg)
+        got = exc.value.profile
+        assert np.array_equal(got.r, last.r)
+        assert got.time == valid_steps * dt and got.c3 == valid_steps * dt * 0.6
+
     def test_stationary_short_run(self):
         grid = ThetaGrid.uniform(100)
         pg = PhiGrid.uniform(200)
