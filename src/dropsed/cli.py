@@ -8,13 +8,15 @@ valid values.  Configuration precedence is flags over config file over
 defaults; every run writes a manifest (resolved config + seed + version)
 sufficient to reproduce its outputs bit for bit, so nothing time- or
 host-dependent is ever written.  Heavy numeric imports happen after the
-thread cap is applied.
+thread cap is applied, and only in the runners that compute with them:
+``patch`` evaluates its closed forms on Python floats and loads no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import logging
@@ -133,11 +135,13 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    """Write a 2-D table of numbers, every entry as the repr of a Python float."""
-    import numpy as np
+    """Write a table given as rows of numbers, every entry as the repr of its Python float.
 
-    table = np.asarray(rows, dtype=float).tolist()
-    path.write_text("\n".join([header, *map(",".join, (map(repr, row) for row in table))]) + "\n")
+    Nothing here needs numpy: a caller holding an array passes its
+    ``.tolist()``, whose entries are already Python floats.
+    """
+    lines = (",".join(map(repr, map(float, row))) for row in rows)
+    path.write_text("\n".join([header, *lines]) + "\n")
 
 
 def _write_manifest(out: Path, subcommand: str, cfg: dict, seed: int, extra: dict | None = None) -> None:
@@ -161,9 +165,23 @@ def _check_galerkin_size(K: int, ntheta: int, key: str) -> None:
                          f"{key} <= ntheta, got {key}={K} and ntheta={ntheta}")
 
 
-def run_patch(cfg: dict, out: Path, seed: int) -> int:
-    import numpy as np
+def _numpy_quiet(runner):
+    """``runner`` with numpy's floating-point warnings off for its whole run.
 
+    Its finiteness checks report an overflow; numpy's warnings would only
+    precede them.  Only the runners that compute with numpy are wrapped, so
+    ``patch`` never loads it.
+    """
+    @functools.wraps(runner)
+    def run(cfg: dict, out: Path, seed: int) -> int:
+        import numpy as np
+
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return runner(cfg, out, seed)
+    return run
+
+
+def run_patch(cfg: dict, out: Path, seed: int) -> int:
     from . import patch_waves as pw
 
     R = cfg["R"]
@@ -173,12 +191,13 @@ def run_patch(cfg: dict, out: Path, seed: int) -> int:
         raise ValueError(f"t_max must be finite and >= 0, got {cfg['t_max']!r}")
     if cfg["steps"] < 1:
         raise ValueError(f"steps must be >= 1, got {cfg['steps']}")
-    ts = np.linspace(0.0, cfg["t_max"], cfg["steps"] + 1)
+    # the times np.linspace(0, t_max, steps + 1) gives, bit for bit
+    step = cfg["t_max"] / cfg["steps"]
+    ts = [k * step for k in range(cfg["steps"])] + [cfg["t_max"]]
     rows = []
     for t in ts:
-        l1 = pw.l1_distance(R, float(t))
-        _, w1_lower = pw.wasserstein_bounds(R, float(t))
-        rows.append((t, l1, w1_lower))
+        _, w1_lower = pw.wasserstein_bounds(R, t)
+        rows.append((t, pw.l1_distance(R, t), w1_lower))
     _write_csv(out / "patch.csv", "t,l1,w1_lower", rows)
     initial_upper, _ = pw.wasserstein_bounds(R, 0.0)
     summary = {
@@ -194,6 +213,7 @@ def run_patch(cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
+@_numpy_quiet
 def run_spectrum(cfg: dict, out: Path, seed: int) -> int:
     import numpy as np
 
@@ -211,7 +231,8 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> int:
                [(lam.real, lam.imag) for lam in report.eigenvalues])
     theta = ThetaGrid.uniform(cfg["ntheta"]).nodes
     h = report.eigenvector_perturbation(0)
-    _write_csv(out / "eigenvector.csv", "theta,h", np.column_stack([theta, np.real(h(theta))]))
+    _write_csv(out / "eigenvector.csv", "theta,h",
+               np.column_stack([theta, np.real(h(theta))]).tolist())
     summary = {
         "K": cfg["K"],
         "n_theta": cfg["ntheta"],
@@ -282,6 +303,7 @@ def _meridian_svg(profile) -> str:
     )
 
 
+@_numpy_quiet
 def run_evolve(cfg: dict, out: Path, seed: int) -> int:
     import numpy as np
 
@@ -308,7 +330,7 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
     def dump(profile) -> None:
         tag = f"{next(tags):04d}"
         _write_csv(out / f"snapshot_{tag}.csv", "theta,r",
-                   np.column_stack([profile.grid.nodes, profile.r]))
+                   np.column_stack([profile.grid.nodes, profile.r]).tolist())
         _write_json(out / f"snapshot_{tag}.json",
                     {"time": profile.time, "c3": profile.c3,
                      "n_theta": profile.grid.n_theta, "dt": dt})
@@ -332,6 +354,7 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
+@_numpy_quiet
 def run_micro(cfg: dict, out: Path, seed: int) -> int:
     import numpy as np
 
@@ -379,7 +402,7 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
 
     for idx, pos in enumerate(positions):
         _write_csv(out / f"frame_{idx:04d}.csv", "id,x,y,z",
-                   np.column_stack([np.arange(len(pos)), pos]))
+                   np.column_stack([np.arange(len(pos)), pos]).tolist())
     _write_manifest(out, "micro", cfg, seed, extra={
         "N": cfg["N"],
         "dt": dt,
@@ -450,10 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _resolve_config(args.subcommand, args)
         out = args.out or Path("runs") / args.subcommand
         out.mkdir(parents=True, exist_ok=True)
-        import numpy as np
-        # the finiteness checks report an overflow; numpy's warnings would only precede them
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _RUNNERS[args.subcommand](cfg, out, seed)
+        return _RUNNERS[args.subcommand](cfg, out, seed)
     except Exception as exc:  # guard trips exit nonzero with a message
         if args.debug:
             raise

@@ -80,6 +80,11 @@ INSTABILITY_THRESHOLD = 1.0 / 15.0
 # would enter.
 _FLUSH_BELOW = 1e-150
 
+# The grid kernel's row tiles may hold this many rows where fewer fit in one
+# AGM block, and then run as several.  One block a tile gives 6-row tiles at
+# n = 1601, whose per-tile numpy overhead took ~20% of the build.
+_TILE_ROWS = 32
+
 
 class Perturbation:
     """A perturbation h(theta) given by its coefficients in the polynomial basis.
@@ -134,16 +139,18 @@ def _grid_kernel(grid: ThetaGrid) -> np.ndarray:
     Equal entry for entry to ``_sphere_kernel(nodes, nodes)``.  The moments
     depend on the node pair only through A and B, which are symmetric in it,
     so the upper triangle is walked in row tiles [lo, hi) of
-    :func:`~dropsed.kernels._row_blocks`, each one AGM block: the moments of
-    rows lo..hi-1 against columns lo..n-1, taken once, give both
-    R[lo:hi, lo:] and R[lo:, lo:hi].  A tile's coincident pairs get the
-    placeholder A - B = 1, B = 0, and the diagonal written last replaces
-    them.  Nothing but R is as large as n^2.
+    :func:`~dropsed.kernels._row_blocks` of at most ``_MOMENT_CHUNK`` entries
+    (one AGM block) or ``_TILE_ROWS`` rows, whichever is more; from n = 321
+    on that is 29-32 rows.  The moments of rows lo..hi-1 against columns
+    lo..n-1, taken once, give both R[lo:hi, lo:] and R[lo:, lo:hi].  A
+    tile's coincident pairs get the placeholder A - B = 1, B = 0, and the
+    diagonal written last replaces them.  Nothing but R is as large as n^2.
     """
     n_theta, nodes = grid.n_theta, grid.nodes
     s, c = np.sin(nodes), np.cos(nodes)
     R = np.empty((n_theta, n_theta))
-    for lo, hi in _row_blocks(n_theta, n_theta, _MOMENT_CHUNK):
+    tile = max(_MOMENT_CHUNK, _TILE_ROWS * n_theta)
+    for lo, hi in _row_blocks(n_theta, n_theta, tile):
         a_minus_b = 4.0 * np.sin(0.5 * (nodes[lo:hi, None] - nodes[lo:])) ** 2
         b = 2.0 * s[lo:hi, None] * s[lo:]
         np.fill_diagonal(a_minus_b, 1.0)  # the tile's coincident pairs

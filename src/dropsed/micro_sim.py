@@ -29,6 +29,10 @@ Each integrator stage commits positions in a single assignment.  Pairs
 closer than the regularization distance interact as if separated by exactly
 that distance along the same direction (r_eff = max(r, delta)), and every
 such clamp is counted, as ordered pairs, and logged.
+
+Only sampling a cloud (:func:`uniform_ball_cloud`, with a caller's
+``numpy.random.Generator``) needs ``numpy.random``; importing this module
+does not load it.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator
 
 from .kernels import FluidParams, oseen_terms, stokes_drag_velocity
 from .patch_waves import UNIT_BALL_VOLUME, sample_unit_ball, wave_speed
@@ -101,7 +104,7 @@ class ParticleCloud:
 
 
 def uniform_ball_cloud(n: int, params: FluidParams, cloud_radius: float,
-                       rng: Generator, delta: float | None = None) -> ParticleCloud:
+                       rng: np.random.Generator, delta: float | None = None) -> ParticleCloud:
     """Seeded uniform sample of the ball B(0, R0), scaled from :func:`sample_unit_ball`."""
     if delta is None:
         delta = default_regularization(cloud_radius, n)

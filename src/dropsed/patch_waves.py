@@ -15,8 +15,10 @@ bound for the Wasserstein-1 distance.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # the closed forms run on Python floats; only the samplers import numpy
+    import numpy as np
 
 __all__ = [
     "UNIT_BALL_VOLUME",
@@ -88,6 +90,8 @@ def wasserstein_bounds(R: float, t: float) -> tuple[float, float]:
 
 def sample_unit_ball(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform points in the unit ball: cube-root radii on isotropic directions."""
+    import numpy as np
+
     v = rng.normal(size=(n, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return v * rng.uniform(size=(n, 1)) ** (1.0 / 3.0)
@@ -101,6 +105,8 @@ def monte_carlo_l1(R: float, t: float, n_samples: int, rng: np.random.Generator)
     the share of unit-patch samples inside the radius-R patch.  The samples are
     shifted by the center distance along e3; the ball is symmetric, so the sign is free.
     """
+    import numpy as np
+
     x = sample_unit_ball(n_samples, rng)
     x[:, 2] += _gap_speed(R) * t
     inside = float(np.mean(np.linalg.norm(x, axis=1) <= R))

@@ -274,24 +274,39 @@ class TestBlockedAdvection:
 
 class TestSphereKernelAgainstOracle:
     # up to n = 101 the upper triangle is one row tile; 251 is cut into 7
-    # tiles of 35-36 rows and 801 into 67 of 11-12
-    @pytest.mark.parametrize("n", [4, 5, 33, 64, 100, 251, 801])
+    # tiles of 35-36 rows, each one AGM block, and 401 and 801 into 13 and 26
+    # tiles of 30-31 rows, each several AGM blocks
+    @pytest.mark.parametrize("n", [4, 5, 33, 64, 100, 251, 401, 801])
     def test_symmetric_grid_kernel_equals_full_kernel(self, n):
         grid = ThetaGrid.uniform(n)
         assert np.array_equal(ls._grid_kernel(grid), ls._sphere_kernel(grid.nodes, grid.nodes))
+
+    def test_grid_kernel_tiles_span_several_agm_blocks(self, monkeypatch):
+        # at n = 801 one AGM block holds 12 rows; the tiles hold 30-31
+        tiles = []
+
+        def counted(b, a_minus_b):
+            tiles.append(b.shape[0])
+            return kernels.azimuthal_moments(b, a_minus_b)
+
+        monkeypatch.setattr(ls, "azimuthal_moments", counted)
+        ls._grid_kernel.__wrapped__(ThetaGrid.uniform(801))
+        assert kernels._MOMENT_CHUNK // 801 == 12
+        assert len(tiles) == 26 and set(tiles) == {30, 31}
 
     @pytest.mark.parametrize("n, rows", [(4, 1), (5, 2), (33, 1), (33, 4), (64, 3)])
     def test_grid_kernel_in_small_row_tiles_equals_full_kernel(self, monkeypatch, n, rows):
         # tiles of at most ``rows`` rows; the cache is bypassed, as it holds
         # kernels built in the default tiles
         monkeypatch.setattr(ls, "_MOMENT_CHUNK", rows * n)
+        monkeypatch.setattr(ls, "_TILE_ROWS", 1)
         grid = ThetaGrid.uniform(n)
         R = ls._grid_kernel.__wrapped__(grid)
         assert np.array_equal(R, ls._sphere_kernel(grid.nodes, grid.nodes))
 
     def test_grid_kernel_builds_without_square_scratch(self):
         # the row tiles keep nothing but R as large as n^2: a cold n = 801
-        # build peaks at 6.0 MB traced, R alone being 5.1 MB
+        # build peaks at 7.2 MB traced, R alone being 5.1 MB
         grid = ThetaGrid.uniform(801)
         grid.nodes  # cached before tracing
         tracemalloc.start()

@@ -602,19 +602,21 @@ def _fresh_interpreter_env() -> dict:
 
 
 def test_threads_cap_is_set_before_numpy_loads(tmp_path):
-    # a fresh interpreter: this test process has numpy loaded already
+    # a fresh interpreter: this test process has numpy loaded already.  The
+    # spectrum runner loads numpy, so it is loaded after the run and not before.
     script = (
         "import os, sys\n"
         "import dropsed.cli\n"
         "print('numpy' in sys.modules)\n"
-        "rc = dropsed.cli.main(['patch', '--threads', '3', '--steps', '2', '--out', sys.argv[1]])\n"
-        "print(rc, *(os.environ[v] for v in ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS',"
-        " 'MKL_NUM_THREADS')))\n"
+        "rc = dropsed.cli.main(['spectrum', '--K', '1', '--ntheta', '8', '--threads', '3',"
+        " '--out', sys.argv[1]])\n"
+        "print(rc, 'numpy' in sys.modules, *(os.environ[v] for v in ('OMP_NUM_THREADS',"
+        " 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "run")],
                           env=_fresh_interpreter_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "0", "3", "3", "3"]
+    assert proc.stdout.split() == ["False", "0", "True", "3", "3", "3"]
 
 
 def test_micro_files_do_not_depend_on_blas_threads(tmp_path):

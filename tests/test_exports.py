@@ -158,22 +158,44 @@ def test_every_public_name_is_read_by_the_package_the_benchmark_or_the_gate():
     assert _unread_public_names(package_trees, reader_trees) == []
 
 
-def test_package_imports_neither_scipy_nor_package_metadata():
-    # a fresh interpreter: this test process has scipy loaded for the oracles
+def _fresh_interpreter_modules(script: str, *args: str) -> list[str]:
+    """The names a fresh interpreter prints on its last line after running ``script``.
+
+    Only a fresh interpreter shows what the package loads: this test process
+    has scipy and numpy.random loaded for the oracles.
+    """
+    src = str(Path(dropsed.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+# modules no import of the package may load: scipy is only the tests' oracle,
+# and numpy.random (with secrets and hashlib, which load OpenSSL) only a
+# sampling run needs
+_LOADED_ON_DEMAND = ("scipy", "importlib.metadata", "numpy.random", "secrets", "hashlib")
+
+
+def test_package_imports_neither_scipy_nor_package_metadata(tmp_path):
     script = (
         "import sys\n"
         "import dropsed.cli\n"
         f"for name in {MODULES!r}:\n"
         "    __import__(f'dropsed.{name}')\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] == 'scipy' or m.startswith('importlib.metadata')))\n"
+        f"print(*sorted(m for m in sys.modules if m.startswith({_LOADED_ON_DEMAND!r})))\n"
     )
-    src = str(Path(dropsed.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]"]
+    assert _fresh_interpreter_modules(script) == []
+    # the patch runner computes on Python floats and loads no numpy at all
+    script = (
+        "import sys\n"
+        "import dropsed.cli\n"
+        "assert dropsed.cli.main(['patch', '--steps', '4', '--out', sys.argv[1]]) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    assert _fresh_interpreter_modules(script, str(tmp_path / "patch")) == []
+    assert (tmp_path / "patch" / "patch.csv").read_text().count("\n") == 6
 
 
 def _name(node):

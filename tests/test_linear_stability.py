@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from dropsed import linear_stability as ls
-from dropsed.quadrature import PhiGrid, ThetaGrid, basis_matrix, simpson_weights
+from dropsed import surface_evolution as se
+from dropsed.patch_waves import wave_speed
+from dropsed.quadrature import PhiGrid, ThetaGrid, basis_matrix, simpson_weights, spline_slopes
 
 import characteristic_corrector_oracle as corrector
 import phi_simpson_oracle as oracle
@@ -410,3 +412,50 @@ class TestLinearizedEvolve:
             ls.measured_growth_rate(evo, 0.5, 5.0)
         # a time off a stored one by rounding only still resolves to it
         assert ls.measured_growth_rate(evo, 0.0, 5.0 * (1 + 1e-12)) == pytest.approx(0.25, rel=1e-12)
+
+
+def source_derivative_gaps(n: int, degrees) -> tuple[dict, float]:
+    """max |Da2[P_m] - L P_m| on the uniform n-node grid for each degree m, and its spacing.
+
+    Da2[h] is the central difference of advection_and_source's a2 at
+    r = 1 +- 1e-5 h, at the sphere's own wave speed; L = R (diag(a) + diag(b) D)
+    + diag(k) is the grid-sampled linearized source, and P_m(cos theta) the
+    Legendre polynomial.
+    """
+    eps = 1e-5
+    grid = ThetaGrid.uniform(n)
+    theta = grid.nodes
+    a, b = ls._source_weights(grid)
+    D = spline_slopes(theta, np.eye(n))
+    L = ls._grid_kernel(grid) @ (np.diag(a) + b[:, None] * D) + np.diag(ls.k_coefficient(theta))
+    gaps = {}
+    for m in degrees:
+        P = np.polynomial.legendre.legval(np.cos(theta), [0.0] * m + [1.0])
+        plus, minus = (se.advection_and_source(se.RadialProfile(grid=grid, r=1.0 + e * P),
+                                               wave_speed(1.0), None)[1] for e in (eps, -eps))
+        gaps[m] = float(np.max(np.abs((plus - minus) / (2.0 * eps) - L @ P)))
+    return gaps, grid.spacing
+
+
+class TestSourceDerivativeAtSphere:
+    """The nonlinear source's derivative at r = 1 is the linearized operator L.
+
+    At the sphere r_theta = 0, so the derivative of -a1 r_theta + a2 along h
+    is -a1 h_theta + Da2[h], and criterion 6 checks a1.  This checks
+    Da2[h] = L h, two quadratures of one source: the AGM moments on offset
+    mids against Simpson on the nodes.
+    """
+
+    # gap <= C_m h^2.  Measured gaps for m = 0 / 2 / 5: 3.06e-5 / 9.81e-5 /
+    # 1.83e-4 at n = 101 and 7.64e-6 / 2.45e-5 / 4.61e-5 at n = 201, so
+    # C_m = 0.031 / 0.099 / 0.186 at both; each bound is about twice that.
+    BOUND_OVER_H2 = {0: 0.07, 2: 0.2, 5: 0.4}
+
+    def test_second_order_agreement(self):
+        coarse, h_coarse = source_derivative_gaps(101, self.BOUND_OVER_H2)
+        fine, h_fine = source_derivative_gaps(201, self.BOUND_OVER_H2)
+        for m, c in self.BOUND_OVER_H2.items():
+            assert coarse[m] <= c * h_coarse**2, (m, coarse[m])
+            assert fine[m] <= c * h_fine**2, (m, fine[m])
+            # second order gives 4; a first-order source would give 2
+            assert coarse[m] >= 3.0 * fine[m], (m, coarse[m], fine[m])
