@@ -196,8 +196,13 @@ def run_patch(cfg: dict, out: Path, seed: int) -> int:
     ts = [k * step for k in range(cfg["steps"])] + [cfg["t_max"]]
     rows = []
     for t in ts:
-        _, w1_lower = pw.wasserstein_bounds(R, t)
-        rows.append((t, pw.l1_distance(R, t), w1_lower))
+        try:  # l1_distance's R**3 raises OverflowError for R above about 5.6e102
+            row = (t, pw.l1_distance(R, t), pw.wasserstein_bounds(R, t)[1])
+        except OverflowError:
+            row = (t, math.inf, math.inf)
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"the patch distances at R={R!r}, t={t!r} overflow a float")
+        rows.append(row)
     _write_csv(out / "patch.csv", "t,l1,w1_lower", rows)
     initial_upper, _ = pw.wasserstein_bounds(R, 0.0)
     summary = {
@@ -280,7 +285,13 @@ def _initial_profile(cfg: dict):
             report = ls.solve_spectrum(A)
             h = np.real(report.eigenvector_perturbation(0)(grid.nodes))
         # eps is the actual perturbation amplitude: scale to unit sup norm
-        h = h / np.max(np.abs(h))
+        sup = float(np.max(np.abs(h)))
+        if not 0.0 < sup < math.inf:
+            source = (f"eigvec {cfg['eigvec']!r}" if cfg["eigvec"]
+                      else f"perturb_K={cfg['perturb_K']}")
+            raise ValueError(f"{source} gives a perturbation of sup norm {sup!r}; "
+                             "it must be positive and finite")
+        h = h / sup
         r = r + cfg["eps"] * h
     return se.RadialProfile(grid=grid, r=r)
 
@@ -359,7 +370,7 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
     import numpy as np
 
     from . import micro_sim as ms
-    from .kernels import FluidParams, stokes_drag_velocity
+    from .kernels import stokes_drag_velocity
     from .quadrature import snapshot_steps
 
     if cfg["N"] < 1:
@@ -368,9 +379,9 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
     # checked on the user's numbers, before any rescaled clock is formed
     frame_times = np.array(snapshot_steps(T, dt, cfg["snapshot_every"])) * dt
     rng = np.random.default_rng(seed)
-    params = FluidParams(mu=1.0, force=np.array([0.0, 0.0, -1.0]), radius=1e-2)
     delta = None if cfg["delta"] < 0 else cfg["delta"]
-    cloud = ms.uniform_ball_cloud(cfg["N"], params, 1.0, rng, delta=delta)
+    cloud = ms.uniform_ball_cloud(cfg["N"], 1.0, rng, particle_radius=1e-2, delta=delta)
+    drag = stokes_drag_velocity(cloud.particle_radius)
 
     rescaled, velocity_scale = ms.rescale_cloud(cloud)
     # The lab and drift-subtracted runs are images of the rescaled run on the
@@ -382,12 +393,12 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
                            snapshot_every=clock * cfg["snapshot_every"] or None)
     positions = traj.positions
     if frame != "rescaled":
-        drift = stokes_drag_velocity(params) if frame == "lab" else np.zeros(3)
+        drift = drag if frame == "lab" else np.zeros(3)
         positions = [R0 * y + t * drift for t, y in zip(frame_times, positions, strict=True)]
-    # The t = 0 pair sum gives both means.  With the force along -e3 the
+    # The t = 0 pair sum gives both means: under the unit force along -e3 the
     # physical interaction velocity is velocity_scale times the rescaled one.
     rescaled_mean = traj.initial_velocity.mean(axis=0)
-    measured = stokes_drag_velocity(params) + velocity_scale * rescaled_mean
+    measured = drag + velocity_scale * rescaled_mean
     predicted = ms.mean_velocity_formula(cloud)
     _write_json(out / "mean_velocity.json", {
         "measured": [float(v) for v in measured],

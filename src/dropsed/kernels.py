@@ -1,11 +1,12 @@
 """Closed-form hydrodynamic kernels.
 
 The Oseen pair kernel and the single-sphere drag speed are the microscopic
-building blocks.  Every particle carries the same gravity force along -e3,
-which :class:`FluidParams` enforces, so the pair kernel
-:func:`oseen_terms` computes the one response U(d) e3 at unit viscosity and
-its callers scale it by the force over the viscosity.  The surface integrals
-are built from the closed-form azimuthal moments of the inverse chord,
+building blocks.  They use the units of the continuum models (see
+:mod:`dropsed.patch_waves`): every particle carries a unit force along -e3
+in a fluid of unit viscosity, so the pair kernel :func:`oseen_terms`
+computes the one response U(d) e3 that every pair needs.  Another force or
+viscosity would only change the unit of time.  The surface integrals are
+built from the closed-form azimuthal moments of the inverse chord,
 :func:`azimuthal_moments`.  Two functions write into buffers their caller
 owns, so a caller looping over tiles or blocks reuses one workspace for all
 of them: :func:`oseen_terms`, the Oseen factors of a pair-sum tile, and
@@ -16,12 +17,10 @@ block.  The rest are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "FluidParams",
     "oseen_terms",
     "stokes_drag_velocity",
     "azimuthal_moments",
@@ -46,36 +45,17 @@ _AGM_TOL = 2.0 ** -13
 _AGM_MAX_STEPS = 64
 
 
-@dataclass(frozen=True)
-class FluidParams:
-    """Viscosity, per-particle gravity force along -e3, and particle/blob radius."""
-
-    mu: float
-    force: np.ndarray = field(repr=False)
-    radius: float
-
-    def __post_init__(self):
-        if not 0 < self.mu < math.inf:
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
-        if not 0 < self.radius < math.inf:
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
-        f = np.asarray(self.force, dtype=float)
-        if not (f.shape == (3,) and f[0] == f[1] == 0.0 and -math.inf < f[2] < 0.0):
-            raise ValueError(f"force must be a finite 3-vector along -e3, got {f.tolist()}")
-        object.__setattr__(self, "force", f)
-
-
 def oseen_terms(d: np.ndarray, r2: np.ndarray, delta: float, inv_r: np.ndarray,
                 coef: np.ndarray) -> None:
-    """Fill the two scalar factors of the Oseen response U(d) e3 at mu = 1 in place.
+    """Fill the two scalar factors of the Oseen response U(d) e3 in place.
 
     Separations are stored components-first: ``d`` has shape (3, ...) and
     ``r2``, ``inv_r`` and ``coef`` hold one value per separation, shape
     (...).  With r_eff = max(r, delta) this writes inv_r = 1 / (8 pi r_eff)
     and coef = d_3 inv_r / r^2, so that U(d) e3 = e3 inv_r + d coef; the
-    response to a force f e3 at viscosity mu is that times f / mu.  A
-    separation shorter than ``delta`` thus acts as if it were exactly
-    ``delta`` long in the same direction.  An entry with d = 0 and r2 = +inf
+    response to the unit force -e3 is minus that.  A separation shorter
+    than ``delta`` thus acts as if it were exactly ``delta`` long in the
+    same direction.  An entry with d = 0 and r2 = +inf
     gets inv_r = coef = 0, which is how a caller drops a self pair.  Zero
     separations are the caller's to reject: they produce non-finite values
     here.  Writing into caller-owned buffers lets a tiled pair sum reuse a
@@ -88,9 +68,9 @@ def oseen_terms(d: np.ndarray, r2: np.ndarray, delta: float, inv_r: np.ndarray,
     coef /= r2
 
 
-def stokes_drag_velocity(params: FluidParams) -> np.ndarray:
-    """Settling velocity of a single sphere, F / (6 pi mu R)."""
-    return params.force / (6.0 * math.pi * params.mu * params.radius)
+def stokes_drag_velocity(radius: float) -> np.ndarray:
+    """Settling velocity -e3 / (6 pi a) of a sphere of radius a under the unit force."""
+    return np.array([0.0, 0.0, -1.0]) / (6.0 * math.pi * radius)
 
 
 def _agm_steps(ratio: float) -> int | None:

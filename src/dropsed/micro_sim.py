@@ -7,14 +7,16 @@ produces a dimensionless dynamics whose mean fall speed is one; that is the
 form integrated by the trajectory driver.
 
 Force evaluation is an O(N^2) pairwise sum over a read-only position
-snapshot.  Every particle carries the same force along -e3, so the sum needs
-only the response U(d) e3 to a unit force at unit viscosity, which its
-callers scale by the force over the viscosity.  The Oseen tensor is even,
-U(d) = U(-d), so each unordered pair is evaluated once: the sum runs over
-square tiles of particle blocks (I, J) with J >= I, at most ``_PAIR_TILE``
-particles a side, and an off-diagonal tile adds its row sums to block I and
-its column sums to block J.  Each tile works in a few buffers allocated once
-per sum and filled in place by the one Oseen kernel,
+snapshot.  Every particle carries the unit force along -e3 in a fluid of
+unit viscosity, the units of the continuum models, so the sum needs only the
+response U(d) e3, which its callers negate; another force or viscosity would
+only change the unit of time.  The particle radius a stays a parameter: it
+sets the drag speed 1 / (6 pi a) against the collective speed.  The Oseen
+tensor is even, U(d) = U(-d), so each unordered pair is evaluated once: the
+sum runs over square tiles of particle blocks (I, J) with J >= I, at most
+``_PAIR_TILE`` particles a side, and an off-diagonal tile adds its row sums
+to block I and its column sums to block J.  Each tile works in a few buffers
+allocated once per sum and filled in place by the one Oseen kernel,
 :func:`~dropsed.kernels.oseen_terms`.  The two whole-tile passes that
 numpy's broadcasting and axis sums run slowly go to BLAS instead.  A tile's
 separation planes are one batched rank-2 product [x_i, 1] . [1, -x_j], which
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import FluidParams, oseen_terms, stokes_drag_velocity
+from .kernels import oseen_terms, stokes_drag_velocity
 from .patch_waves import UNIT_BALL_VOLUME, sample_unit_ball, wave_speed
 from .quadrature import snapshot_steps
 
@@ -79,10 +81,10 @@ def default_regularization(cloud_radius: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class ParticleCloud:
-    """Positions of N point particles plus fluid and regularization parameters."""
+    """Positions of N point particles, their radius, the cloud radius and the regularization."""
 
     positions: np.ndarray = field(repr=False)
-    params: FluidParams
+    particle_radius: float
     cloud_radius: float
     delta: float = 0.0
 
@@ -92,6 +94,9 @@ class ParticleCloud:
             raise ValueError("positions must have shape (N, 3) with N >= 1")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
+        if not 0 < self.particle_radius < math.inf:
+            raise ValueError(f"particle_radius must be positive and finite, "
+                             f"got {self.particle_radius!r}")
         if not 0 < self.cloud_radius < math.inf:
             raise ValueError(f"cloud_radius must be positive and finite, got {self.cloud_radius!r}")
         if not 0.0 <= self.delta < math.inf:
@@ -103,13 +108,13 @@ class ParticleCloud:
         return self.positions.shape[0]
 
 
-def uniform_ball_cloud(n: int, params: FluidParams, cloud_radius: float,
-                       rng: np.random.Generator, delta: float | None = None) -> ParticleCloud:
+def uniform_ball_cloud(n: int, cloud_radius: float, rng: np.random.Generator, *,
+                       particle_radius: float, delta: float | None = None) -> ParticleCloud:
     """Seeded uniform sample of the ball B(0, R0), scaled from :func:`sample_unit_ball`."""
     if delta is None:
         delta = default_regularization(cloud_radius, n)
-    return ParticleCloud(positions=cloud_radius * sample_unit_ball(n, rng), params=params,
-                         cloud_radius=cloud_radius, delta=delta)
+    return ParticleCloud(positions=cloud_radius * sample_unit_ball(n, rng),
+                         particle_radius=particle_radius, cloud_radius=cloud_radius, delta=delta)
 
 
 def _separation_factors(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +132,7 @@ def _separation_factors(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _interaction_sum(positions: np.ndarray, delta: float) -> tuple[np.ndarray, int]:
-    """Sum over j != i of the Oseen response U(x_i - x_j) e3 at mu = 1, with clamping.
+    """Sum over j != i of the Oseen response U(x_i - x_j) e3, with clamping.
 
     Returns the (N, 3) interaction velocities and the number of clamped pairs
     (ordered pairs, so each close pair counts twice).
@@ -194,9 +199,8 @@ def _interaction_sum(positions: np.ndarray, delta: float) -> tuple[np.ndarray, i
 
 def cloud_velocities(cloud: ParticleCloud) -> tuple[np.ndarray, int]:
     """All particle velocities (drag + interactions) and the clamp-event count."""
-    p = cloud.params
     vel, clamps = _interaction_sum(cloud.positions, cloud.delta)
-    return stokes_drag_velocity(p) + (p.force[2] / p.mu) * vel, clamps
+    return stokes_drag_velocity(cloud.particle_radius) - vel, clamps
 
 
 def mean_settling_velocity(cloud: ParticleCloud) -> np.ndarray:
@@ -208,25 +212,26 @@ def mean_settling_velocity(cloud: ParticleCloud) -> np.ndarray:
 def _collective_speed(cloud: ParticleCloud) -> float:
     """The cloud's vertical fall speed as a uniform ball of density (N - 1) / (|B_1| R0^3)."""
     density = (cloud.n - 1) / (UNIT_BALL_VOLUME * cloud.cloud_radius**3)
-    return wave_speed(cloud.cloud_radius, density) * -float(cloud.params.force[2]) / cloud.params.mu
+    return wave_speed(cloud.cloud_radius, density)
 
 
 def mean_velocity_formula(cloud: ParticleCloud) -> np.ndarray:
     """Collective fall-speed prediction: U_S plus the wave speed of the cloud as a uniform ball."""
-    return stokes_drag_velocity(cloud.params) + np.array([0.0, 0.0, _collective_speed(cloud)])
+    collective = np.array([0.0, 0.0, _collective_speed(cloud)])
+    return stokes_drag_velocity(cloud.particle_radius) + collective
 
 
 def rescale_cloud(cloud: ParticleCloud) -> tuple[ParticleCloud, float]:
     """Nondimensionalize: positions by R0, velocities by the collective fall speed.
 
     Returns the rescaled cloud (unit cloud radius, regularization scaled
-    alike) and the velocity scale |(N - 1) F| / (5 pi mu R0) that divides
+    alike) and the velocity scale (N - 1) / (5 pi R0) that divides
     physical velocities.  The rescaled dynamics is supplied by
     :func:`rescaled_velocities`; its mean fall speed is one by construction.
     """
     rescaled = ParticleCloud(
         positions=cloud.positions / cloud.cloud_radius,
-        params=cloud.params,
+        particle_radius=cloud.particle_radius,
         cloud_radius=1.0,
         delta=cloud.delta / cloud.cloud_radius,
     )
@@ -262,12 +267,11 @@ def evolve_cloud(cloud: ParticleCloud, T: float, dt: float,
     """Integrate the rescaled dynamics with the explicit midpoint rule.
 
     ``cloud`` is given in rescaled coordinates (see :func:`rescale_cloud`).
-    As every force is along -e3 (see :class:`~dropsed.kernels.FluidParams`),
-    the lab-frame run of the physical cloud is x(t) = U_S t + R0 y(s t / R0),
-    y being this run and s the velocity scale, and the drift-subtracted run
-    drops U_S t; the midpoint rule respects that map.  ``T`` and
-    ``snapshot_every`` (default: only at T) must be whole numbers of steps
-    ``dt``, and snapshots are taken at the times k*dt of
+    As every force is the unit force along -e3, the lab-frame run of the
+    physical cloud is x(t) = U_S t + R0 y(s t / R0), y being this run and s
+    the velocity scale, and the drift-subtracted run drops U_S t; the
+    midpoint rule respects that map.  ``T`` and ``snapshot_every`` (default:
+    only at T) must be whole numbers of steps ``dt``, and snapshots are taken at the times k*dt of
     :func:`~dropsed.quadrature.snapshot_steps`.  The velocity at t = 0 is
     computed once, even for T = 0, returned as ``initial_velocity`` and reused
     as step 1's first stage, so a run of n steps evaluates max(1, 2n) pair sums

@@ -6,6 +6,8 @@ unit downward force per unit volume at unit viscosity, falls rigidly at
 -(4/15) rho R^2.  Its densities are 1 for the surface model's sphere,
 1/(|B_1| R^3) for a patch of mass one (which thus falls at a speed
 proportional to 1/R) and (N - 1)/(|B_1| R0^3) for a cloud of N particles.
+The cloud (:mod:`dropsed.micro_sim`) uses the same units: each of its
+particles carries a unit force along -e3 in a fluid of unit viscosity.
 Two patches with different radii separate linearly in time.  That separation is
 quantified here in L^1 (the overlap volume of the two supports: nested at
 t = 0, a spherical lens, then disjoint) and by the vertical-coordinate lower

@@ -16,12 +16,11 @@ from dropsed.micro_sim import ParticleCloud, _interaction_sum
 
 def evolve_physical(cloud: ParticleCloud, n_steps: int, dt: float, lab: bool):
     """Positions after each of ``n_steps`` midpoint steps dt, and the stages' clamp count."""
-    p = cloud.params
-    drift = stokes_drag_velocity(p) if lab else np.zeros(3)
+    drift = stokes_drag_velocity(cloud.particle_radius) if lab else np.zeros(3)
 
     def velocity(x):
         vel, clamps = _interaction_sum(x, cloud.delta)
-        return (p.force[2] / p.mu) * vel + drift, clamps
+        return -vel + drift, clamps
 
     x, snaps, clamp_total = cloud.positions.copy(), [], 0
     for _ in range(n_steps):

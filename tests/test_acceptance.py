@@ -15,7 +15,6 @@ from dropsed import linear_stability as ls
 from dropsed import micro_sim as ms
 from dropsed import patch_waves as pw
 from dropsed import surface_evolution as se
-from dropsed.kernels import FluidParams
 from dropsed.quadrature import PhiGrid, ThetaGrid
 
 pytestmark = pytest.mark.acceptance
@@ -187,9 +186,8 @@ def test_criterion_8_patch_certificates():
 
 
 def test_criterion_9_micro_mean_field():
-    params = FluidParams(mu=1.0, force=-E3, radius=1e-2)
     rng = np.random.default_rng(7)
-    cloud = ms.uniform_ball_cloud(2000, params, 1.0, rng)
+    cloud = ms.uniform_ball_cloud(2000, 1.0, rng, particle_radius=1e-2)
     measured = ms.mean_settling_velocity(cloud)
     predicted = ms.mean_velocity_formula(cloud)
     rel = abs(measured[2] - predicted[2]) / abs(predicted[2])

@@ -19,14 +19,14 @@ from dropsed import micro_sim as ms
 from dropsed import patch_waves as pw
 from dropsed import surface_evolution as se
 from dropsed.cli import main
-from dropsed.kernels import FluidParams, stokes_drag_velocity
+from dropsed.kernels import stokes_drag_velocity
 from dropsed.quadrature import PhiGrid, ThetaGrid
 
 import lab_frame_oracle as oracle
 
 
-# the cloud parameters of every micro run
-MICRO_PARAMS = FluidParams(mu=1.0, force=np.array([0.0, 0.0, -1.0]), radius=1e-2)
+# the particle radius of every micro run
+MICRO_RADIUS = 1e-2
 
 
 def read_csv(path):
@@ -73,6 +73,18 @@ class TestPatchCommand:
         out = tmp_path / "x"
         assert main(["patch", *flags, "--out", str(out)]) == 1
         assert f"error: {key} must be" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--R", "1e103"], "R=1e+103, t=0.0"),  # R**3 overflows
+        (["--R", "1e-310"], "R=1e-310, t=0.0"),  # the gap speed is inf, and inf * 0 nan
+        (["--R", "1e-300", "--t-max", "1e10"], "R=1e-300, t=3000000000.0"),  # inf w1 bound
+    ], ids=["R-cubed", "gap-speed", "w1-lower"])
+    def test_overflow_exits_naming_r_and_t(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "x"
+        assert main(["patch", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"dropsed patch: error: the patch distances at {named} overflow a float\n")
         assert list(out.iterdir()) == []
 
 
@@ -291,6 +303,18 @@ class TestEvolveCommand:
         assert err.count("\n") == 1 and f"error: eigvec {str(bad)!r} {reason}" in err
         assert list(out.iterdir()) == []
 
+    def test_zero_eigvec_file_rejected(self, tmp_path, capsys):
+        # scaling h = 0 to unit sup norm would divide 0 by 0
+        zero = tmp_path / "eigvec.csv"
+        zero.write_text("theta,h\n" + "".join(f"{k * math.pi / 10!r},0.0\n" for k in range(11)))
+        out = tmp_path / "run"
+        assert main(["evolve", "--perturb", "dominant", "--T", "0.01", "--ntheta", "40",
+                     "--eigvec", str(zero), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"dropsed evolve: error: eigvec {str(zero)!r} gives a perturbation of sup norm 0.0; "
+            "it must be positive and finite\n")
+        assert list(out.iterdir()) == []
+
     def test_collapse_writes_last_valid_profile(self, tmp_path, monkeypatch, capsys):
         # the nearly pinched profile of test_collapse_detected: collapses on step 4
         grid = ThetaGrid.uniform(51)
@@ -332,12 +356,13 @@ class TestMicroCommand:
         out = tmp_path / "run"
         assert main(["micro", "--N", "1", "--T", "1", "--dt", "0.1", "--snapshot-every", "0.5",
                      "--frame", "lab", "--out", str(out)]) == 0
-        x0 = ms.uniform_ball_cloud(1, MICRO_PARAMS, 1.0, np.random.default_rng(0)).positions[0]
+        cloud = ms.uniform_ball_cloud(1, 1.0, np.random.default_rng(0), particle_radius=MICRO_RADIUS)
+        x0 = cloud.positions[0]
         times = json.loads((out / "manifest.json").read_text())["frame_times"]
         assert times == [0.0, 0.5, 1.0]
         for idx, t in enumerate(times):
             _, data = read_csv(out / f"frame_{idx:04d}.csv")
-            expected = x0 + t * stokes_drag_velocity(MICRO_PARAMS)
+            expected = x0 + t * stokes_drag_velocity(MICRO_RADIUS)
             assert np.allclose(data[0, 1:], expected, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("frame", ["lab", "drift_subtracted"])
@@ -347,7 +372,7 @@ class TestMicroCommand:
         out = tmp_path / "run"
         assert main(["micro", "--N", "300", "--T", "0.2", "--dt", "0.01", "--snapshot-every",
                      "0.05", "--seed", "3", "--frame", frame, "--out", str(out)]) == 0
-        cloud = ms.uniform_ball_cloud(300, MICRO_PARAMS, 1.0, np.random.default_rng(3))
+        cloud = ms.uniform_ball_cloud(300, 1.0, np.random.default_rng(3), particle_radius=MICRO_RADIUS)
         snaps, clamps = oracle.evolve_physical(cloud, 20, 0.01, lab=frame == "lab")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["clamp_events"] == clamps
@@ -429,7 +454,7 @@ class TestMicroCommand:
                      "--frame", frame, "--out", str(out)]) == 0
         assert len(calls) == (10 if n > 1 else 0)
         report = json.loads((out / "mean_velocity.json").read_text())
-        cloud = ms.uniform_ball_cloud(n, MICRO_PARAMS, 1.0, np.random.default_rng(4))
+        cloud = ms.uniform_ball_cloud(n, 1.0, np.random.default_rng(4), particle_radius=MICRO_RADIUS)
         measured = ms.mean_settling_velocity(cloud)
         assert (np.linalg.norm(np.array(report["measured"]) - measured)
                 <= 1e-12 * np.linalg.norm(measured))

@@ -234,24 +234,46 @@ def _number(node):
 
 
 def _fall_speed_law_lines(tree):
-    """Lines that write 4/15 or 5 pi, the constants of a uniform ball's fall speed."""
-    lines = []
+    """Lines that write a fall-speed law's constant, by law.
+
+    ``"ball"``: 4/15 or 5 pi, the constants of a uniform ball's fall speed;
+    ``"drag"``: 6 pi, the constant of a single sphere's Stokes drag.
+    """
+    lines = {"ball": [], "drag": []}
     for node in ast.walk(tree):
         if not isinstance(node, ast.BinOp):
             continue
         numbers = (_number(node.left), _number(node.right))
-        if (isinstance(node.op, ast.Div) and numbers == (4, 15)
-                or isinstance(node.op, ast.Mult) and 5 in numbers
-                and "pi" in (_name(node.left), _name(node.right))):
-            lines.append(node.lineno)
-    return sorted(lines)
+        times_pi = (isinstance(node.op, ast.Mult)
+                    and "pi" in (_name(node.left), _name(node.right)))
+        if isinstance(node.op, ast.Div) and numbers == (4, 15) or times_pi and 5 in numbers:
+            lines["ball"].append(node.lineno)
+        elif times_pi and 6 in numbers:
+            lines["drag"].append(node.lineno)
+    return {law: sorted(found) for law, found in lines.items()}
+
+
+def _law_lines_outside_its_module(law, module):
+    """Lines of package modules other than ``module`` that write ``law``, by file name.
+
+    ``module`` itself must write it, so a scan that matches nothing cannot pass.
+    """
+    package = Path(dropsed.__file__).parent
+    assert _fall_speed_law_lines(ast.parse((package / module).read_text()))[law]
+    found = {path.name: _fall_speed_law_lines(ast.parse(path.read_text()))[law]
+             for path in sorted(package.glob("*.py")) if path.name != module}
+    return {name: lines for name, lines in found.items() if lines}
 
 
 def test_only_patch_waves_writes_the_fall_speed_law():
     toy = ast.parse("a = -4.0 / 15.0\nb = 5.0 * math.pi\nc = np.pi * 5\nd = 4.0 / 3.0\n"
                     "e = 8.0 * math.pi\nf = 15.0 / 4.0\ng = 5 * x\n")
-    assert _fall_speed_law_lines(toy) == [1, 2, 3]
-    package = Path(dropsed.__file__).parent
-    found = {path.name: _fall_speed_law_lines(ast.parse(path.read_text()))
-             for path in sorted(package.glob("*.py")) if path.name != "patch_waves.py"}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _fall_speed_law_lines(toy)["ball"] == [1, 2, 3]
+    assert _law_lines_outside_its_module("ball", "patch_waves.py") == {}
+
+
+def test_only_kernels_writes_the_stokes_drag_law():
+    toy = ast.parse("a = 6.0 * math.pi * r\nb = np.pi * 6\nc = 6 * x\nd = 5.0 * math.pi\n"
+                    "e = 6.0 / math.pi\n")
+    assert _fall_speed_law_lines(toy)["drag"] == [1, 2]
+    assert _law_lines_outside_its_module("drag", "kernels.py") == {}

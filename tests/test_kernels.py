@@ -1,12 +1,11 @@
 import math
-import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropsed.kernels import FluidParams, oseen_terms, stokes_drag_velocity
+from dropsed.kernels import oseen_terms, stokes_drag_velocity
 from phi_simpson_oracle import desingularized_ratio
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -54,36 +53,13 @@ class TestOseen:
         assert not np.isfinite(coef[0]) and inv_r[1] == coef[1] == 0.0
 
 
-class TestFluidParams:
-    @pytest.mark.parametrize("mu, force, radius, named", [
-        (1.0, E3, 1.0, "force must be a finite 3-vector along -e3, got [0.0, 0.0, 1.0]"),
-        (1.0, [1.0, 0.0, -1.0], 1.0, "along -e3, got [1.0, 0.0, -1.0]"),
-        (1.0, np.zeros(3), 1.0, "along -e3, got [0.0, 0.0, 0.0]"),
-        (1.0, [0.0, 0.0, -np.inf], 1.0, "along -e3, got [0.0, 0.0, -inf]"),
-        (1.0, [np.nan, 0.0, -1.0], 1.0, "along -e3, got [nan, 0.0, -1.0]"),
-        (1.0, [0.0, 0.0, -1.0, 0.0], 1.0, "along -e3, got [0.0, 0.0, -1.0, 0.0]"),
-        (np.inf, -E3, 1.0, "mu must be positive and finite, got inf"),
-        (np.nan, -E3, 1.0, "mu must be positive and finite, got nan"),
-        (0.0, -E3, 1.0, "mu must be positive and finite, got 0.0"),
-        (1.0, -E3, np.inf, "radius must be positive and finite, got inf"),
-        (1.0, -E3, np.nan, "radius must be positive and finite, got nan"),
-    ], ids=["upward", "off-axis", "zero", "force-inf", "force-nan", "not-3-vector",
-            "mu-inf", "mu-nan", "mu-zero", "radius-inf", "radius-nan"])
-    def test_rejects_and_names_bad_value(self, mu, force, radius, named):
-        with pytest.raises(ValueError, match=re.escape(named)):
-            FluidParams(mu=mu, force=np.asarray(force, dtype=float), radius=radius)
-
-
 class TestStokesDrag:
     def test_unit_parameters(self):
-        p = FluidParams(mu=1.0, force=-E3, radius=1.0)
-        assert np.allclose(stokes_drag_velocity(p), -E3 / (6.0 * math.pi), atol=1e-17)
+        assert np.allclose(stokes_drag_velocity(1.0), -E3 / (6.0 * math.pi), atol=1e-17)
 
     def test_doubling_radius_halves_speed(self):
-        p1 = FluidParams(mu=2.0, force=-3.0 * E3, radius=1.0)
-        p2 = FluidParams(mu=2.0, force=-3.0 * E3, radius=2.0)
-        s1 = np.linalg.norm(stokes_drag_velocity(p1))
-        s2 = np.linalg.norm(stokes_drag_velocity(p2))
+        s1 = np.linalg.norm(stokes_drag_velocity(1.0))
+        s2 = np.linalg.norm(stokes_drag_velocity(2.0))
         assert s2 == pytest.approx(s1 / 2.0, rel=1e-15)
 
 

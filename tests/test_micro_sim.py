@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dropsed import micro_sim
-from dropsed.kernels import FluidParams, stokes_drag_velocity
+from dropsed.kernels import stokes_drag_velocity
 from dropsed.micro_sim import (
     CloudTrajectory,
     ParticleCloud,
@@ -27,68 +27,67 @@ import tiled_sum_oracle
 from continuum_field_oracle import continuum_velocity
 
 E3 = np.array([0.0, 0.0, 1.0])
-PARAMS = FluidParams(mu=1.0, force=-E3, radius=1e-2)
+A = 1e-2  # particle radius
 
 
 def two_particle_cloud(separation=E3):
     pos = np.stack([np.zeros(3), separation])
-    return ParticleCloud(positions=pos, params=PARAMS, cloud_radius=1.0, delta=0.0)
+    return ParticleCloud(positions=pos, particle_radius=A, cloud_radius=1.0, delta=0.0)
 
 
 class TestPairwiseVelocity:
     def test_single_particle_is_pure_drag(self):
-        cloud = ParticleCloud(positions=np.zeros((1, 3)), params=PARAMS, cloud_radius=1.0)
+        cloud = ParticleCloud(positions=np.zeros((1, 3)), particle_radius=A, cloud_radius=1.0)
         vel, clamps = cloud_velocities(cloud)
-        assert np.array_equal(vel, [stokes_drag_velocity(PARAMS)]) and clamps == 0
+        assert np.array_equal(vel, [stokes_drag_velocity(A)]) and clamps == 0
 
     def test_two_particles_axial(self):
         cloud = two_particle_cloud()
-        expected = stokes_drag_velocity(PARAMS) - E3 / (4.0 * math.pi)
+        expected = stokes_drag_velocity(A) - E3 / (4.0 * math.pi)
         assert np.allclose(cloud_velocities(cloud)[0][0], expected, atol=1e-15)
 
     def test_matches_oseen_matrix_route(self, rng):
         pos = rng.normal(size=(6, 3))
-        cloud = ParticleCloud(positions=pos, params=PARAMS, cloud_radius=2.0, delta=0.0)
-        manual, _ = tensor_double_loop(pos, PARAMS.force, PARAMS.mu, 0.0)
+        cloud = ParticleCloud(positions=pos, particle_radius=A, cloud_radius=2.0, delta=0.0)
+        manual, _ = tensor_double_loop(pos, -E3, 1.0, 0.0)
         vel, _ = cloud_velocities(cloud)
-        assert np.allclose(vel, stokes_drag_velocity(PARAMS) + manual, rtol=1e-12)
+        assert np.allclose(vel, stokes_drag_velocity(A) + manual, rtol=1e-12)
 
-    def test_force_and_viscosity_scale_the_unit_response(self, rng, monkeypatch):
-        # the pair sum is the response to e3 at mu = 1; |F| = 3 and mu = 0.7 scale it
+    def test_seven_particle_tiles_match_double_loop(self, rng, monkeypatch):
+        # the pair sum is the response to e3; the unit force -e3 negates it
         monkeypatch.setattr(micro_sim, "_PAIR_TILE", 7)
-        params = FluidParams(mu=0.7, force=-3.0 * E3, radius=1e-2)
         pos = rng.uniform(-1.0, 1.0, size=(40, 3))
-        cloud = ParticleCloud(positions=pos, params=params, cloud_radius=1.0, delta=0.0)
+        cloud = ParticleCloud(positions=pos, particle_radius=A, cloud_radius=1.0, delta=0.0)
         vel, _ = cloud_velocities(cloud)
-        expected, _ = tensor_double_loop(pos, params.force, params.mu, 0.0)
-        err = np.linalg.norm(vel - stokes_drag_velocity(params) - expected, axis=1)
+        expected, _ = tensor_double_loop(pos, -E3, 1.0, 0.0)
+        err = np.linalg.norm(vel - stokes_drag_velocity(A) - expected, axis=1)
         assert np.all(err <= 1e-12 * np.linalg.norm(expected, axis=1))
 
     def test_relabeling_invariance_sorted_reduction(self, rng):
         pos = rng.normal(size=(12, 3))
         perm = rng.permutation(12)
-        a = ParticleCloud(positions=pos, params=PARAMS, cloud_radius=1.0, delta=0.0)
-        b = ParticleCloud(positions=pos[perm], params=PARAMS, cloud_radius=1.0, delta=0.0)
+        a = ParticleCloud(positions=pos, particle_radius=A, cloud_radius=1.0, delta=0.0)
+        b = ParticleCloud(positions=pos[perm], particle_radius=A, cloud_radius=1.0, delta=0.0)
         va, _ = cloud_velocities(a)
         vb, _ = cloud_velocities(b)
-        drift = stokes_drag_velocity(PARAMS)
+        drift = stokes_drag_velocity(A)
         ra = np.array(sorted(map(tuple, np.round(va - drift, 13))))
         rb = np.array(sorted(map(tuple, np.round(vb - drift, 13))))
         assert np.array_equal(ra, rb)
 
     def test_coincident_particles_rejected(self):
-        bad = ParticleCloud(positions=np.zeros((2, 3)), params=PARAMS, cloud_radius=1.0, delta=0.0)
+        bad = ParticleCloud(positions=np.zeros((2, 3)), particle_radius=A, cloud_radius=1.0, delta=0.0)
         with pytest.raises(ValueError, match="coincident"):
             cloud_velocities(bad)
         pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
-        bad = ParticleCloud(positions=pos, params=PARAMS, cloud_radius=1.0, delta=0.0)
+        bad = ParticleCloud(positions=pos, particle_radius=A, cloud_radius=1.0, delta=0.0)
         with pytest.raises(ValueError, match="coincident particles 1 and 3"):
             cloud_velocities(bad)
 
     @pytest.mark.parametrize("delta", [-1e-3, np.nan, np.inf])
     def test_negative_or_non_finite_delta_rejected(self, delta):
         with pytest.raises(ValueError, match=f"delta must be finite and >= 0, got {delta}"):
-            ParticleCloud(positions=np.zeros((1, 3)), params=PARAMS, cloud_radius=1.0, delta=delta)
+            ParticleCloud(positions=np.zeros((1, 3)), particle_radius=A, cloud_radius=1.0, delta=delta)
 
     @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0, -1.0])
     def test_non_positive_or_non_finite_cloud_radius_rejected(self, radius):
@@ -96,33 +95,40 @@ class TestPairwiseVelocity:
         # as coincident particles, far from its cause
         message = f"cloud_radius must be positive and finite, got {radius!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            ParticleCloud(positions=np.eye(3), params=PARAMS, cloud_radius=radius)
+            ParticleCloud(positions=np.eye(3), particle_radius=A, cloud_radius=radius)
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_particle_radius_named(self, radius):
+        # the radius sets the drag speed 1 / (6 pi a), which 0 or inf would make inf or 0
+        message = f"particle_radius must be positive and finite, got {radius!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ParticleCloud(positions=np.eye(3), particle_radius=radius, cloud_radius=1.0)
 
     @pytest.mark.parametrize("delta", [0.0, 0.05])
     def test_matches_cloud_velocities_row(self, rng, delta):
         # more particles than one pair-sum tile of the production size, and at
         # delta = 0.05 some pairs are clamped, so the sum must use the cloud's delta
-        cloud = uniform_ball_cloud(450, PARAMS, 1.0, rng, delta=delta)
+        cloud = uniform_ball_cloud(450, 1.0, rng, particle_radius=A, delta=delta)
         rows, clamps = cloud_velocities(cloud)
         gaps = np.linalg.norm(cloud.positions[:, None] - cloud.positions[None], axis=2)
         np.fill_diagonal(gaps, np.inf)
         clamped = np.flatnonzero(gaps.min(axis=1) < delta)
         assert (clamps > 0) == (clamped.size > 0) == (delta > 0)
-        drag = stokes_drag_velocity(PARAMS)
+        drag = stokes_drag_velocity(A)
         for i in (0, 199, 200, 449, *clamped[:3]):
-            expected = drag + oseen_row(cloud.positions, i, PARAMS.force, PARAMS.mu, delta)[0]
+            expected = drag + oseen_row(cloud.positions, i, -E3, 1.0, delta)[0]
             assert np.max(np.abs(expected - rows[i])) <= 1e-12
 
     def test_clamp_counter_and_log(self, caplog):
         pos = np.stack([np.zeros(3), 1e-6 * E3])
-        cloud = ParticleCloud(positions=pos, params=PARAMS, cloud_radius=1.0, delta=1e-3)
+        cloud = ParticleCloud(positions=pos, particle_radius=A, cloud_radius=1.0, delta=1e-3)
         with caplog.at_level(logging.INFO):
             _, clamps = cloud_velocities(cloud)
         assert clamps == 2  # both ordered pairs
         assert any("clamped" in rec.message for rec in caplog.records)
         # clamped interaction equals the interaction at distance delta
         far = ParticleCloud(positions=np.stack([np.zeros(3), 1e-3 * E3]),
-                            params=PARAMS, cloud_radius=1.0, delta=1e-3)
+                            particle_radius=A, cloud_radius=1.0, delta=1e-3)
         v_clamped, _ = cloud_velocities(cloud)
         v_far, _ = cloud_velocities(far)
         assert np.allclose(v_clamped, v_far, rtol=1e-12)
@@ -216,7 +222,7 @@ class TestTiledPairSum:
         assert np.linalg.norm(vel - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_unit_cloud_is_the_unit_ball_sample(self):
-        cloud = uniform_ball_cloud(300, PARAMS, 1.0, np.random.default_rng(11))
+        cloud = uniform_ball_cloud(300, 1.0, np.random.default_rng(11), particle_radius=A)
         assert np.array_equal(cloud.positions, sample_unit_ball(300, np.random.default_rng(11)))
 
 
@@ -256,18 +262,18 @@ class TestAgainstSubtractTiles:
 
 class TestMeanVelocity:
     def test_single_particle(self):
-        cloud = ParticleCloud(positions=np.zeros((1, 3)), params=PARAMS, cloud_radius=1.0)
-        assert np.allclose(mean_settling_velocity(cloud), stokes_drag_velocity(PARAMS))
+        cloud = ParticleCloud(positions=np.zeros((1, 3)), particle_radius=A, cloud_radius=1.0)
+        assert np.allclose(mean_settling_velocity(cloud), stokes_drag_velocity(A))
 
     def test_formula_confirmed_at_large_n(self, rng):
-        cloud = uniform_ball_cloud(2000, PARAMS, 1.0, rng)
+        cloud = uniform_ball_cloud(2000, 1.0, rng, particle_radius=A)
         measured = mean_settling_velocity(cloud)
         predicted = mean_velocity_formula(cloud)
         assert abs(measured[2] - predicted[2]) / abs(predicted[2]) < 0.05
 
     def test_formula_confirmed_for_a_radius_two_cloud(self):
         # criterion 9's 5% at R0 = 2; seeds 0-9 are within 0.05-0.79%
-        cloud = uniform_ball_cloud(2000, PARAMS, 2.0, np.random.default_rng(0))
+        cloud = uniform_ball_cloud(2000, 2.0, np.random.default_rng(0), particle_radius=A)
         measured = mean_settling_velocity(cloud)
         predicted = mean_velocity_formula(cloud)
         assert abs(measured[2] - predicted[2]) / abs(predicted[2]) < 0.05
@@ -277,7 +283,7 @@ class TestMeanVelocity:
         for n in (250, 1000, 4000):
             errs = []
             for seed in range(5):
-                cloud = uniform_ball_cloud(n, PARAMS, 1.0, np.random.default_rng(seed))
+                cloud = uniform_ball_cloud(n, 1.0, np.random.default_rng(seed), particle_radius=A)
                 m = mean_settling_velocity(cloud)
                 f = mean_velocity_formula(cloud)
                 errs.append(abs(m[2] - f[2]) / abs(f[2]))
@@ -301,7 +307,7 @@ class TestMeanVelocity:
 
 class TestRescaling:
     def test_rescaled_cloud_fits_unit_ball(self, rng):
-        cloud = uniform_ball_cloud(200, PARAMS, 3.5, rng)
+        cloud = uniform_ball_cloud(200, 3.5, rng, particle_radius=A)
         rescaled, scale = rescale_cloud(cloud)
         assert np.all(np.linalg.norm(rescaled.positions, axis=1) <= 1.0 + 1e-12)
         assert scale == pytest.approx(199 * 1.0 / (5 * math.pi * 1.0 * 3.5), rel=1e-12)
@@ -315,7 +321,7 @@ class TestRescaling:
         assert np.allclose(v[0], -(5.0 / 8.0) * k @ E3, rtol=1e-12)
 
     def test_rescaled_mean_fall_speed_near_unity(self, rng):
-        cloud = uniform_ball_cloud(2000, PARAMS, 1.0, rng)
+        cloud = uniform_ball_cloud(2000, 1.0, rng, particle_radius=A)
         rescaled, _ = rescale_cloud(cloud)
         v, _ = rescaled_velocities(rescaled.positions, rescaled.delta)
         mean = v.mean(axis=0)
@@ -325,14 +331,6 @@ class TestRescaling:
     def test_single_particle_is_stationary(self):
         v, clamps = rescaled_velocities(np.zeros((1, 3)), delta=0.0)
         assert np.all(v == 0.0) and clamps == 0
-
-    @pytest.mark.parametrize("force", [E3, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1e-9, -1.0])])
-    def test_force_off_minus_e3_rejected(self, rng, force):
-        # the rescaled dynamics drives along -e3, and no cloud can carry another force
-        with pytest.raises(ValueError, match=re.escape(str(force.tolist()))):
-            FluidParams(mu=1.0, force=force, radius=1e-2)
-        strong = uniform_ball_cloud(20, FluidParams(mu=1.0, force=-2.0 * E3, radius=1e-2), 1.0, rng)
-        assert rescale_cloud(strong)[1] == pytest.approx(19 * 2.0 / (5 * math.pi), rel=1e-12)
 
 
 class TestContinuumField:
@@ -358,7 +356,8 @@ class TestContinuumField:
     def test_rescaled_cloud_matches_the_field(self):
         # the gap to the field is sampling noise: RMS * sqrt(N) was 0.70-1.13 on seeds 0-9
         n = 2000
-        rescaled, _ = rescale_cloud(uniform_ball_cloud(n, PARAMS, 1.0, np.random.default_rng(0)))
+        cloud = uniform_ball_cloud(n, 1.0, np.random.default_rng(0), particle_radius=A)
+        rescaled, _ = rescale_cloud(cloud)
         v, _ = rescaled_velocities(rescaled.positions, rescaled.delta)
         gap = v - continuum_velocity(rescaled.positions)
         assert np.sqrt(np.mean(np.sum(gap * gap, axis=1)) * n) <= 1.5
@@ -366,7 +365,7 @@ class TestContinuumField:
 
 class TestEvolveCloud:
     def test_snapshot_every_must_be_whole_steps(self):
-        cloud = ParticleCloud(positions=np.array([[0.2, -0.1, 0.4]]), params=PARAMS,
+        cloud = ParticleCloud(positions=np.array([[0.2, -0.1, 0.4]]), particle_radius=A,
                               cloud_radius=1.0)
         with pytest.raises(ValueError, match=r"snapshot_every=0\.015 .*dt=0\.01"):
             evolve_cloud(cloud, 0.06, 0.01, snapshot_every=0.015)
@@ -375,7 +374,7 @@ class TestEvolveCloud:
 
     def test_antipodal_pair_mirror_symmetry(self):
         pos = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
-        cloud = ParticleCloud(positions=pos, params=PARAMS, cloud_radius=1.0,
+        cloud = ParticleCloud(positions=pos, particle_radius=A, cloud_radius=1.0,
                               delta=default_regularization(1.0, 2))
         traj = evolve_cloud(cloud, T=2.0, dt=0.01, snapshot_every=0.5)
         for snap in traj.positions:
@@ -385,14 +384,14 @@ class TestEvolveCloud:
     def test_translation_equivariance(self, rng):
         pos = rng.normal(size=(8, 3)) * 0.3
         shift = np.array([1.0, -2.0, 0.5])
-        c1 = ParticleCloud(positions=pos, params=PARAMS, cloud_radius=1.0, delta=1e-4)
-        c2 = ParticleCloud(positions=pos + shift, params=PARAMS, cloud_radius=1.0, delta=1e-4)
+        c1 = ParticleCloud(positions=pos, particle_radius=A, cloud_radius=1.0, delta=1e-4)
+        c2 = ParticleCloud(positions=pos + shift, particle_radius=A, cloud_radius=1.0, delta=1e-4)
         t1 = evolve_cloud(c1, T=0.5, dt=0.05)
         t2 = evolve_cloud(c2, T=0.5, dt=0.05)
         assert np.allclose(t2.positions[-1], t1.positions[-1] + shift, atol=1e-10)
 
     def test_center_of_mass_falls_at_mean_speed(self, rng):
-        cloud = uniform_ball_cloud(500, PARAMS, 1.0, rng)
+        cloud = uniform_ball_cloud(500, 1.0, rng, particle_radius=A)
         rescaled, _ = rescale_cloud(cloud)
         v0, _ = rescaled_velocities(rescaled.positions, rescaled.delta)
         traj = evolve_cloud(rescaled, T=0.5, dt=0.025)
@@ -400,7 +399,7 @@ class TestEvolveCloud:
         assert drop == pytest.approx(v0.mean(axis=0)[2] * 0.5, rel=0.1)
 
     def test_trajectory_moments(self, rng):
-        cloud = uniform_ball_cloud(50, PARAMS, 1.0, rng)
+        cloud = uniform_ball_cloud(50, 1.0, rng, particle_radius=A)
         traj = evolve_cloud(cloud, T=0.2, dt=0.1)
         assert isinstance(traj, CloudTrajectory)
         centers = np.array([p.mean(axis=0) for p in traj.positions])

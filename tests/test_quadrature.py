@@ -12,7 +12,6 @@ from dropsed import linear_stability as ls
 from dropsed import micro_sim as ms
 from dropsed import patch_waves as pw
 from dropsed import surface_evolution as se
-from dropsed.kernels import FluidParams
 from dropsed.quadrature import (
     PhiGrid,
     ThetaGrid,
@@ -216,9 +215,8 @@ class TestStepCount:
             "surface": lambda: se.evolve(se.RadialProfile.sphere(grid), T, dt,
                                          pw.wave_speed(1.0), pg),
             "cloud": lambda: ms.evolve_cloud(
-                ms.ParticleCloud(positions=np.eye(3), cloud_radius=1.0,
-                                 params=FluidParams(mu=1.0, force=np.array([0.0, 0.0, -1.0]),
-                                                    radius=1e-2)), T, dt),
+                ms.ParticleCloud(positions=np.eye(3), particle_radius=1e-2, cloud_radius=1.0),
+                T, dt),
             "linearized": lambda: ls.linearized_evolve(np.zeros_like, T, grid, pg, dt=dt),
         }
 
