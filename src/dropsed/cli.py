@@ -441,12 +441,15 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="re-raise errors with their traceback instead of a one-line message")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; given a ``subcommand``, only it gets options (top-level help needs none)."""
     parser = argparse.ArgumentParser(prog="dropsed",
                                      description="Droplet sedimentation experiments")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, config_type in _CONFIG_TYPES.items():
         sp = sub.add_parser(name, help=config_type.__doc__)
+        if subcommand not in (None, name):
+            continue
         for f in dataclasses.fields(config_type):
             flag = "--" + f.name.replace("_", "-")
             # default None marks a flag as not passed, so it cannot override the config file
@@ -467,8 +470,13 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _CONFIG_TYPES else None).parse_args(argv)
     if args.threads is not None:
+        if args.threads < 1:  # OpenBLAS reads 0 or less as no cap at all
+            print(f"dropsed {args.subcommand}: error: --threads must be >= 1, got {args.threads}",
+                  file=sys.stderr)
+            return 2
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
     seed = args.seed if args.seed is not None else 0

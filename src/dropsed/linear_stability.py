@@ -97,7 +97,7 @@ class Perturbation:
         self._coeffs = coeffs.real.copy() if np.allclose(coeffs.imag, 0.0) else coeffs
 
     def __call__(self, theta):
-        vals, _ = basis_matrix(self._coeffs.size, np.atleast_1d(theta))
+        vals, _ = basis_matrix(self._coeffs.size, np.atleast_1d(theta), derivatives=False)
         out = self._coeffs @ vals
         return out if np.ndim(theta) else out[0]
 
@@ -322,18 +322,17 @@ def _spline_matrices(theta: np.ndarray, feet: np.ndarray) -> tuple[np.ndarray, n
     """Derivative-at-nodes and value-at-feet matrices of the not-a-knot cubic spline.
 
     D @ h is the spline derivative of the samples h at the nodes and S @ h the
-    spline's values at ``feet``: the spline of the identity matrix, one
-    column per unit sample.  Entries below _FLUSH_BELOW = 1e-150 in magnitude
-    are set to 0, in D before S is formed from it and then in S, so neither
-    holds a subnormal entry; the propagator built from them keeps its bits
-    and is spared subnormal arithmetic, which took over half its time at
-    n = 801.
+    spline's values at ``feet``, the spline of the unit samples, formed
+    without the identity matrix.  Entries below _FLUSH_BELOW = 1e-150 in
+    magnitude are set to 0, in D before S is formed from it and then in S, so
+    neither holds a subnormal entry; the propagator built from them keeps its
+    bits and is spared subnormal arithmetic, which took over half its time at
+    n = 801.  The flush compares, where |D| would be a third n^2 array.
     """
-    unit = np.eye(theta.size)
-    D = spline_slopes(theta, unit)
-    D[np.abs(D) < _FLUSH_BELOW] = 0.0
-    S = hermite(theta, unit, D, feet)
-    S[np.abs(S) < _FLUSH_BELOW] = 0.0
+    D = spline_slopes(theta)
+    D[(D > -_FLUSH_BELOW) & (D < _FLUSH_BELOW)] = 0.0
+    S = hermite(theta, None, D, feet)
+    S[(S > -_FLUSH_BELOW) & (S < _FLUSH_BELOW)] = 0.0
     return D, S
 
 
@@ -343,10 +342,12 @@ def linearized_propagator(theta_grid: ThetaGrid, dt: float) -> np.ndarray:
     Returns P = (I - dt/2 L)^-1 S (I + dt/2 L), so that h(t + dt) = P @ h(t)
     on the grid nodes.  L = R (diag(a) + diag(b) D) + diag(k) is the
     grid-sampled linearized source: R the cached chord-ratio kernel, (a, b)
-    the source weights of :func:`_source_weights`, D the spline-derivative
-    matrix and k the multiplicative coefficient.  S interpolates at the feet
-    of the one-step characteristics.  This is the trapezoidal corrector of
-    the characteristic scheme solved exactly (Staniforth & Cote 1991).  dt is rejected when
+    the source weights of :func:`_source_weights` and k the multiplicative
+    coefficient.  D and S, the spline's derivative at the nodes and its
+    values at the feet of the one-step characteristics, are maps built from
+    the unit samples (:func:`_spline_matrices`), not from the identity
+    matrix.  This is the trapezoidal corrector of the characteristic
+    scheme solved exactly (Staniforth & Cote 1991).  dt is rejected when
     dt/2 ||L||_inf >= 1, where that corrector's fixed-point iteration is no
     longer guaranteed to contract.
     """

@@ -9,8 +9,8 @@ exactly, live here too, shared by every time loop in the package.  The
 polynomial basis is the shifted Legendre family in the eigenvalue table's
 normalization.  The package's one interpolant is the not-a-knot cubic
 spline, split into its node slopes (:func:`spline_slopes`) and the
-cubic-Hermite evaluation between nodes (:func:`hermite`), so a linear map
-of the samples can be built from the identity matrix in one call each.
+cubic-Hermite evaluation between nodes (:func:`hermite`); given no values,
+each returns the matrix of its linear map from the unit samples' few terms.
 """
 
 from __future__ import annotations
@@ -149,21 +149,6 @@ def snapshot_steps(T: float, dt: float, snapshot_every: float | None = None,
     return [*range(0, n_steps, every), n_steps]
 
 
-def _legendre_pair(k_max: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Legendre P_k(x) and P_k'(x) for k = 0..k_max via the three-term recurrence."""
-    x = np.asarray(x, dtype=float)
-    P = np.zeros((k_max + 1,) + x.shape)
-    dP = np.zeros_like(P)
-    P[0] = 1.0
-    if k_max >= 1:
-        P[1] = x
-        dP[1] = 1.0
-    for k in range(1, k_max):
-        P[k + 1] = ((2 * k + 1) * x * P[k] - k * P[k - 1]) / (k + 1)
-        dP[k + 1] = ((2 * k + 1) * (P[k] + x * dP[k]) - k * dP[k - 1]) / (k + 1)
-    return P, dP
-
-
 def _polar_angles(theta) -> np.ndarray:
     """``theta`` as a float array, rejected unless it lies in [0, pi] to within 1e-12."""
     theta = np.asarray(theta, dtype=float)
@@ -172,69 +157,89 @@ def _polar_angles(theta) -> np.ndarray:
     return theta
 
 
-def basis_matrix(n_funcs: int, theta: np.ndarray):
+def basis_matrix(n_funcs: int, theta: np.ndarray, derivatives: bool = True):
     """Stacked values and derivatives of e_0..e_{n_funcs-1}, shape (n_funcs, len(theta)).
 
     e_k is the Legendre polynomial P_k shifted from [-1, 1] to [0, pi] by the
     affine map x = 2*theta/pi - 1 and scaled to unit norm in x, the
     convention the eigenvalue table is quoted in: each e_k has squared
-    L2(0, pi) norm pi/2.  Values and derivatives both come from the
-    recurrence; nothing is finite-differenced.
+    L2(0, pi) norm pi/2.  Values and derivatives come from recurrences, the
+    derivatives' reading the values, which alone run when ``derivatives`` is
+    False (None then stands for them); nothing is finite-differenced.
     """
     if n_funcs < 1 or n_funcs - 1 > MAX_BASIS_DEGREE:
         raise ValueError(f"need 1 <= n_funcs <= {MAX_BASIS_DEGREE + 1}, got {n_funcs}")
     x = 2.0 * _polar_angles(theta) / math.pi - 1.0
-    P, dP = _legendre_pair(n_funcs - 1, x)
+    P = np.zeros((n_funcs,) + x.shape)
+    P[0], P[1:2] = 1.0, x
+    for k in range(1, n_funcs - 1):
+        P[k + 1] = ((2 * k + 1) * x * P[k] - k * P[k - 1]) / (k + 1)
     c = np.sqrt((2 * np.arange(n_funcs) + 1) / 2.0)[:, None]
-    return c * P[:n_funcs], c * dP[:n_funcs] * (2.0 / math.pi)
+    if not derivatives:
+        return c * P, None
+    dP = np.zeros_like(P)
+    dP[1:2] = 1.0
+    for k in range(1, n_funcs - 1):
+        dP[k + 1] = ((2 * k + 1) * (P[k] + x * dP[k]) - k * dP[k - 1]) / (k + 1)
+    return c * P, c * dP * (2.0 / math.pi)
 
 
-def spline_slopes(nodes, values) -> np.ndarray:
+def spline_slopes(nodes, values=None) -> np.ndarray:
     """Node slopes of the not-a-knot cubic spline through (nodes, values).
 
     ``values`` has shape (n, ...), one spline per trailing index, and the
-    result has the same shape.  The slopes solve one tridiagonal system: a
-    continuous second derivative at each interior node, and a continuous
-    third derivative at the second and the second-to-last node (the
-    not-a-knot ends).  With fewer than 4 nodes those two end conditions are
-    one and the same, so such a spline is rejected.
+    result has the same shape; without ``values`` it is the n x n matrix of
+    the map from samples to slopes, the slopes of the identity bit for bit.
+    The slopes solve one tridiagonal system: a continuous second derivative
+    at each interior node and a continuous third derivative at the second
+    and the second-to-last node (the not-a-knot ends).  With fewer than 4
+    nodes those are one condition, so such a spline is rejected.
 
-    The right-hand side is formed in the output array, the interior rows
-    as 3 (dx[i] slope[i-1] + dx[i-1] slope[i]) with the second product
-    taken in the slope array, so the only scratch array of the values' size
-    is the slopes.  The system is solved in place by one forward and one
-    back sweep over the rows, each row update vectorized over the trailing
-    axes.  No pivoting is needed: the pivots are dx1, then dx0 + dx1, then
-    each interior one exceeds 2 dx(i-1) + dx(i), which leaves the last one
-    positive too.  A pivot that still comes out nonpositive (overflow or
-    underflow in the spacings) raises.
+    Row i of the right-hand side is (alpha[i] slope[j] + beta[i] slope[j+1])
+    / d at the ends and 3 times that inside (alpha = dx[i], beta = dx[i-1]),
+    j = i - 1 clipped to [0, n - 3], formed in the output with the secant
+    slopes as the only other array of the values' size.  The identity's secant slope[j] is -1/dx[j] at column
+    j and 1/dx[j] at j + 1, so only three terms a row are not exact zeros.
+    One forward and one back sweep solve the system in place, without
+    pivoting: the pivots are dx1, then dx0 + dx1, then each interior one
+    exceeds 2 dx(i-1) + dx(i), which leaves the last one positive too.  A
+    pivot that still comes out nonpositive (overflow or underflow) raises.
     """
     x = np.asarray(nodes, dtype=float)
-    y = np.asarray(values, dtype=float)
     n = x.size
     if x.ndim != 1 or n < 4:
         raise ValueError(f"a not-a-knot spline needs a 1-d array of at least 4 nodes, "
                          f"got shape {x.shape}")
-    if y.shape[:1] != (n,):
-        raise ValueError(f"values of shape {y.shape} do not match {n} nodes")
+    if values is not None and np.shape(values)[:1] != (n,):
+        raise ValueError(f"values of shape {np.shape(values)} do not match {n} nodes")
     dx = np.diff(x)
     if not np.all(dx > 0):
         raise ValueError("spline nodes must increase strictly")
-    col = dx.reshape((-1,) + (1,) * (y.ndim - 1))
-    slope = np.diff(y, axis=0)
-    slope /= col
-    rhs = np.empty_like(y)
-    d = x[2] - x[0]
-    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    upper = [d, *dx[:-1].tolist()]  # upper[i] couples row i to slope i + 1
-    d = x[-1] - x[-3]
-    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    lower = [*dx[1:].tolist(), d]  # lower[i - 1] couples row i to slope i - 1
-    # the second product overwrites slope, which nothing reads after it
-    np.multiply(col[1:], slope[:-1], out=rhs[1:-1])
-    slope[1:] *= col[:-1]
-    rhs[1:-1] += slope[1:]
-    rhs[1:-1] *= 3.0
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    alpha = np.concatenate([[(dx[0] + 2.0 * d0) * dx[1]], dx[1:], [dx[-1] ** 2]])
+    beta = np.concatenate([[dx[0] ** 2], dx[:-1], [(2.0 * d1 + dx[-1]) * dx[-2]]])
+    if values is None:
+        inv, j = 1.0 / dx, np.clip(np.arange(-1, n - 1), 0, n - 3)
+        band = np.stack([alpha * -inv[j], alpha * inv[j] + beta * -inv[j + 1], beta * inv[j + 1]], 1)
+        band[[0, -1]] /= [[d0], [d1]]
+        band[1:-1] *= 3.0
+        rhs = np.zeros((n, n))
+        rhs[np.arange(n)[:, None], j[:, None] + np.arange(3)] = band
+    else:
+        y = np.asarray(values, dtype=float)
+        col = (-1,) + (1,) * (y.ndim - 1)
+        slope = np.diff(y, axis=0)
+        slope /= dx.reshape(col)
+        rhs = np.empty_like(y)
+        rhs[0] = (alpha[0] * slope[0] + beta[0] * slope[1]) / d0
+        rhs[-1] = (alpha[-1] * slope[-2] + beta[-1] * slope[-1]) / d1
+        # the second product overwrites slope, which nothing reads after it
+        np.multiply(alpha[1:-1].reshape(col), slope[:-1], out=rhs[1:-1])
+        slope[1:] *= beta[1:-1].reshape(col)
+        rhs[1:-1] += slope[1:]
+        rhs[1:-1] *= 3.0
+    upper = [d0, *dx[:-1].tolist()]  # upper[i] couples row i to slope i + 1
+    lower = [*dx[1:].tolist(), d1]  # lower[i - 1] couples row i to slope i - 1
     diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])).tolist(), dx[-2]]
     pivot = [diag[0]]
     factor = []
@@ -256,29 +261,41 @@ def hermite(nodes, values, slopes, at) -> np.ndarray:
     """Cubic-Hermite interpolant of node values and slopes, evaluated at ``at``.
 
     ``values`` and ``slopes`` have shape (n, ...); the result has shape
-    ``at.shape + values.shape[1:]``.  With the slopes of :func:`spline_slopes`
+    ``at.shape + slopes.shape[1:]``.  With the slopes of :func:`spline_slopes`
     this is the not-a-knot spline.  A point outside the nodes' range
     continues the end interval's cubic, and a node returns its own value
     exactly.  The four terms w0 y[k] + w1 s[k] + w2 y[k+1] + w3 s[k+1] are
     summed left to right into the output, each formed in one scratch array
-    of the output's size, with the bits of the one-expression sum.
+    of the output's size, with the bits of the one-expression sum.  With
+    ``values`` None they are the unit samples and the result is the map's
+    matrix: (w1 s[k] with w0 and w2 added at columns k and k + 1) + w3 s[k+1].
     """
     x = np.asarray(nodes, dtype=float)
     at = np.asarray(at, dtype=float)
-    y = np.asarray(values, dtype=float)
     s = np.asarray(slopes, dtype=float)
     pts = at.reshape(-1)
     k = np.clip(np.searchsorted(x, pts, side="right") - 1, 0, x.size - 2)
     h = x[k + 1] - x[k]
     t = (pts - x[k]) / h
-    w = ((1.0 + 2.0 * t) * (1.0 - t) ** 2, h * t * (1.0 - t) ** 2,
-         t * t * (3.0 - 2.0 * t), h * t * t * (t - 1.0))
-    w = [wi.reshape((-1,) + (1,) * (y.ndim - 1)) for wi in w]
+    w = [wi.reshape((-1,) + (1,) * (s.ndim - 1))
+         for wi in ((1.0 + 2.0 * t) * (1.0 - t) ** 2, h * t * (1.0 - t) ** 2,
+                    t * t * (3.0 - 2.0 * t), h * t * t * (t - 1.0))]
+    if values is None:
+        rows = np.arange(pts.size)
+        out = np.take(s, k, axis=0)
+        out *= w[1]
+        out[rows, k] += w[0][:, 0]
+        out[rows, k + 1] += w[2][:, 0]
+        terms = ((w[3], k + 1, s),)
+    else:
+        y = np.asarray(values, dtype=float)
+        out = np.take(y, k, axis=0)
+        out *= w[0]
+        terms = ((w[1], k, s), (w[2], k + 1, y), (w[3], k + 1, s))
     # k and k + 1 are in range, so "clip" only spares np.take a buffer
-    out, term = np.take(y, k, axis=0), np.empty((pts.size,) + y.shape[1:])
-    out *= w[0]
-    for wi, rows, knots in ((w[1], k, s), (w[2], k + 1, y), (w[3], k + 1, s)):
-        np.take(knots, rows, axis=0, out=term, mode="clip")
+    term = np.empty(out.shape)
+    for wi, knot, knots in terms:
+        np.take(knots, knot, axis=0, out=term, mode="clip")
         term *= wi
         out += term
-    return out.reshape(at.shape + y.shape[1:])
+    return out.reshape(at.shape + s.shape[1:])

@@ -591,6 +591,36 @@ def test_parser_pins_every_flag():
     assert total == 52
 
 
+def _printed(capsys, parse, argv) -> tuple:
+    """(exit code, stdout, stderr) of a parse that exits, as --help and usage errors do."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [[sub, "--help"] for sub in CONFIG_FLAGS]
+                         + [["--help"], ["bogus"], [], ["micro", "--frame", "side"]])
+def test_main_prints_what_the_full_parser_prints(capsys, argv):
+    # main adds options only to the subparser its argv names
+    full = _printed(capsys, cli.build_parser().parse_args, argv)
+    assert full[0] in (0, 2) and full[1] + full[2]
+    assert _printed(capsys, main, argv) == full
+
+
+@pytest.mark.parametrize("sub", ["patch", "spectrum"])
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_rejected_before_the_cap_is_set(tmp_path, capsys, monkeypatch,
+                                                          sub, threads):
+    # OpenBLAS takes 0 or a negative count as no cap at all
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "7")
+    assert main([sub, "--threads", threads, "--out", str(tmp_path / "run")]) != 0
+    assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert [os.environ[v] for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                    "MKL_NUM_THREADS")] == ["7", "7", "7"]
+    assert not (tmp_path / "run").exists()
+
+
 class TestLoggingAndDebug:
     MICRO = ["micro", "--N", "20", "--T", "0.02", "--dt", "0.01", "--delta", "0.5", "--seed", "3"]
 

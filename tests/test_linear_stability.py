@@ -9,10 +9,12 @@ from scipy.interpolate import CubicSpline
 from dropsed import linear_stability as ls
 from dropsed import surface_evolution as se
 from dropsed.patch_waves import wave_speed
-from dropsed.quadrature import PhiGrid, ThetaGrid, basis_matrix, simpson_weights, spline_slopes
+from dropsed.quadrature import (PhiGrid, ThetaGrid, basis_matrix, hermite, simpson_weights,
+                                spline_slopes)
 
 import characteristic_corrector_oracle as corrector
 import phi_simpson_oracle as oracle
+from convergence import assert_order_in_band, successive_differences
 
 # frozen high-resolution references (1601 x 3202 Simpson); the pi/4 value
 # agrees with the closed form -sqrt(2)/3 to 5e-11
@@ -225,6 +227,15 @@ class TestPerturbation:
         np.testing.assert_allclose(h(theta), c @ basis_matrix(3, theta)[0], rtol=1e-15, atol=0)
         assert np.ndim(h(theta[2])) == 0 and h(theta[2]) == pytest.approx(h(theta)[2], rel=1e-15)
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_values_alone_equal_the_basis_matrix_bits(self, rng, kind):
+        # the call runs the values recurrence without the derivative one
+        c = rng.standard_normal(16) + (1j * rng.standard_normal(16) if kind == "complex" else 0)
+        theta = ThetaGrid.uniform(251).nodes
+        got = ls.Perturbation(c)(theta)
+        assert got.dtype == (np.complex128 if kind == "complex" else np.float64)
+        assert np.array_equal(got, c @ basis_matrix(16, theta)[0])
+
 
 class TestGalerkin:
     def test_deterministic_assembly(self):
@@ -308,6 +319,16 @@ class TestLinearizedEvolve:
         evo = ls.linearized_evolve(zero, 0.5, tg, pg, dt=0.01)
         assert np.max(np.abs(evo.values)) == 0.0
 
+    def test_time_step_order_is_two(self):
+        # Crank-Nicolson on exact characteristics: successive differences fall
+        # by 4.00 / 4.00 / 3.99 (orders 2.000 / 2.000 / 1.999) from dt = 0.32
+        # to 0.02 at n = 401; below 0.02 the spline's own error takes over
+        tg = ThetaGrid.uniform(401)
+        h0 = ls.Perturbation(UNIT_MODE * np.array([1.0, 0.5, 0.25]))
+        dts = [0.32, 0.16, 0.08, 0.04, 0.02]
+        finals = [ls.linearized_evolve(h0, 2.56, tg, dt=dt).values[-1] for dt in dts]
+        assert_order_in_band(dts[:-1], successive_differences(finals), 1.9, 2.1)
+
     def test_generic_perturbation_grows_after_transient(self):
         tg, pg = ThetaGrid.uniform(201), PhiGrid.uniform(402)
         h0 = ls.Perturbation(UNIT_MODE * np.array([0.0, 1.0, 0.5, -0.2]))
@@ -372,6 +393,19 @@ class TestLinearizedEvolve:
         ref = CubicSpline(theta, np.eye(n))
         assert np.max(np.abs(D - ref(theta, 1))) <= 1e-13 * np.max(np.abs(D))
         assert np.max(np.abs(S - ref(feet))) <= 1e-14
+
+    @pytest.mark.parametrize("n", [4, 5, 21, 251, 801])
+    def test_spline_matrices_equal_the_spline_of_the_identity(self, n):
+        # the path they replace: the spline run on I, flushed the same way;
+        # from n = 601 on the flush acts
+        theta = ThetaGrid.uniform(n).nodes
+        feet = ls.characteristic_flow(0.0, 0.01, theta)
+        D = spline_slopes(theta, np.eye(n))
+        D[np.abs(D) < ls._FLUSH_BELOW] = 0.0
+        S = hermite(theta, np.eye(n), D, feet)
+        S[np.abs(S) < ls._FLUSH_BELOW] = 0.0
+        got_D, got_S = ls._spline_matrices(theta, feet)
+        assert np.array_equal(got_D, D) and np.array_equal(got_S, S)
 
     def test_spline_matrices_hold_no_subnormal_entry(self, monkeypatch):
         # their entries decay like (2 - sqrt 3)^|i - j|; unflushed, D and S
