@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import _MOMENT_CHUNK, _row_blocks, azimuthal_moments
-from .quadrature import (ThetaGrid, _polar_angles, basis_matrix, hermite, snapshot_steps,
+from .quadrature import (ThetaGrid, _polar_angles, basis_matrix, hermite, march, snapshot_steps,
                          spline_slopes)
 
 __all__ = [
@@ -97,9 +97,7 @@ class Perturbation:
         self._coeffs = coeffs.real.copy() if np.allclose(coeffs.imag, 0.0) else coeffs
 
     def __call__(self, theta):
-        vals, _ = basis_matrix(self._coeffs.size, np.atleast_1d(theta), derivatives=False)
-        out = self._coeffs @ vals
-        return out if np.ndim(theta) else out[0]
+        return self._coeffs @ basis_matrix(self._coeffs.size, theta, derivatives=False)[0]
 
 
 def k_coefficient(theta):
@@ -386,23 +384,24 @@ def linearized_evolve(h0: Perturbation, t: float, theta_grid: ThetaGrid, phi_gri
     trajectory that leaves the finite range raises.  ``t`` and
     ``snapshot_every``, the time between stored states (default: only the
     initial and final ones), must be whole numbers of steps ``dt``, checked
-    before the propagator is built; states are stored at the times k*dt of
-    :func:`~dropsed.quadrature.snapshot_steps`.
+    before the propagator is built; :func:`~dropsed.quadrature.march` stores
+    the states at the times k*dt of :func:`~dropsed.quadrature.snapshot_steps`.
     ``phi_grid`` changes no value; it stays only because the benchmark passes it.
     """
     stored = snapshot_steps(t, dt, snapshot_every, "t")
     P = linearized_propagator(theta_grid, dt)
-    h = np.asarray(h0(theta_grid.nodes), dtype=float)
-    values = [h.copy()]
-    scale0 = float(np.max(np.abs(h))) or 1.0
-    for k0, k1 in zip(stored, stored[1:]):
-        for k in range(k0 + 1, k1 + 1):
-            h = P @ h
-            # one reduction: NaN fails the comparison, and so do +-inf and blow-up
-            if not np.max(np.abs(h)) <= 1e12 * scale0:
-                raise ValueError(f"linearized evolution diverged at step {k}; reduce dt={dt}")
-        values.append(h.copy())
-    return LinearEvolution(times=np.array(stored) * dt, values=np.array(values))
+    start = np.asarray(h0(theta_grid.nodes), dtype=float)
+    scale0 = float(np.max(np.abs(start))) or 1.0
+
+    def step(h: np.ndarray, k: int) -> np.ndarray:
+        h = P @ h
+        # one reduction: NaN fails the comparison, and so do +-inf and blow-up
+        if not np.max(np.abs(h)) <= 1e12 * scale0:
+            raise ValueError(f"linearized evolution diverged at step {k}; reduce dt={dt}")
+        return h
+
+    values = np.array(list(march(start, step, stored)))
+    return LinearEvolution(times=np.array(stored) * dt, values=values)
 
 
 def measured_growth_rate(evolution: LinearEvolution, t1: float, t2: float,

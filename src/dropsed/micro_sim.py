@@ -47,7 +47,7 @@ import numpy as np
 
 from .kernels import oseen_terms, stokes_drag_velocity
 from .patch_waves import UNIT_BALL_VOLUME, sample_unit_ball, wave_speed
-from .quadrature import snapshot_steps
+from .quadrature import march, snapshot_steps
 
 log = logging.getLogger(__name__)
 
@@ -271,27 +271,29 @@ def evolve_cloud(cloud: ParticleCloud, T: float, dt: float,
     physical cloud is x(t) = U_S t + R0 y(s t / R0), y being this run and s
     the velocity scale, and the drift-subtracted run drops U_S t; the
     midpoint rule respects that map.  ``T`` and ``snapshot_every`` (default:
-    only at T) must be whole numbers of steps ``dt``, and snapshots are taken at the times k*dt of
-    :func:`~dropsed.quadrature.snapshot_steps`.  The velocity at t = 0 is
-    computed once, even for T = 0, returned as ``initial_velocity`` and reused
+    only at T) must be whole numbers of steps ``dt``; :func:`~dropsed.quadrature.march`
+    stores the times k*dt of :func:`~dropsed.quadrature.snapshot_steps`.  The velocity at
+    t = 0 is computed once, even for T = 0, returned as ``initial_velocity`` and reused
     as step 1's first stage, so a run of n steps evaluates max(1, 2n) pair sums
     (none for a lone particle); ``clamp_events`` counts the integrator's clamps.
     """
     stored = snapshot_steps(T, dt, snapshot_every)
     delta = cloud.delta
-    x = cloud.positions.copy()
-    initial_velocity, initial_clamps = rescaled_velocities(x, delta)
-    snaps = [x.copy()]
+    x0 = cloud.positions.copy()
+    initial_velocity, initial_clamps = rescaled_velocities(x0, delta)
     clamp_total = 0
-    for k0, k1 in zip(stored, stored[1:]):
-        for k in range(k0 + 1, k1 + 1):
-            v1, c1 = (initial_velocity, initial_clamps) if k == 1 else rescaled_velocities(x, delta)
-            v2, c2 = rescaled_velocities(x + 0.5 * dt * v1, delta)
-            x = x + dt * v2
-            clamp_total += c1 + c2
-            if not np.all(np.isfinite(x)):
-                bad = int(np.argmax(~np.isfinite(x).all(axis=1)))
-                raise ArithmeticError(f"non-finite position for particle {bad} at t={k * dt:.4f}")
-        snaps.append(x.copy())
+
+    def step(x: np.ndarray, k: int) -> np.ndarray:
+        nonlocal clamp_total
+        v1, c1 = (initial_velocity, initial_clamps) if k == 1 else rescaled_velocities(x, delta)
+        v2, c2 = rescaled_velocities(x + 0.5 * dt * v1, delta)
+        x = x + dt * v2
+        clamp_total += c1 + c2
+        if not np.all(np.isfinite(x)):
+            bad = int(np.argmax(~np.isfinite(x).all(axis=1)))
+            raise ArithmeticError(f"non-finite position for particle {bad} at t={k * dt:.4f}")
+        return x
+
+    snaps = list(march(x0, step, stored))
     return CloudTrajectory(times=np.array(stored) * dt, positions=snaps,
                            initial_velocity=initial_velocity, clamp_events=clamp_total)

@@ -3,14 +3,14 @@
 Everything here is deterministic and stateless: grids are frozen dataclasses,
 the rest are pure functions of their inputs.  Composite Simpson is the
 package's one quadrature rule; its weights are built here and contracted by
-the callers with samples taken once on the whole node array.  The step
-count of a uniform time grid and its snapshots, stored at the times k*dt
-exactly, live here too, shared by every time loop in the package.  The
-polynomial basis is the shifted Legendre family in the eigenvalue table's
-normalization.  The package's one interpolant is the not-a-knot cubic
-spline, split into its node slopes (:func:`spline_slopes`) and the
-cubic-Hermite evaluation between nodes (:func:`hermite`); given no values,
-each returns the matrix of its linear map from the unit samples' few terms.
+the callers with samples taken once on the whole node array.  The step count
+of a uniform time grid, its stored steps and :func:`march`, which drives every
+time loop in the package (each loop supplies only its step), live here too.
+The polynomial basis is the shifted Legendre family in the eigenvalue table's
+normalization.  The package's one interpolant is the not-a-knot cubic spline,
+split into its node slopes (:func:`spline_slopes`) and the cubic-Hermite
+evaluation between nodes (:func:`hermite`); given no values, each returns the
+matrix of its linear map from the unit samples' few terms.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "simpson_weights",
     "step_count",
     "snapshot_steps",
+    "march",
     "basis_matrix",
     "MAX_BASIS_DEGREE",
     "spline_slopes",
@@ -149,6 +150,24 @@ def snapshot_steps(T: float, dt: float, snapshot_every: float | None = None,
     return [*range(0, n_steps, every), n_steps]
 
 
+def march(state, step, stored: list[int]):
+    """Yield the state after each step index in ``stored``, a list of :func:`snapshot_steps`.
+
+    ``state = step(state, k)`` runs for k = 1 .. stored[-1]; each step returns
+    a new state and leaves its input as it was.  The initial state is yielded
+    at once when ``stored`` is [0], else only once step 1 has returned.
+    """
+    if stored == [0]:
+        yield state
+    first = state
+    for k0, k1 in zip(stored, stored[1:]):
+        for k in range(k0 + 1, k1 + 1):
+            state = step(state, k)
+            if k == 1:
+                yield first
+        yield state
+
+
 def _polar_angles(theta) -> np.ndarray:
     """``theta`` as a float array, rejected unless it lies in [0, pi] to within 1e-12."""
     theta = np.asarray(theta, dtype=float)
@@ -158,7 +177,7 @@ def _polar_angles(theta) -> np.ndarray:
 
 
 def basis_matrix(n_funcs: int, theta: np.ndarray, derivatives: bool = True):
-    """Stacked values and derivatives of e_0..e_{n_funcs-1}, shape (n_funcs, len(theta)).
+    """Stacked values and derivatives of e_0..e_{n_funcs-1}, each of shape (n_funcs,) + theta.shape.
 
     e_k is the Legendre polynomial P_k shifted from [-1, 1] to [0, pi] by the
     affine map x = 2*theta/pi - 1 and scaled to unit norm in x, the
@@ -174,7 +193,7 @@ def basis_matrix(n_funcs: int, theta: np.ndarray, derivatives: bool = True):
     P[0], P[1:2] = 1.0, x
     for k in range(1, n_funcs - 1):
         P[k + 1] = ((2 * k + 1) * x * P[k] - k * P[k - 1]) / (k + 1)
-    c = np.sqrt((2 * np.arange(n_funcs) + 1) / 2.0)[:, None]
+    c = np.sqrt((2 * np.arange(n_funcs) + 1) / 2.0).reshape((-1,) + (1,) * x.ndim)
     if not derivatives:
         return c * P, None
     dP = np.zeros_like(P)

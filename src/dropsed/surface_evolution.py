@@ -9,7 +9,8 @@ nodes are independent, so this is the parallel evaluation the scheme
 admits).  The grid geometry they need is cached per grid, so a step
 computes only what depends on the profile, in one workspace of six
 block-sized planes that every block, and its AGM, reuses.
-The time loop itself is sequential and profiles are immutable snapshots.
+The steps are marched in sequence by :func:`~dropsed.quadrature.march`, and
+profiles are immutable snapshots.
 
 Every azimuthal integrand has the form (alpha + beta cos phi) / sqrt(A - B cos phi),
 so the integral over phi is taken in closed form by one arithmetic-geometric
@@ -33,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import _MOMENT_CHUNK, _moments_into, _row_blocks
-from .quadrature import PhiGrid, ThetaGrid, simpson_weights, snapshot_steps
+from .quadrature import PhiGrid, ThetaGrid, march, simpson_weights, snapshot_steps
 
 __all__ = [
     "RadialProfile",
@@ -256,44 +257,28 @@ def evolve(p0: RadialProfile, T: float, dt: float, cdot3: float | None,
     The reference center moves at the constant vertical speed ``cdot3``, or
     with the flow when it is None (see :func:`step_upwind`).
     T must be a whole number of steps dt, and so must ``snapshot_every``, the
-    time between snapshots (default: only at T); the snapshots are those of
-    :func:`~dropsed.quadrature.snapshot_steps`, each at the time p0.time + k*dt
-    exactly (and, under a constant ``cdot3``, at the height p0.c3 + k*dt*cdot3).
-    They always include the initial and final profiles, and each one is
-    handed to ``on_snapshot`` as soon as it is taken.  The initial profile is
-    emitted only after step 1 has passed the CFL check in :func:`step_upwind`,
-    so a dt rejected at t=0 emits nothing.  Errors from the stepper propagate
-    unchanged, except that a :class:`SurfaceCollapseError` carries the last
-    valid profile at the exact time (and height) of its step, as a snapshot
-    would.  ``phi_grid`` changes no value.
+    time between snapshots (default: only at T).  The steps are run by
+    :func:`~dropsed.quadrature.march`, each stamped at the time p0.time + k*dt
+    exactly (and, under a constant ``cdot3``, at the height p0.c3 + k*dt*cdot3),
+    and the snapshots are those of :func:`~dropsed.quadrature.snapshot_steps`:
+    the initial and final profiles always, the initial one alone for T = 0.
+    Each is handed to ``on_snapshot`` as soon as it is taken, the initial one
+    only after step 1 has passed the CFL check in :func:`step_upwind`, so a dt
+    rejected at t=0 emits nothing.  Errors from the stepper propagate unchanged;
+    a collapse's last valid profile is stamped too.  ``phi_grid`` changes no value.
     """
     stored = snapshot_steps(T, dt, snapshot_every)
-    if stored[-1] < 1:
-        raise ValueError(f"T={T!r} must span at least one step dt={dt!r}")
-    snaps = []
 
-    def take(p: RadialProfile) -> None:
-        snaps.append(p)
-        if on_snapshot is not None:
-            on_snapshot(p)
-
-    def exact(p: RadialProfile, k: int) -> RadialProfile:
-        """``p`` after k steps, at the time (and constant-speed height) of step k exactly."""
+    def step(p: RadialProfile, k: int) -> RadialProfile:
+        p = step_upwind(p, dt, cdot3, phi_grid)
         c3 = p.c3 if cdot3 is None else p0.c3 + k * dt * cdot3
         return replace(p, c3=c3, time=p0.time + k * dt)
 
-    p = p0
-    for k0, k1 in zip(stored, stored[1:]):
-        for k in range(k0 + 1, k1 + 1):
-            try:
-                p = step_upwind(p, dt, cdot3, phi_grid)
-            except SurfaceCollapseError as exc:
-                exc.profile = exact(exc.profile, k - 1)
-                raise
-            if k == 1:
-                take(p0)
-        p = exact(p, k1)
-        take(p)
+    snaps = []
+    for p in march(p0, step, stored):
+        snaps.append(p)
+        if on_snapshot is not None:
+            on_snapshot(p)
     return snaps
 
 

@@ -150,6 +150,13 @@ class TestEvolveCommand:
         assert sidecar["time"] == pytest.approx(0.2)
         assert (out / "snapshot_0000.svg").exists()
 
+    def test_zero_time_writes_the_initial_snapshot(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["evolve", "--T", "0", "--out", str(out)]) == 0
+        assert [p.name for p in sorted(out.glob("snapshot_*.csv"))] == ["snapshot_0000.csv"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["final_time"] == 0.0 and summary["snapshots"] == 1
+
     @pytest.mark.parametrize("flags, message", [
         (["--r0", "nan"], "r0 must be positive and finite, got nan"),
         (["--r0", "inf"], "r0 must be positive and finite, got inf"),

@@ -224,6 +224,48 @@ def test_only_quadrature_builds_the_polar_grid():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def _stored_index_range_lines(tree):
+    """Lines of ``for`` loops over a ``range`` bounded by an enclosing loop's stored indices.
+
+    A stored index is a target of an enclosing ``for`` that walks a list, not
+    a ``range``: today's ``for k in range(k0 + 1, k1 + 1)`` inside
+    ``for k0, k1 in zip(stored, stored[1:])``, the walk ``march`` runs.
+    """
+    lines = []
+
+    def visit(node, indices):
+        if isinstance(node, ast.For):
+            if isinstance(node.iter, ast.Call) and _name(node.iter.func) == "range":
+                bounds = {n.id for arg in node.iter.args for n in ast.walk(arg)
+                          if isinstance(n, ast.Name)}
+                if bounds & indices:
+                    lines.append(node.lineno)
+            else:
+                indices = indices | {n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)}
+        for child in ast.iter_child_nodes(node):
+            visit(child, indices)
+
+    visit(tree, frozenset())
+    return sorted(lines)
+
+
+def test_only_quadrature_marches_time():
+    toy = ast.parse("for k0, k1 in zip(stored, stored[1:]):\n"
+                    "    for k in range(k0 + 1, k1 + 1):\n        pass\n"
+                    "for i0 in range(0, n, b):\n"
+                    "    for j0 in range(i0, n, b):\n        pass\n"
+                    "for k1 in stored:\n"
+                    "    for k in range(k1):\n        pass\n"
+                    "for lo, hi in blocks:\n"
+                    "    rows = range(lo, hi)\n")
+    assert _stored_index_range_lines(toy) == [2, 8]
+    package = Path(dropsed.__file__).parent
+    found = {path.name: _stored_index_range_lines(ast.parse(path.read_text()))
+             for path in sorted(package.glob("*.py"))}
+    assert len(found.pop("quadrature.py")) == 1  # march's own walk, so the scan sees one
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def _number(node):
     """The magnitude of a numeric literal, with or without a minus sign, else None."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):

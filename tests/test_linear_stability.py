@@ -236,6 +236,17 @@ class TestPerturbation:
         assert got.dtype == (np.complex128 if kind == "complex" else np.float64)
         assert np.array_equal(got, c @ basis_matrix(16, theta)[0])
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_scalar_and_array_theta_keep_the_column_values(self, rng, kind):
+        # the values a 1-element column gave, taken out of it at a scalar theta
+        c = rng.standard_normal(16) + (1j * rng.standard_normal(16) if kind == "complex" else 0)
+        h = ls.Perturbation(c)
+        for theta in (0.0, 0.7, math.pi, np.array([0.7]), ThetaGrid.uniform(31).nodes):
+            column = c @ basis_matrix(16, np.atleast_1d(theta), derivatives=False)[0]
+            got = h(theta)
+            assert np.shape(got) == np.shape(theta)
+            assert np.array_equal(got, column if np.ndim(theta) else column[0])
+
 
 class TestGalerkin:
     def test_deterministic_assembly(self):

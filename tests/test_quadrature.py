@@ -17,6 +17,7 @@ from dropsed.quadrature import (
     ThetaGrid,
     basis_matrix,
     hermite,
+    march,
     simpson_weights,
     snapshot_steps,
     spline_slopes,
@@ -161,6 +162,16 @@ class TestBasis:
         # endpoints within the rounding allowance are accepted
         basis_matrix(4, [-1e-13, math.pi + 1e-13])
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 17])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi])
+    def test_scalar_theta_gives_one_column(self, n, theta):
+        # the shape is (n_funcs,) + theta.shape, with the 1-element array's bits
+        val, der = basis_matrix(n, theta)
+        col_val, col_der = basis_matrix(n, np.array([theta]))
+        assert val.shape == der.shape == (n,)
+        assert np.array_equal(val, col_val[:, 0]) and np.array_equal(der, col_der[:, 0])
+        assert np.array_equal(basis_matrix(n, theta, derivatives=False)[0], val)
+
     @given(k=st.integers(1, 20), x=st.floats(0.05, math.pi - 0.05))
     @settings(max_examples=40, deadline=None)
     def test_derivative_matches_finite_difference(self, k, x):
@@ -225,6 +236,53 @@ class TestStepCount:
     def test_time_loops_reject_partial_last_step(self, loop):
         with pytest.raises(ValueError, match="whole number of steps"):
             self.loop_runs(0.105, 0.01)[loop]()
+
+    @pytest.mark.parametrize("loop", ["surface", "cloud", "linearized"])
+    def test_time_loops_run_zero_steps(self, loop):
+        run = self.loop_runs(0.0, 0.01)[loop]()
+        times = [p.time for p in run] if loop == "surface" else list(run.times)
+        assert times == [0.0]
+        if loop == "cloud":
+            assert len(run.positions) == 1 and np.array_equal(run.positions[0], np.eye(3))
+        elif loop == "linearized":
+            assert run.values.shape == (1, 21)
+
+    @staticmethod
+    def counting_march(stored, fail_at=None):
+        """The states ``march`` yields for a step that adds 1 and records k, and the ks seen."""
+        seen = []
+
+        def step(state, k):
+            seen.append(k)
+            if k == fail_at:
+                raise RuntimeError(f"step {k}")
+            return state + 1
+
+        got = []
+        try:
+            for state in march(0, step, stored):
+                got.append(state)
+        except RuntimeError:
+            pass
+        return got, seen
+
+    @pytest.mark.parametrize("stored", [[0, 1], [0, 5], [0, 2, 4, 6], [0, 2, 4, 5]])
+    def test_march_yields_at_stored_indices(self, stored):
+        # the state counts the steps taken, so each yielded state is its index
+        got, seen = self.counting_march(stored)
+        assert got == stored
+        assert seen == list(range(1, stored[-1] + 1))
+
+    @pytest.mark.parametrize("stored, fail_at, yielded", [
+        ([0, 5], 1, []), ([0, 5], 3, [0]), ([0, 2, 4, 6], 3, [0, 2]), ([0, 2, 4, 6], 6, [0, 2, 4]),
+    ])
+    def test_march_yields_nothing_past_a_failed_step(self, stored, fail_at, yielded):
+        # the initial state comes only once step 1 has returned
+        got, seen = self.counting_march(stored, fail_at)
+        assert got == yielded and seen == list(range(1, fail_at + 1))
+
+    def test_march_zero_steps_yields_the_initial_state(self):
+        assert self.counting_march([0]) == ([0], [])
 
     @pytest.mark.parametrize("loop", ["surface", "cloud", "linearized"])
     def test_time_loops_end_exactly_at_T(self, loop):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from dropsed import linear_stability as ls
+from dropsed.patch_waves import wave_speed
 from dropsed.quadrature import PhiGrid, ThetaGrid
 from dropsed.surface_evolution import (
     CflError,
@@ -165,6 +167,27 @@ class TestEvolve:
         got = exc.value.profile
         assert np.array_equal(got.r, last.r)
         assert got.time == valid_steps * dt and got.c3 == valid_steps * dt * 0.6
+
+    @pytest.mark.parametrize("policy", ["fixed_wave_speed", "transported"])
+    @pytest.mark.parametrize("lam", [2.0, 0.5])
+    def test_similarity_of_a_scaled_body_is_exact(self, policy, lam):
+        # speeds scale as r^2, so a body scaled by lam runs the same steps in
+        # time scaled by 1/lam; a power-of-two lam rescales every float exactly
+        grid, pg = ThetaGrid.uniform(60), PhiGrid.uniform(120)
+        mode = ls.solve_spectrum(ls.assemble_galerkin(8, 60)).eigenvector_perturbation(0)
+        h = np.real(mode(grid.nodes))
+        r = 1.0 + 0.05 * (h / np.max(np.abs(h)))  # the dominant K = 8 mode at eps = 0.05
+
+        def run(scale):
+            cdot3 = wave_speed(scale) if policy == "fixed_wave_speed" else None
+            return evolve(RadialProfile(grid=grid, r=scale * r), 2.0 / scale, 0.01 / scale,
+                          cdot3, pg, snapshot_every=0.5 / scale)
+
+        base, scaled = run(1.0), run(lam)
+        assert len(base) == len(scaled) == 5
+        for b, s in zip(base, scaled):
+            assert np.array_equal(s.r, lam * b.r)
+            assert s.c3 == lam * b.c3 and s.time == b.time / lam
 
     def test_stationary_short_run(self):
         grid = ThetaGrid.uniform(100)
