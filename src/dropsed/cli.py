@@ -10,6 +10,8 @@ sufficient to reproduce its outputs bit for bit, so nothing time- or
 host-dependent is ever written.  Heavy numeric imports happen after the
 thread cap is applied, and only in the runners that compute with them:
 ``patch`` evaluates its closed forms on Python floats and loads no numpy.
+In a process that has loaded numpy already, ``--threads`` could not apply,
+so it is refused there.
 """
 
 from __future__ import annotations
@@ -278,7 +280,7 @@ def _initial_profile(cfg: dict):
                     and theta[0] == 0.0 and theta[-1] == math.pi and (np.diff(theta) > 0).all()):
                 raise ValueError(f"eigvec {cfg['eigvec']!r} must have >= 4 rows of theta,h, theta "
                                  "increasing strictly from 0 to pi and finite h")
-            h = hermite(theta, h, spline_slopes(theta, h), grid.nodes)
+            h = hermite(theta, spline_slopes(theta), grid.nodes) @ h
         else:
             _check_galerkin_size(cfg["perturb_K"], grid.n_theta, "perturb_K")
             A = ls.assemble_galerkin(cfg["perturb_K"], grid.n_theta)
@@ -326,9 +328,11 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
     step_count(T, dt)  # before the default cadence below divides by dt
     if not math.isfinite(cfg["prescribed_speed"]):
         raise ValueError(f"prescribed_speed must be finite, got {cfg['prescribed_speed']!r}")
-    if cfg["prescribed_speed"] and cfg["policy"] != "prescribed":
-        raise ValueError(f"prescribed_speed={cfg['prescribed_speed']!r} is read only under "
-                         f"policy prescribed, got policy {cfg['policy']}")
+    for key, mode, value in (("prescribed_speed", "policy", "prescribed"),
+                             ("eigvec", "perturb", "dominant")):
+        if cfg[key] and cfg[mode] != value:
+            raise ValueError(f"{key}={cfg[key]!r} is read only under {mode} {value}, "
+                             f"got {mode} {cfg[mode]}")
     phi_grid = PhiGrid.uniform(cfg["nphi"])
     p = _initial_profile(cfg)  # rejects a bad r0 before its wave speed is read
     cdot3 = {"fixed_wave_speed": wave_speed(cfg["r0"]), "transported": None,
@@ -472,11 +476,17 @@ _RUNNERS = {
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv and argv[0] in _CONFIG_TYPES else None).parse_args(argv)
+    problem = None
+    if args.seed is not None and args.seed < 0:
+        problem = f"--seed must be >= 0, got {args.seed}"
+    elif args.threads is not None and args.threads < 1:  # OpenBLAS reads 0 or less as no cap
+        problem = f"--threads must be >= 1, got {args.threads}"
+    elif args.threads is not None and "numpy" in sys.modules:  # its pools are already sized
+        problem = "--threads cannot cap this process: numpy is already loaded"
+    if problem:
+        print(f"dropsed {args.subcommand}: error: {problem}", file=sys.stderr)
+        return 2
     if args.threads is not None:
-        if args.threads < 1:  # OpenBLAS reads 0 or less as no cap at all
-            print(f"dropsed {args.subcommand}: error: --threads must be >= 1, got {args.threads}",
-                  file=sys.stderr)
-            return 2
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
     seed = args.seed if args.seed is not None else 0

@@ -320,8 +320,8 @@ def _spline_matrices(theta: np.ndarray, feet: np.ndarray) -> tuple[np.ndarray, n
     """Derivative-at-nodes and value-at-feet matrices of the not-a-knot cubic spline.
 
     D @ h is the spline derivative of the samples h at the nodes and S @ h the
-    spline's values at ``feet``, the spline of the unit samples, formed
-    without the identity matrix.  Entries below _FLUSH_BELOW = 1e-150 in
+    spline's values at ``feet``: the maps of :func:`spline_slopes` and
+    :func:`hermite`.  Entries below _FLUSH_BELOW = 1e-150 in
     magnitude are set to 0, in D before S is formed from it and then in S, so
     neither holds a subnormal entry; the propagator built from them keeps its
     bits and is spared subnormal arithmetic, which took over half its time at
@@ -329,7 +329,7 @@ def _spline_matrices(theta: np.ndarray, feet: np.ndarray) -> tuple[np.ndarray, n
     """
     D = spline_slopes(theta)
     D[(D > -_FLUSH_BELOW) & (D < _FLUSH_BELOW)] = 0.0
-    S = hermite(theta, None, D, feet)
+    S = hermite(theta, D, feet)
     S[(S > -_FLUSH_BELOW) & (S < _FLUSH_BELOW)] = 0.0
     return D, S
 
@@ -342,12 +342,11 @@ def linearized_propagator(theta_grid: ThetaGrid, dt: float) -> np.ndarray:
     grid-sampled linearized source: R the cached chord-ratio kernel, (a, b)
     the source weights of :func:`_source_weights` and k the multiplicative
     coefficient.  D and S, the spline's derivative at the nodes and its
-    values at the feet of the one-step characteristics, are maps built from
-    the unit samples (:func:`_spline_matrices`), not from the identity
-    matrix.  This is the trapezoidal corrector of the characteristic
-    scheme solved exactly (Staniforth & Cote 1991).  dt is rejected when
-    dt/2 ||L||_inf >= 1, where that corrector's fixed-point iteration is no
-    longer guaranteed to contract.
+    values at the feet of the one-step characteristics, come from
+    :func:`_spline_matrices`.  This is the trapezoidal corrector of the
+    characteristic scheme solved exactly (Staniforth & Cote 1991).  dt is
+    rejected when dt/2 ||L||_inf >= 1, where that corrector's fixed-point
+    iteration is no longer guaranteed to contract.
     """
     if not dt > 0:
         raise ValueError(f"need dt > 0, got {dt}")

@@ -9,8 +9,9 @@ time loop in the package (each loop supplies only its step), live here too.
 The polynomial basis is the shifted Legendre family in the eigenvalue table's
 normalization.  The package's one interpolant is the not-a-knot cubic spline,
 split into its node slopes (:func:`spline_slopes`) and the cubic-Hermite
-evaluation between nodes (:func:`hermite`); given no values, each returns the
-matrix of its linear map from the unit samples' few terms.
+evaluation between nodes (:func:`hermite`).  Each returns only the matrix of
+its linear map, built from the unit samples' few nonzero terms, and a caller
+applies it to its samples.
 """
 
 from __future__ import annotations
@@ -203,72 +204,53 @@ def basis_matrix(n_funcs: int, theta: np.ndarray, derivatives: bool = True):
     return c * P, c * dP * (2.0 / math.pi)
 
 
-def spline_slopes(nodes, values=None) -> np.ndarray:
-    """Node slopes of the not-a-knot cubic spline through (nodes, values).
+def spline_slopes(nodes) -> np.ndarray:
+    """The n x n map from samples at ``nodes`` to the node slopes of their not-a-knot cubic spline.
 
-    ``values`` has shape (n, ...), one spline per trailing index, and the
-    result has the same shape; without ``values`` it is the n x n matrix of
-    the map from samples to slopes, the slopes of the identity bit for bit.
-    The slopes solve one tridiagonal system: a continuous second derivative
-    at each interior node and a continuous third derivative at the second
-    and the second-to-last node (the not-a-knot ends).  With fewer than 4
-    nodes those are one condition, so such a spline is rejected.
+    D @ y is the slopes of the spline through (nodes, y), for y of shape
+    (n,) or (n, m).  The slopes solve one tridiagonal system: a continuous
+    second derivative at each interior node and a continuous third
+    derivative at the second and the second-to-last node (the not-a-knot
+    ends).  With fewer than 4 nodes those are one condition, so such a
+    spline is rejected.
 
-    Row i of the right-hand side is (alpha[i] slope[j] + beta[i] slope[j+1])
-    / d at the ends and 3 times that inside (alpha = dx[i], beta = dx[i-1]),
-    j = i - 1 clipped to [0, n - 3], formed in the output with the secant
-    slopes as the only other array of the values' size.  The identity's secant slope[j] is -1/dx[j] at column
-    j and 1/dx[j] at j + 1, so only three terms a row are not exact zeros.
-    One forward and one back sweep solve the system in place, without
-    pivoting: the pivots are dx1, then dx0 + dx1, then each interior one
-    exceeds 2 dx(i-1) + dx(i), which leaves the last one positive too.  A
-    pivot that still comes out nonpositive (overflow or underflow) raises.
+    The right-hand side is that of the unit samples.  Row i is (alpha[i]
+    slope[j] + beta[i] slope[j+1]) / d at the ends and 3 times that inside
+    (alpha = dx[i], beta = dx[i-1]), j = i - 1 clipped to [0, n - 3], and the
+    unit samples' secant slope[j] is -1/dx[j] at column j and 1/dx[j] at
+    j + 1, so only three terms a row are not exact zeros.  One forward and
+    one back sweep solve the system in place, without pivoting: the pivots
+    are dx1, then dx0 + dx1, then each interior one exceeds 2 dx(i-1) +
+    dx(i), which leaves the last one positive too.  A pivot that still comes
+    out nonpositive (overflow or underflow) raises.
     """
     x = np.asarray(nodes, dtype=float)
     n = x.size
     if x.ndim != 1 or n < 4:
         raise ValueError(f"a not-a-knot spline needs a 1-d array of at least 4 nodes, "
                          f"got shape {x.shape}")
-    if values is not None and np.shape(values)[:1] != (n,):
-        raise ValueError(f"values of shape {np.shape(values)} do not match {n} nodes")
     dx = np.diff(x)
     if not np.all(dx > 0):
         raise ValueError("spline nodes must increase strictly")
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
     alpha = np.concatenate([[(dx[0] + 2.0 * d0) * dx[1]], dx[1:], [dx[-1] ** 2]])
     beta = np.concatenate([[dx[0] ** 2], dx[:-1], [(2.0 * d1 + dx[-1]) * dx[-2]]])
-    if values is None:
-        inv, j = 1.0 / dx, np.clip(np.arange(-1, n - 1), 0, n - 3)
-        band = np.stack([alpha * -inv[j], alpha * inv[j] + beta * -inv[j + 1], beta * inv[j + 1]], 1)
-        band[[0, -1]] /= [[d0], [d1]]
-        band[1:-1] *= 3.0
-        rhs = np.zeros((n, n))
-        rhs[np.arange(n)[:, None], j[:, None] + np.arange(3)] = band
-    else:
-        y = np.asarray(values, dtype=float)
-        col = (-1,) + (1,) * (y.ndim - 1)
-        slope = np.diff(y, axis=0)
-        slope /= dx.reshape(col)
-        rhs = np.empty_like(y)
-        rhs[0] = (alpha[0] * slope[0] + beta[0] * slope[1]) / d0
-        rhs[-1] = (alpha[-1] * slope[-2] + beta[-1] * slope[-1]) / d1
-        # the second product overwrites slope, which nothing reads after it
-        np.multiply(alpha[1:-1].reshape(col), slope[:-1], out=rhs[1:-1])
-        slope[1:] *= beta[1:-1].reshape(col)
-        rhs[1:-1] += slope[1:]
-        rhs[1:-1] *= 3.0
+    inv, j = 1.0 / dx, np.clip(np.arange(-1, n - 1), 0, n - 3)
+    band = np.stack([alpha * -inv[j], alpha * inv[j] + beta * -inv[j + 1], beta * inv[j + 1]], 1)
+    band[[0, -1]] /= [[d0], [d1]]
+    band[1:-1] *= 3.0
+    rhs = np.zeros((n, n))
+    rhs[np.arange(n)[:, None], j[:, None] + np.arange(3)] = band
     upper = [d0, *dx[:-1].tolist()]  # upper[i] couples row i to slope i + 1
     lower = [*dx[1:].tolist(), d1]  # lower[i - 1] couples row i to slope i - 1
     diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])).tolist(), dx[-2]]
     pivot = [diag[0]]
-    factor = []
     for i in range(1, n):
-        factor.append(lower[i - 1] / pivot[-1])
-        pivot.append(diag[i] - factor[-1] * upper[i - 1])
+        factor = lower[i - 1] / pivot[-1]
+        pivot.append(diag[i] - factor * upper[i - 1])
         if not pivot[-1] > 0:
             raise ArithmeticError(f"spline system pivot {i} is {pivot[-1]!r}, not positive")
-    for i in range(1, n):
-        rhs[i] -= factor[i - 1] * rhs[i - 1]
+        rhs[i] -= factor * rhs[i - 1]
     rhs[-1] /= pivot[-1]
     for i in range(n - 2, -1, -1):
         rhs[i] -= upper[i] * rhs[i + 1]
@@ -276,45 +258,33 @@ def spline_slopes(nodes, values=None) -> np.ndarray:
     return rhs
 
 
-def hermite(nodes, values, slopes, at) -> np.ndarray:
-    """Cubic-Hermite interpolant of node values and slopes, evaluated at ``at``.
+def hermite(nodes, slopes, at) -> np.ndarray:
+    """The map from samples at ``nodes`` to their cubic-Hermite interpolant at ``at``.
 
-    ``values`` and ``slopes`` have shape (n, ...); the result has shape
-    ``at.shape + slopes.shape[1:]``.  With the slopes of :func:`spline_slopes`
-    this is the not-a-knot spline.  A point outside the nodes' range
-    continues the end interval's cubic, and a node returns its own value
-    exactly.  The four terms w0 y[k] + w1 s[k] + w2 y[k+1] + w3 s[k+1] are
-    summed left to right into the output, each formed in one scratch array
-    of the output's size, with the bits of the one-expression sum.  With
-    ``values`` None they are the unit samples and the result is the map's
-    matrix: (w1 s[k] with w0 and w2 added at columns k and k + 1) + w3 s[k+1].
+    ``slopes`` is the n x n map from samples to node slopes, and the result,
+    of shape ``at.shape + (n,)``, maps samples y to the interpolant of
+    (y, slopes @ y); with :func:`spline_slopes` that is the not-a-knot
+    spline.  A point outside the nodes' range continues the end interval's
+    cubic, and a node's row is exactly its unit sample, so a node returns
+    its own value exactly.  Each row is w0 e[k] + w1 s[k] + w2 e[k+1] +
+    w3 s[k+1] for the unit samples e: w1 s[k] with w0 and w2 added at
+    columns k and k + 1, then w3 s[k+1] added through one scratch array of
+    the output's size.
     """
     x = np.asarray(nodes, dtype=float)
     at = np.asarray(at, dtype=float)
-    s = np.asarray(slopes, dtype=float)
     pts = at.reshape(-1)
     k = np.clip(np.searchsorted(x, pts, side="right") - 1, 0, x.size - 2)
     h = x[k + 1] - x[k]
     t = (pts - x[k]) / h
-    w = [wi.reshape((-1,) + (1,) * (s.ndim - 1))
-         for wi in ((1.0 + 2.0 * t) * (1.0 - t) ** 2, h * t * (1.0 - t) ** 2,
-                    t * t * (3.0 - 2.0 * t), h * t * t * (t - 1.0))]
-    if values is None:
-        rows = np.arange(pts.size)
-        out = np.take(s, k, axis=0)
-        out *= w[1]
-        out[rows, k] += w[0][:, 0]
-        out[rows, k + 1] += w[2][:, 0]
-        terms = ((w[3], k + 1, s),)
-    else:
-        y = np.asarray(values, dtype=float)
-        out = np.take(y, k, axis=0)
-        out *= w[0]
-        terms = ((w[1], k, s), (w[2], k + 1, y), (w[3], k + 1, s))
-    # k and k + 1 are in range, so "clip" only spares np.take a buffer
-    term = np.empty(out.shape)
-    for wi, knot, knots in terms:
-        np.take(knots, knot, axis=0, out=term, mode="clip")
-        term *= wi
-        out += term
-    return out.reshape(at.shape + s.shape[1:])
+    w0, w1 = (1.0 + 2.0 * t) * (1.0 - t) ** 2, h * t * (1.0 - t) ** 2
+    w2, w3 = t * t * (3.0 - 2.0 * t), h * t * t * (t - 1.0)
+    rows = np.arange(pts.size)
+    out = slopes[k]
+    out *= w1[:, None]
+    out[rows, k] += w0
+    out[rows, k + 1] += w2
+    term = slopes[k + 1]
+    term *= w3[:, None]
+    out += term
+    return out.reshape(at.shape + slopes.shape[1:])

@@ -1,11 +1,10 @@
-"""The spline maps with each node array formed by one numpy expression.
+"""The not-a-knot spline of given samples, each node array formed by one numpy expression.
 
-:func:`dropsed.quadrature.spline_slopes` builds the interior right-hand side
-of its tridiagonal system in its output array, and
-:func:`dropsed.quadrature.hermite` sums its four terms into one output
-through one scratch array.  This module keeps the forms they replaced, where
-each is one expression with a temporary per operation, in the same
-arithmetic and summation order.  Tests require equal bits.
+:func:`dropsed.quadrature.spline_slopes` and :func:`dropsed.quadrature.hermite`
+return the matrices of the spline's linear maps, built from the few nonzero
+terms of the unit samples.  Run here on the identity, y = I, with a
+temporary per operation, the spline gives those matrices in the same
+arithmetic and summation order, so tests require equal bits.
 """
 
 from __future__ import annotations

@@ -27,6 +27,8 @@ import lab_frame_oracle as oracle
 
 # the particle radius of every micro run
 MICRO_RADIUS = 1e-2
+# the variables --threads sets
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def read_csv(path):
@@ -270,6 +272,28 @@ class TestEvolveCommand:
             runs.append(read_csv(tmp_path / name / "snapshot_0000.csv")[1])
         assert np.max(np.abs(runs[0] - runs[1])) <= 1e-12
         assert np.max(np.abs(runs[0][:, 1] - 1.0)) == pytest.approx(0.2, rel=1e-12)
+
+    def test_eigvec_file_on_the_runs_own_nodes_is_exact(self, tmp_path):
+        # a node's spline row is its unit sample, so the file's h comes back bit for bit
+        spec, out = tmp_path / "spec", tmp_path / "run"
+        assert main(["spectrum", "--K", "6", "--ntheta", "40", "--out", str(spec)]) == 0
+        assert main(["evolve", "--perturb", "dominant", "--eps", "0.2", "--ntheta", "40",
+                     "--T", "0.02", "--eigvec", str(spec / "eigenvector.csv"),
+                     "--out", str(out)]) == 0
+        _, eigvec = read_csv(spec / "eigenvector.csv")
+        _, snap = read_csv(out / "snapshot_0000.csv")
+        h = eigvec[:, 1]
+        assert np.array_equal(snap[:, 0], eigvec[:, 0])
+        assert np.array_equal(snap[:, 1], 1.0 + 0.2 * (h / np.max(np.abs(h))))
+
+    def test_eigvec_without_dominant_perturbation_rejected(self, tmp_path, capsys):
+        out, eigvec = tmp_path / "run", str(tmp_path / "missing.csv")
+        assert main(["evolve", "--eigvec", eigvec, "--T", "0.01", "--ntheta", "20",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"dropsed evolve: error: eigvec={eigvec!r} is read only under perturb dominant, "
+            "got perturb none\n")
+        assert list(out.iterdir()) == []
 
     def test_eigvec_file_on_other_nodes_is_splined(self, tmp_path):
         # the CSV's nodes are not the run's: the profile is the not-a-knot
@@ -619,12 +643,36 @@ def test_main_prints_what_the_full_parser_prints(capsys, argv):
 def test_threads_below_one_rejected_before_the_cap_is_set(tmp_path, capsys, monkeypatch,
                                                           sub, threads):
     # OpenBLAS takes 0 or a negative count as no cap at all
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in THREAD_VARS:
         monkeypatch.setenv(var, "7")
     assert main([sub, "--threads", threads, "--out", str(tmp_path / "run")]) != 0
     assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
-    assert [os.environ[v] for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                                    "MKL_NUM_THREADS")] == ["7", "7", "7"]
+    assert [os.environ[v] for v in THREAD_VARS] == ["7", "7", "7"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("sub", list(CONFIG_FLAGS))
+def test_negative_seed_rejected_naming_the_option(tmp_path, capsys, monkeypatch, sub):
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    environ = dict(os.environ)
+    assert main([sub, "--seed", "-1", "--threads", "2", "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"dropsed {sub}: error: --seed must be >= 0, got -1\n"
+    assert dict(os.environ) == environ
+    assert not (tmp_path / "run").exists()
+
+
+def test_threads_refused_once_numpy_is_loaded(tmp_path, capsys, monkeypatch):
+    # this process has numpy loaded, so its BLAS pools are sized already
+    assert "numpy" in sys.modules
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    environ = dict(os.environ)
+    assert main(["spectrum", "--K", "1", "--ntheta", "8", "--threads", "1",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (
+        "dropsed spectrum: error: --threads cannot cap this process: numpy is already loaded\n")
+    assert dict(os.environ) == environ
     assert not (tmp_path / "run").exists()
 
 
@@ -657,8 +705,7 @@ class TestLoggingAndDebug:
 def _fresh_interpreter_env() -> dict:
     """Environment for a child interpreter that imports this dropsed, with no thread cap set."""
     src = Path(dropsed.__file__).resolve().parent.parent
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
     return env
 
@@ -672,8 +719,7 @@ def test_threads_cap_is_set_before_numpy_loads(tmp_path):
         "print('numpy' in sys.modules)\n"
         "rc = dropsed.cli.main(['spectrum', '--K', '1', '--ntheta', '8', '--threads', '3',"
         " '--out', sys.argv[1]])\n"
-        "print(rc, 'numpy' in sys.modules, *(os.environ[v] for v in ('OMP_NUM_THREADS',"
-        " 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')))\n"
+        f"print(rc, 'numpy' in sys.modules, *(os.environ[v] for v in {THREAD_VARS!r}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "run")],
                           env=_fresh_interpreter_env(), capture_output=True, text=True, timeout=120)

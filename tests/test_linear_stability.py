@@ -9,11 +9,11 @@ from scipy.interpolate import CubicSpline
 from dropsed import linear_stability as ls
 from dropsed import surface_evolution as se
 from dropsed.patch_waves import wave_speed
-from dropsed.quadrature import (PhiGrid, ThetaGrid, basis_matrix, hermite, simpson_weights,
-                                spline_slopes)
+from dropsed.quadrature import PhiGrid, ThetaGrid, basis_matrix, simpson_weights, spline_slopes
 
 import characteristic_corrector_oracle as corrector
 import phi_simpson_oracle as oracle
+import spline_expression_oracle as one_expression
 from convergence import assert_order_in_band, successive_differences
 
 # frozen high-resolution references (1601 x 3202 Simpson); the pi/4 value
@@ -407,13 +407,13 @@ class TestLinearizedEvolve:
 
     @pytest.mark.parametrize("n", [4, 5, 21, 251, 801])
     def test_spline_matrices_equal_the_spline_of_the_identity(self, n):
-        # the path they replace: the spline run on I, flushed the same way;
-        # from n = 601 on the flush acts
+        # the spline run on I by the one-expression oracle, flushed the same
+        # way; from n = 601 on the flush acts
         theta = ThetaGrid.uniform(n).nodes
         feet = ls.characteristic_flow(0.0, 0.01, theta)
-        D = spline_slopes(theta, np.eye(n))
+        D = one_expression.spline_slopes(theta, np.eye(n))
         D[np.abs(D) < ls._FLUSH_BELOW] = 0.0
-        S = hermite(theta, np.eye(n), D, feet)
+        S = one_expression.hermite(theta, np.eye(n), D, feet)
         S[np.abs(S) < ls._FLUSH_BELOW] = 0.0
         got_D, got_S = ls._spline_matrices(theta, feet)
         assert np.array_equal(got_D, D) and np.array_equal(got_S, S)
@@ -471,7 +471,7 @@ def source_derivative_gaps(n: int, degrees) -> tuple[dict, float]:
     grid = ThetaGrid.uniform(n)
     theta = grid.nodes
     a, b = ls._source_weights(grid)
-    D = spline_slopes(theta, np.eye(n))
+    D = spline_slopes(theta)
     L = ls._grid_kernel(grid) @ (np.diag(a) + b[:, None] * D) + np.diag(ls.k_coefficient(theta))
     gaps = {}
     for m in degrees:

@@ -303,23 +303,26 @@ class TestSpline:
             x = math.pi * np.linspace(0.0, 1.0, n) ** 1.5
         y = np.column_stack([np.sin(3.0 * x) + x**2, np.exp(-x)])
         ref = CubicSpline(x, y)
-        s = spline_slopes(x, y)
+        D = spline_slopes(x)
+        s = D @ y
         at = np.linspace(-0.02, math.pi + 0.02, 301)  # both ends extrapolate a little
         assert np.max(np.abs(s - ref(x, 1))) <= 1e-13 * np.max(np.abs(s))
-        got, want = hermite(x, y, s, at), ref(at)
+        got, want = hermite(x, D, at) @ y, ref(at)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_reproduces_a_cubic_and_its_nodes(self):
         x = np.array([0.0, 0.3, 0.4, 1.1, 2.0, 2.2])
         y = 1.0 - 2.0 * x + 0.5 * x**2 - 0.25 * x**3
-        s = spline_slopes(x, y)
-        np.testing.assert_allclose(s, -2.0 + x - 0.75 * x**2, rtol=0, atol=1e-13)
+        D = spline_slopes(x)
+        np.testing.assert_allclose(D @ y, -2.0 + x - 0.75 * x**2, rtol=0, atol=1e-13)
         at = np.linspace(-1.0, 3.0, 41)
-        np.testing.assert_allclose(hermite(x, y, s, at), 1.0 - 2.0 * at + 0.5 * at**2 - 0.25 * at**3,
+        np.testing.assert_allclose(hermite(x, D, at) @ y, 1.0 - 2.0 * at + 0.5 * at**2 - 0.25 * at**3,
                                    rtol=0, atol=1e-12)
-        assert np.array_equal(hermite(x, y, s, x), y)
-        assert hermite(x, y, s, 0.35).shape == ()
+        # a node's row is its unit sample, so the node values come back exactly
+        assert np.array_equal(hermite(x, D, x), np.eye(x.size))
+        assert np.array_equal(hermite(x, D, x) @ y, y)
+        assert hermite(x, D, 0.35).shape == (x.size,)
 
     def test_sweep_matches_dense_solve_and_cubic_spline(self, rng):
         # the row sweeps against a dense LU of the same tridiagonal system,
@@ -328,28 +331,22 @@ class TestSpline:
             n = int(rng.integers(4, 60))
             x = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))))
             y = rng.standard_normal((n, 3))
-            s = spline_slopes(x, y)
+            s = spline_slopes(x) @ y
             scale = np.max(np.abs(s))
             assert np.max(np.abs(s - dense_spline_slopes(x, y))) <= 1e-13 * scale
             assert np.max(np.abs(s - CubicSpline(x, y)(x, 1))) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("values", ["vector", "matrix", "identity"])
-    def test_in_place_maps_equal_one_expression_forms(self, rng, values):
-        # same arithmetic in the same order, so the same bits, extrapolated
-        # points, nodes and 0-d, 1-d and 2-d ``at`` included
+    def test_maps_equal_one_expression_forms_on_the_identity(self, rng):
+        # the unit samples' terms in the same arithmetic and order as the
+        # spline of I, so the same bits, extrapolated points, nodes and 0-d,
+        # 1-d and 2-d ``at`` included
         for n in (4, 5, 9, 60):
             x = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))))
-            y = {"vector": rng.standard_normal(n), "matrix": rng.standard_normal((n, 3)),
-                 "identity": np.eye(n)}[values]
-            s = spline_slopes(x, y)
-            assert np.array_equal(s, one_expression.spline_slopes(x, y))
-            # without values, the maps of the unit samples: the identity's bits
-            assert values != "identity" or np.array_equal(spline_slopes(x), s)
+            s = spline_slopes(x)
+            assert np.array_equal(s, one_expression.spline_slopes(x, np.eye(n)))
             points = np.concatenate([rng.uniform(x[0] - 0.5, x[-1] + 0.5, 38), x[[0, -1]]])
             for at in (points, points.reshape(5, 8), x, float(points[3])):
-                assert np.array_equal(hermite(x, y, s, at), one_expression.hermite(x, y, s, at))
-                assert values != "identity" or np.array_equal(hermite(x, None, s, at),
-                                                              hermite(x, y, s, at))
+                assert np.array_equal(hermite(x, s, at), one_expression.hermite(x, np.eye(n), s, at))
 
     def test_slopes_converge_at_fourth_order(self):
         # observed 3.90 / 3.84 / 3.72 from n = 51 to 401; the band leaves 0.22 below
@@ -357,7 +354,7 @@ class TestSpline:
         errors = []
         for n in ns:
             x = ThetaGrid.uniform(n).nodes
-            s = spline_slopes(x, np.sin(3.0 * x) + np.cos(x))
+            s = spline_slopes(x) @ (np.sin(3.0 * x) + np.cos(x))
             errors.append(np.max(np.abs(s - (3.0 * np.cos(3.0 * x) - np.sin(x)))))
         assert_order_in_band([math.pi / (n - 1) for n in ns], errors, 3.5, 4.2)
 
@@ -367,4 +364,4 @@ class TestSpline:
         # with 3 nodes both not-a-knot ends are one condition (CubicSpline
         # falls back to the parabola there); the helper refuses instead
         with pytest.raises(ValueError, match="at least 4 nodes|increase strictly"):
-            spline_slopes(x, np.zeros(len(x)))
+            spline_slopes(x)

@@ -18,6 +18,8 @@ from dropsed.surface_evolution import (
     theta_derivative,
 )
 
+from convergence import assert_order_in_band
+
 WAVE = -4.0 / 15.0
 
 
@@ -257,6 +259,25 @@ class TestEvolve:
         assert enclosed_volume(RadialProfile.sphere(grid101)) == pytest.approx(
             4.0 * math.pi / 3.0, rel=1e-8
         )
+
+
+# Simpson quadratures of the unit sphere and their exact values
+SPHERE_QUADRATURES = {
+    "enclosed_volume": (lambda g: enclosed_volume(RadialProfile.sphere(g)), 4.0 * math.pi / 3.0),
+    "center_speed": (lambda g: center_speed(RadialProfile.sphere(g)), -1.0 / 3.0),
+    "sphere_vertical_chord_integral": (ls.sphere_vertical_chord_integral, -16.0 * math.pi / 15.0),
+}
+
+
+@pytest.mark.parametrize("name", SPHERE_QUADRATURES)
+def test_sphere_quadratures_converge_at_fourth_order(name):
+    # observed from n = 51 to 401: 4.001 / 4.000 / 4.000 (volume), 4.004 /
+    # 4.001 / 4.000 (center speed), 4.003 / 4.001 / 4.000 (chord integral);
+    # the band leaves 0.2 on each side of Simpson's 4
+    quantity, exact = SPHERE_QUADRATURES[name]
+    ns = [51, 101, 201, 401]
+    errors = [abs(quantity(ThetaGrid.uniform(n)) - exact) for n in ns]
+    assert_order_in_band([math.pi / (n - 1) for n in ns], errors, 3.8, 4.2)
 
 
 class TestProfileValidation:
