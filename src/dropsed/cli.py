@@ -136,13 +136,18 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, rows, first_column: list[str] | None = None) -> None:
     """Write a table given as rows of numbers, every entry as the repr of its Python float.
 
     Nothing here needs numpy: a caller holding an array passes its
-    ``.tolist()``, whose entries are already Python floats.
+    ``.tolist()``, whose entries are already Python floats.  A column that
+    every file of a run shares (the particle ids, the theta nodes) is
+    formatted once by the caller and passed as ``first_column``, one string
+    per row; each row then holds the remaining entries.
     """
     lines = (",".join(map(repr, map(float, row))) for row in rows)
+    if first_column is not None:
+        lines = (f"{key},{line}" for key, line in zip(first_column, lines, strict=True))
     path.write_text("\n".join([header, *lines]) + "\n")
 
 
@@ -341,11 +346,12 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
         raise ValueError(f"policy {cfg['policy']} gives a non-finite center speed {cdot3!r} "
                          f"at r0={cfg['r0']!r}")
     tags = itertools.count()
+    theta = [repr(x) for x in p.grid.nodes.tolist()]  # every snapshot shares the grid
 
     def dump(profile) -> None:
         tag = f"{next(tags):04d}"
-        _write_csv(out / f"snapshot_{tag}.csv", "theta,r",
-                   np.column_stack([profile.grid.nodes, profile.r]).tolist())
+        _write_csv(out / f"snapshot_{tag}.csv", "theta,r", profile.r[:, None].tolist(),
+                   first_column=theta)
         _write_json(out / f"snapshot_{tag}.json",
                     {"time": profile.time, "c3": profile.c3,
                      "n_theta": profile.grid.n_theta, "dt": dt})
@@ -415,9 +421,9 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
         "rescaled_mean_speed": float(np.linalg.norm(rescaled_mean)),
     })
 
+    ids = [repr(float(i)) for i in range(cloud.n)]
     for idx, pos in enumerate(positions):
-        _write_csv(out / f"frame_{idx:04d}.csv", "id,x,y,z",
-                   np.column_stack([np.arange(len(pos)), pos]).tolist())
+        _write_csv(out / f"frame_{idx:04d}.csv", "id,x,y,z", pos.tolist(), first_column=ids)
     _write_manifest(out, "micro", cfg, seed, extra={
         "N": cfg["N"],
         "dt": dt,

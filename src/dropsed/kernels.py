@@ -55,14 +55,17 @@ def oseen_terms(d: np.ndarray, r2: np.ndarray, delta: float, inv_r: np.ndarray,
     and coef = d_3 inv_r / r^2, so that U(d) e3 = e3 inv_r + d coef; the
     response to the unit force -e3 is minus that.  A separation shorter
     than ``delta`` thus acts as if it were exactly ``delta`` long in the
-    same direction.  An entry with d = 0 and r2 = +inf
-    gets inv_r = coef = 0, which is how a caller drops a self pair.  Zero
-    separations are the caller's to reject: they produce non-finite values
-    here.  Writing into caller-owned buffers lets a tiled pair sum reuse a
-    few small arrays for every tile instead of allocating each temporary anew.
+    same direction.  A ``delta`` of 0 clamps nothing, so the maximum pass is
+    skipped; a caller that knows every r >= delta passes 0 to skip it.  An
+    entry with d = 0 and r2 = +inf gets inv_r = coef = 0, which is how a
+    caller drops a self pair.  Zero separations are the caller's to reject:
+    they produce non-finite values here.  Writing into caller-owned buffers
+    lets a tiled pair sum reuse a few small arrays for every tile instead of
+    allocating each temporary anew.
     """
     np.sqrt(r2, out=inv_r)
-    np.maximum(inv_r, delta, out=inv_r)
+    if delta > 0:
+        np.maximum(inv_r, delta, out=inv_r)
     np.divide(1.0 / (8.0 * math.pi), inv_r, out=inv_r)
     np.multiply(d[2], inv_r, out=coef)
     coef /= r2

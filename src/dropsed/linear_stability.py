@@ -380,7 +380,10 @@ def linearized_evolve(h0: Perturbation, t: float, theta_grid: ThetaGrid, phi_gri
     closed-form characteristics with cubic-spline interpolation at their feet,
     and the source added by the trapezoidal rule, solved exactly.  A dt too
     large for that corrector is rejected before the first step, and a
-    trajectory that leaves the finite range raises.  ``t`` and
+    trajectory that leaves the finite range raises.  Only the stored states
+    are checked for that; when one fails, the steps since the last stored
+    state are replayed, each checked, so the error names the first step past
+    1e12 times the initial size (or not finite).  ``t`` and
     ``snapshot_every``, the time between stored states (default: only the
     initial and final ones), must be whole numbers of steps ``dt``, checked
     before the propagator is built; :func:`~dropsed.quadrature.march` stores
@@ -392,11 +395,25 @@ def linearized_evolve(h0: Perturbation, t: float, theta_grid: ThetaGrid, phi_gri
     start = np.asarray(h0(theta_grid.nodes), dtype=float)
     scale0 = float(np.max(np.abs(start))) or 1.0
 
-    def step(h: np.ndarray, k: int) -> np.ndarray:
-        h = P @ h
+    checked = set(stored)
+    last_good = (0, start)  # the last stored state that passed the check
+
+    def diverged(h: np.ndarray) -> bool:
         # one reduction: NaN fails the comparison, and so do +-inf and blow-up
-        if not np.max(np.abs(h)) <= 1e12 * scale0:
-            raise ValueError(f"linearized evolution diverged at step {k}; reduce dt={dt}")
+        return not np.max(np.abs(h)) <= 1e12 * scale0
+
+    def step(h: np.ndarray, k: int) -> np.ndarray:
+        nonlocal last_good
+        h = P @ h
+        if k in checked:
+            if diverged(h):
+                k0, h = last_good
+                for j in range(k0 + 1, k + 1):
+                    h = P @ h
+                    if diverged(h):
+                        break
+                raise ValueError(f"linearized evolution diverged at step {j}; reduce dt={dt}")
+            last_good = (k, h)
         return h
 
     values = np.array(list(march(start, step, stored)))

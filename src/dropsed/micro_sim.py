@@ -30,7 +30,9 @@ because a squared distance of +inf makes their contribution exactly zero.
 Each integrator stage commits positions in a single assignment.  Pairs
 closer than the regularization distance interact as if separated by exactly
 that distance along the same direction (r_eff = max(r, delta)), and every
-such clamp is counted, as ordered pairs, and logged.
+such clamp is counted, as ordered pairs, and logged.  A tile whose closest
+pair is at least delta apart skips the clamp pass, which would change none
+of its values.
 
 Only sampling a cloud (:func:`uniform_ball_cloud`, with a caller's
 ``numpy.random.Generator``) needs ``numpy.random``; importing this module
@@ -150,8 +152,11 @@ def _interaction_sum(positions: np.ndarray, delta: float) -> tuple[np.ndarray, i
     of each pair: its row sums go to block I and its column sums to block J,
     and each of its clamped cells counts twice.  A diagonal tile already
     holds both ordered cells of its pairs, so it adds row sums only and
-    counts every clamped cell once.  Coincident particles are an error
-    naming both global indices.
+    counts every clamped cell once.  A tile with sqrt(min r2) >= delta
+    passes delta = 0 to :func:`~dropsed.kernels.oseen_terms`, which then
+    skips its maximum pass: sqrt is monotone and correctly rounded, so every
+    r of the tile already equals max(r, delta).  Coincident particles are an
+    error naming both global indices.
     """
     n = positions.shape[0]
     left, right = _separation_factors(positions)
@@ -185,7 +190,9 @@ def _interaction_sum(positions: np.ndarray, delta: float) -> tuple[np.ndarray, i
             if closest < delta * delta:
                 close = int(np.count_nonzero(r2 < delta * delta))
                 clamped_pairs += close if i0 == j0 else 2 * close
-            oseen_terms(d, r2, delta, work[3], coef)
+            # a test of closest against delta * delta would differ from the
+            # clamp by that product's rounding
+            oseen_terms(d, r2, delta if math.sqrt(closest) < delta else 0.0, work[3], coef)
             np.multiply(d, coef, out=d)
             acc[:, i0:i1] += (work.reshape(4 * rows, cols) @ ones[:cols]).reshape(4, rows)
             if i0 != j0:

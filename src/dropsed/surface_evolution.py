@@ -207,11 +207,15 @@ def advection_and_source(p: RadialProfile, cdot3: float, phi_grid: PhiGrid):
     return a1, a2
 
 
-def step_upwind(p: RadialProfile, dt: float, cdot3: float | None, phi_grid: PhiGrid) -> RadialProfile:
+def step_upwind(p: RadialProfile, dt: float, cdot3: float | None, phi_grid: PhiGrid, *,
+                time: float | None = None, c3: float | None = None) -> RadialProfile:
     """One explicit upwind step of the surface equation.
 
     ``cdot3`` is the vertical speed of the reference center over the step;
     None moves the center with the flow, at :func:`center_speed` of ``p``.
+    The new profile is stamped at ``time`` and height ``c3``, by default
+    p.time + dt and p.c3 + dt * cdot3; a driver that knows them exactly
+    passes them, so each step validates one profile.
     The upwind side follows the sign of the advection speed node by node.
     Violating the CFL bound dt * max|a1| <= spacing raises before any state
     changes; a step that would make min(r) nonpositive raises
@@ -246,7 +250,8 @@ def step_upwind(p: RadialProfile, dt: float, cdot3: float | None, phi_grid: PhiG
             f"surface collapsed at t={p.time + dt:.4f}: r({p.grid.nodes[i]:.4f}) = {r_new[i]:.3e}",
             p,
         )
-    return replace(p, r=r_new, c3=p.c3 + dt * cdot3, time=p.time + dt)
+    return replace(p, r=r_new, c3=p.c3 + dt * cdot3 if c3 is None else c3,
+                   time=p.time + dt if time is None else time)
 
 
 def evolve(p0: RadialProfile, T: float, dt: float, cdot3: float | None,
@@ -270,9 +275,8 @@ def evolve(p0: RadialProfile, T: float, dt: float, cdot3: float | None,
     stored = snapshot_steps(T, dt, snapshot_every)
 
     def step(p: RadialProfile, k: int) -> RadialProfile:
-        p = step_upwind(p, dt, cdot3, phi_grid)
-        c3 = p.c3 if cdot3 is None else p0.c3 + k * dt * cdot3
-        return replace(p, c3=c3, time=p0.time + k * dt)
+        return step_upwind(p, dt, cdot3, phi_grid, time=p0.time + k * dt,
+                           c3=None if cdot3 is None else p0.c3 + k * dt * cdot3)
 
     snaps = []
     for p in march(p0, step, stored):

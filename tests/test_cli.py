@@ -520,6 +520,20 @@ def test_csv_bytes_match_per_value_float_repr(tmp_path):
     assert (tmp_path / "t.csv").read_text() == expected
 
 
+def test_csv_first_column_is_written_as_given(tmp_path):
+    # the preformatted column of the micro ids and the evolve theta nodes:
+    # the same bytes as the whole rows through the per-value writer
+    rows = [(0, 1.0 / 3.0, -0.0), (1, np.float64(2.5), 1e300), (2, 5e-324, -2.0 / 3.0)]
+    cli._write_csv(tmp_path / "whole.csv", "id,b,c", rows)
+    cli._write_csv(tmp_path / "split.csv", "id,b,c", [row[1:] for row in rows],
+                   first_column=[repr(float(row[0])) for row in rows])
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert (tmp_path / "split.csv").read_text().splitlines()[1] == "0.0,0.3333333333333333,-0.0"
+    with pytest.raises(ValueError):
+        cli._write_csv(tmp_path / "short.csv", "id,b,c", [row[1:] for row in rows],
+                       first_column=["0.0"])
+
+
 class TestConfigHandling:
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -52,6 +52,22 @@ class TestOseen:
             oseen_terms(np.zeros((3, 2)), np.array([0.0, np.inf]), 0.0, inv_r, coef)
         assert not np.isfinite(coef[0]) and inv_r[1] == coef[1] == 0.0
 
+    @pytest.mark.parametrize("delta", [1e-3, 1.0 / 3.0, 0.3, 7.0, 1e-150])
+    def test_clamp_at_or_below_every_r_changes_no_bit(self, delta):
+        # for a normal delta^2, sqrt(fl(delta^2)) == delta, so every r2 >= fl(delta^2)
+        # has r >= delta and delta = 0, which skips the maximum pass, gives the same bits
+        rng = np.random.default_rng(4)
+        floor = delta * delta
+        assert math.sqrt(floor) == delta
+        r2 = floor * np.concatenate([[1.0, 1.0], rng.uniform(1.0, 4.0, 61), [np.inf]])
+        r2[1] = np.nextafter(floor, np.inf)
+        d = rng.uniform(-1.0, 1.0, (3, r2.size)) * math.sqrt(floor)
+        d[:, -1] = 0.0  # the self-pair entry
+        clamped, skipped = np.empty((2, r2.size)), np.empty((2, r2.size))
+        oseen_terms(d, r2, delta, *clamped)
+        oseen_terms(d, r2, 0.0, *skipped)
+        assert np.array_equal(clamped.view(np.int64), skipped.view(np.int64))
+
 
 class TestStokesDrag:
     def test_unit_parameters(self):

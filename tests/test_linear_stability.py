@@ -90,6 +90,15 @@ class TestKCoefficient:
         vals = ls.k_by_quadrature(angles, tg)
         assert np.max(np.abs(vals - (2.0 / 15.0) * np.cos(angles))) <= 1e-4
 
+    def test_quadrature_converges_at_second_order(self):
+        # at 37 angles midway between the nodes of a 38-node grid; observed
+        # from n = 101 to 401: 2.011 / 1.986, inside the band by 0.09 at either end
+        angles = (np.arange(37) + 0.5) * math.pi / 37
+        ns = [101, 201, 401]
+        errors = [np.max(np.abs(ls.k_by_quadrature(angles, ThetaGrid.uniform(n))
+                                - (2.0 / 15.0) * np.cos(angles))) for n in ns]
+        assert_order_in_band([math.pi / (n - 1) for n in ns], errors, 1.9, 2.1)
+
     def test_sphere_integral(self, tg):
         assert ls.sphere_vertical_chord_integral(tg) == pytest.approx(
             -16.0 * math.pi / 15.0, abs=1e-6
@@ -361,6 +370,15 @@ class TestLinearizedEvolve:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ValueError, match=rf"diverged at step {step}; reduce dt=0\.01"):
             ls.linearized_evolve(np.cos, 1.0, tg, pg, dt=0.01)
+
+    @pytest.mark.parametrize("every", [0.05, 0.25], ids=["after-stored-10", "after-stored-0"])
+    def test_divergence_between_stored_states_names_its_step(self, monkeypatch, every):
+        # only the stored states (every 5 or 25 steps) are checked; step 13 is
+        # found by replaying from the last stored state that passed
+        tg, pg = ThetaGrid.uniform(21), PhiGrid.uniform(42)
+        monkeypatch.setattr(ls, "linearized_propagator", lambda grid, dt: 10.0 * np.eye(grid.n_theta))
+        with pytest.raises(ValueError, match=r"diverged at step 13; reduce dt=0\.01"):
+            ls.linearized_evolve(np.cos, 1.0, tg, pg, dt=0.01, snapshot_every=every)
 
     @pytest.mark.parametrize("n, t", [(101, 1.0), (251, 2.5)])
     def test_matches_iterated_corrector(self, n, t):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dropsed import micro_sim
-from dropsed.kernels import stokes_drag_velocity
+from dropsed.kernels import oseen_terms, stokes_drag_velocity
 from dropsed.micro_sim import (
     CloudTrajectory,
     ParticleCloud,
@@ -259,6 +259,52 @@ class TestAgainstSubtractTiles:
             assert np.array_equal(d, sub)
             # bit for bit once -0.0 is folded into +0.0, the sign a BLAS may drop
             assert np.array_equal((d + 0.0).view(np.int64), (sub + 0.0).view(np.int64))
+
+
+class TestClampSkip:
+    """Tiles with no pair inside delta skip the clamp pass without changing a bit."""
+
+    def test_seed_0_cloud_sum_equals_the_unclamped_sum(self):
+        pos = sample_unit_ball(1200, np.random.default_rng(0))
+        vel, clamps = micro_sim._interaction_sum(pos, default_regularization(1.0, 1200))
+        free, _ = micro_sim._interaction_sum(pos, 0.0)
+        assert clamps == 0
+        assert np.array_equal(vel.view(np.int64), free.view(np.int64))
+
+    def test_only_the_tile_with_a_close_pair_clamps(self, rng, monkeypatch):
+        n, tile, delta = 40, 7, 1e-3
+        monkeypatch.setattr(micro_sim, "_PAIR_TILE", tile)
+        pos = rng.uniform(-1.0, 1.0, size=(n, 3))
+        pos[30] = pos[2] + 0.5 * delta * np.array([0.0, 0.6, -0.8])  # tiles 0 and 4
+        passed = []
+
+        def recording(d, r2, delta, inv_r, coef):
+            passed.append(delta)
+            oseen_terms(d, r2, delta, inv_r, coef)
+
+        monkeypatch.setattr(micro_sim, "oseen_terms", recording)
+        _, clamps = micro_sim._interaction_sum(pos, delta)
+        # 6 blocks give 21 tiles, (0, 0) .. (0, 5) first, so tile (0, 4) is the fifth
+        assert clamps == 2
+        assert passed == [delta if k == 4 else 0.0 for k in range(21)]
+
+    def test_skip_tests_r_not_r2(self):
+        # delta^2 is subnormal and rounds down, so a pair exactly delta apart has
+        # r2 = fl(delta^2), which the count does not take for a clamp, and
+        # sqrt(r2) < delta, which the clamp raises to delta; a test of r2 against
+        # delta * delta would skip that clamp
+        delta = 1.2000000000000018e-154
+        assert math.sqrt(delta * delta) < delta
+        pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, delta]])
+        vel, clamps = micro_sim._interaction_sum(pos, delta)
+        d = np.array([[0.0, 0.0], [0.0, 0.0], [-delta, delta]])
+        inv_r, coef = np.empty(2), np.empty(2)
+        oseen_terms(d, d[2] * d[2], delta, inv_r, coef)
+        expected = (d * coef).T
+        expected[:, 2] += inv_r
+        assert clamps == 0
+        assert np.array_equal(vel, expected)
+        assert not np.array_equal(vel, micro_sim._interaction_sum(pos, 0.0)[0])
 
 
 class TestMeanVelocity:
