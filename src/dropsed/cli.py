@@ -268,6 +268,9 @@ def _initial_profile(cfg: dict):
     r0 = cfg["r0"]
     if not 0.0 < r0 < math.inf:
         raise ValueError(f"r0 must be positive and finite, got {r0!r}")
+    if r0 * r0 < sys.float_info.min:  # the kernels' r * r' would underflow
+        raise ValueError(f"r0 must have a square of at least {sys.float_info.min!r}, "
+                         f"got r0={r0!r}")
     if not math.isfinite(cfg["eps"]):
         raise ValueError(f"eps must be finite, got {cfg['eps']!r}")
     r = np.full(grid.n_theta, r0)
@@ -381,6 +384,7 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
 
     from . import micro_sim as ms
     from .kernels import stokes_drag_velocity
+    from .patch_waves import SplitMix64
     from .quadrature import snapshot_steps
 
     if cfg["N"] < 1:
@@ -388,9 +392,9 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
     frame, T, dt = cfg["frame"], cfg["T"], cfg["dt"]
     # checked on the user's numbers, before any rescaled clock is formed
     frame_times = np.array(snapshot_steps(T, dt, cfg["snapshot_every"])) * dt
-    rng = np.random.default_rng(seed)
     delta = None if cfg["delta"] < 0 else cfg["delta"]
-    cloud = ms.uniform_ball_cloud(cfg["N"], 1.0, rng, particle_radius=1e-2, delta=delta)
+    cloud = ms.uniform_ball_cloud(cfg["N"], 1.0, SplitMix64(seed), particle_radius=1e-2,
+                                  delta=delta)
     drag = stokes_drag_velocity(cloud.particle_radius)
 
     rescaled, velocity_scale = ms.rescale_cloud(cloud)
@@ -442,7 +446,9 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", type=Path, default=None, help="output directory")
     sp.add_argument("--config", type=str, default=None, help="JSON config file")
-    sp.add_argument("--seed", type=int, default=None, help="RNG seed")
+    sp.add_argument("--seed", type=int, default=None,
+                    help="seed of the SplitMix64 stream that samples micro's cloud, "
+                         "0 <= seed < 2**64")
     sp.add_argument("--threads", type=int, default=None, help="cap BLAS/OpenMP threads")
     sp.add_argument("--log-level", dest="log_level", default="WARNING",
                     choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
@@ -485,6 +491,8 @@ def main(argv: list[str] | None = None) -> int:
     problem = None
     if args.seed is not None and args.seed < 0:
         problem = f"--seed must be >= 0, got {args.seed}"
+    elif args.seed is not None and args.seed >= 2**64:  # SplitMix64 takes a 64-bit seed
+        problem = f"--seed must be < 2**64, got {args.seed}"
     elif args.threads is not None and args.threads < 1:  # OpenBLAS reads 0 or less as no cap
         problem = f"--threads must be >= 1, got {args.threads}"
     elif args.threads is not None and "numpy" in sys.modules:  # its pools are already sized

@@ -129,7 +129,10 @@ def _moments_into(x, y, b, i0, i1, c, tmp, *, shape: tuple[int, ...], first_row:
         if not finite.all():
             raise ArithmeticError(f"azimuthal moments got a non-finite input at entry "
                                   f"{_entry(int(np.argmax(~finite)), shape, first_row)}")
-        raise ValueError("azimuthal moments need A > B >= 0; coincident points diverge")
+        j = int(np.argmax((y <= 0) | (b < 0)))
+        raise ValueError(f"azimuthal moments need A > B >= 0, got A - B = {float(y[j])!r} and "
+                         f"B = {float(b[j])!r} at entry {_entry(j, shape, first_row)}; "
+                         "coincident points diverge")
     np.sqrt(x, out=x)  # x0
     np.sqrt(y, out=y)  # y0
     np.divide(y, x, out=tmp)

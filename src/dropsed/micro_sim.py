@@ -34,9 +34,9 @@ such clamp is counted, as ordered pairs, and logged.  A tile whose closest
 pair is at least delta apart skips the clamp pass, which would change none
 of its values.
 
-Only sampling a cloud (:func:`uniform_ball_cloud`, with a caller's
-``numpy.random.Generator``) needs ``numpy.random``; importing this module
-does not load it.
+A cloud is sampled (:func:`uniform_ball_cloud`) from the caller's
+generator: the CLI seeds a :class:`~dropsed.patch_waves.SplitMix64` stream,
+so no module of the package loads ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import oseen_terms, stokes_drag_velocity
-from .patch_waves import UNIT_BALL_VOLUME, sample_unit_ball, wave_speed
+from .patch_waves import UNIT_BALL_VOLUME, SplitMix64, sample_unit_ball, wave_speed
 from .quadrature import march, snapshot_steps
 
 log = logging.getLogger(__name__)
@@ -110,9 +110,13 @@ class ParticleCloud:
         return self.positions.shape[0]
 
 
-def uniform_ball_cloud(n: int, cloud_radius: float, rng: np.random.Generator, *,
+def uniform_ball_cloud(n: int, cloud_radius: float, rng: np.random.Generator | SplitMix64, *,
                        particle_radius: float, delta: float | None = None) -> ParticleCloud:
-    """Seeded uniform sample of the ball B(0, R0), scaled from :func:`sample_unit_ball`."""
+    """Seeded uniform sample of the ball B(0, R0), scaled from :func:`sample_unit_ball`.
+
+    ``rng`` is any generator with numpy's ``normal(size=)`` and ``uniform(size=)``
+    draws: a ``numpy.random.Generator`` or a :class:`~dropsed.patch_waves.SplitMix64`.
+    """
     if delta is None:
         delta = default_regularization(cloud_radius, n)
     return ParticleCloud(positions=cloud_radius * sample_unit_ball(n, rng),
@@ -152,11 +156,13 @@ def _interaction_sum(positions: np.ndarray, delta: float) -> tuple[np.ndarray, i
     of each pair: its row sums go to block I and its column sums to block J,
     and each of its clamped cells counts twice.  A diagonal tile already
     holds both ordered cells of its pairs, so it adds row sums only and
-    counts every clamped cell once.  A tile with sqrt(min r2) >= delta
-    passes delta = 0 to :func:`~dropsed.kernels.oseen_terms`, which then
-    skips its maximum pass: sqrt is monotone and correctly rounded, so every
-    r of the tile already equals max(r, delta).  Coincident particles are an
-    error naming both global indices.
+    counts every clamped cell once.  A clamped cell is one with
+    sqrt(r2) < delta, the test of the clamp itself.  A tile with
+    sqrt(min r2) >= delta has none: it passes delta = 0 to
+    :func:`~dropsed.kernels.oseen_terms`, which then skips its maximum pass,
+    since sqrt is monotone and correctly rounded, so every r of the tile
+    already equals max(r, delta).  Coincident particles are an error naming
+    both global indices.
     """
     n = positions.shape[0]
     left, right = _separation_factors(positions)
@@ -187,12 +193,13 @@ def _interaction_sum(positions: np.ndarray, delta: float) -> tuple[np.ndarray, i
                 i, j = np.argwhere(r2 == 0.0)[0]
                 raise ValueError(f"coincident particles {i0 + i} and {j0 + j}: "
                                  "no interaction direction")
-            if closest < delta * delta:
-                close = int(np.count_nonzero(r2 < delta * delta))
+            # the clamp's own test, sqrt(r2) < delta: a test of r2 against
+            # delta * delta would differ from it by that product's rounding
+            clamp = delta if math.sqrt(closest) < delta else 0.0
+            if clamp:
+                close = int(np.count_nonzero(np.sqrt(r2, out=coef) < delta))
                 clamped_pairs += close if i0 == j0 else 2 * close
-            # a test of closest against delta * delta would differ from the
-            # clamp by that product's rounding
-            oseen_terms(d, r2, delta if math.sqrt(closest) < delta else 0.0, work[3], coef)
+            oseen_terms(d, r2, clamp, work[3], coef)
             np.multiply(d, coef, out=d)
             acc[:, i0:i1] += (work.reshape(4 * rows, cols) @ ones[:cols]).reshape(4, rows)
             if i0 != j0:

@@ -29,6 +29,7 @@ __all__ = [
     "l1_distance",
     "separation_time",
     "wasserstein_bounds",
+    "SplitMix64",
     "sample_unit_ball",
     "monte_carlo_l1",
 ]
@@ -90,8 +91,70 @@ def wasserstein_bounds(R: float, t: float) -> tuple[float, float]:
     return abs(1.0 - R) * 0.75, _gap_speed(R) * t
 
 
-def sample_unit_ball(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points in the unit ball: cube-root radii on isotropic directions."""
+class SplitMix64:
+    """The SplitMix64 stream of a 64-bit seed, drawn as whole arrays.
+
+    Output k = 1, 2, ... is mix64(seed + k * 0x9E3779B97F4A7C15 mod 2^64),
+    the finalizer of Steele, Lea & Flood (OOPSLA 2014), so the stream is
+    the reference ``splitmix64.c``'s and any stretch of it is one vectorized
+    pass over its counters.  It offers the two draws :func:`sample_unit_ball`
+    takes from a numpy ``Generator``: ``uniform`` maps an output's top 53
+    bits to [0, 1) exactly, and ``normal`` pairs uniforms by Box-Muller.
+    Only those draws import numpy, and nothing loads ``numpy.random``.
+    """
+
+    GAMMA = 0x9E3779B97F4A7C15
+
+    def __init__(self, seed: int):
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"a SplitMix64 seed must be in [0, 2**64), got {seed!r}")
+        self.seed = seed
+        self.drawn = 0  # outputs consumed so far
+
+    def outputs(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as a uint64 array."""
+        import numpy as np
+
+        z = np.arange(self.drawn + 1, self.drawn + count + 1, dtype=np.uint64)
+        self.drawn += count
+        z *= np.uint64(self.GAMMA)  # arrays wrap mod 2^64 without a warning
+        z += np.uint64(self.seed)
+        for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(factor)
+        z ^= z >> np.uint64(31)
+        return z
+
+    def uniform(self, size) -> np.ndarray:
+        """Floats k / 2^53 in [0, 1), k the top 53 bits of each output."""
+        import numpy as np
+
+        top = self.outputs(int(np.prod(size))) >> np.uint64(11)
+        return np.ldexp(top.astype(float), -53).reshape(size)
+
+    def normal(self, size) -> np.ndarray:
+        """Standard normals by Box-Muller from m = ceil(count / 2) pairs of uniforms.
+
+        The next 2m uniforms are u_1..u_m, then v_1..v_m.  With
+        r = sqrt(-2 log(1 - u)), finite because 1 - u > 0, the normals are the
+        m values r cos(2 pi v), then the m values r sin(2 pi v); an odd count
+        drops the last sine.
+        """
+        import numpy as np
+
+        count = int(np.prod(size))
+        u, v = self.uniform((2, (count + 1) // 2))
+        r = np.sqrt(-2.0 * np.log1p(-u))
+        v *= 2.0 * math.pi
+        return np.concatenate([r * np.cos(v), r * np.sin(v)])[:count].reshape(size)
+
+
+def sample_unit_ball(n: int, rng: np.random.Generator | SplitMix64) -> np.ndarray:
+    """Uniform points in the unit ball: cube-root radii on isotropic directions.
+
+    ``rng`` is any generator with numpy's ``normal(size=)`` and
+    ``uniform(size=)`` draws: a ``numpy.random.Generator`` or a :class:`SplitMix64`.
+    """
     import numpy as np
 
     v = rng.normal(size=(n, 3))
@@ -99,7 +162,8 @@ def sample_unit_ball(n: int, rng: np.random.Generator) -> np.ndarray:
     return v * rng.uniform(size=(n, 1)) ** (1.0 / 3.0)
 
 
-def monte_carlo_l1(R: float, t: float, n_samples: int, rng: np.random.Generator) -> float:
+def monte_carlo_l1(R: float, t: float, n_samples: int,
+                   rng: np.random.Generator | SplitMix64) -> float:
     """Monte Carlo estimate of the patch L^1 distance.
 
     Uses |a - b| integrated = 2 - 2 * integral of min(a, b), which is

@@ -111,6 +111,16 @@ class TestAzimuthalMoments:
         with pytest.raises(ValueError, match="coincident"):
             azimuthal_moments([1.0, 2.0], [1.0, 0.0])
 
+    def test_coincident_entry_named_with_its_cause(self):
+        # the first failing entry, with the caller's row offset, as the non-finite branch names it
+        x = np.array([3.0, 3.0, 2.0, 2.0])
+        b = np.array([1.0, 1.0, 1.0, 1.0])
+        y = np.array([1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"^azimuthal moments need A > B >= 0, got A - B = 0\.0 "
+                                             r"and B = 1\.0 at entry \(5, 0\); coincident points "
+                                             r"diverge$"):
+            kernels._moments_into(x, y, b, *np.empty((4, 4)), shape=(2, 2), first_row=4)
+
     def test_non_finite_input_named_by_entry_not_as_coincident(self):
         # an overflowing r * r' gives A = inf and B = nan, which fails the
         # A > B >= 0 check; the entry is named with the caller's row offset

@@ -173,8 +173,8 @@ def _fresh_interpreter_modules(script: str, *args: str) -> list[str]:
 
 
 # modules no import of the package may load: scipy is only the tests' oracle,
-# and numpy.random (with secrets and hashlib, which load OpenSSL) only a
-# sampling run needs
+# and numpy.random (with secrets and hashlib, which load OpenSSL) is only the
+# tests' source of clouds; the CLI samples from a SplitMix64 stream
 _LOADED_ON_DEMAND = ("scipy", "importlib.metadata", "numpy.random", "secrets", "hashlib")
 
 
@@ -196,6 +196,16 @@ def test_package_imports_neither_scipy_nor_package_metadata(tmp_path):
     )
     assert _fresh_interpreter_modules(script, str(tmp_path / "patch")) == []
     assert (tmp_path / "patch" / "patch.csv").read_text().count("\n") == 6
+    # a micro run loads none of them either: it samples its cloud without numpy.random
+    script = (
+        "import sys\n"
+        "import dropsed.cli\n"
+        "assert dropsed.cli.main(['micro', '--N', '20', '--T', '0.02', '--dt', '0.01',\n"
+        "                         '--seed', '5', '--out', sys.argv[1]]) == 0\n"
+        f"print(*sorted(m for m in sys.modules if m.startswith({_LOADED_ON_DEMAND!r})))\n"
+    )
+    assert _fresh_interpreter_modules(script, str(tmp_path / "micro")) == []
+    assert (tmp_path / "micro" / "frame_0000.csv").read_text().count("\n") == 21
 
 
 def _name(node):

@@ -291,6 +291,15 @@ class TestGalerkin:
         rep8 = ls.solve_spectrum(ls.assemble_galerkin(8, 100))
         assert rep8.max_real == pytest.approx(0.1701, abs=2e-3)
 
+    def test_max_real_converges_at_third_order_in_the_grid(self):
+        # K = 8 against its value at n = 1601; observed from n = 101 to 401:
+        # 3.41 / 3.17, 0.29 below the band's top and 0.27 above its bottom
+        reference = ls.solve_spectrum(ls.assemble_galerkin(8, 1601)).max_real
+        ns = [101, 201, 401]
+        errors = [abs(ls.solve_spectrum(ls.assemble_galerkin(8, n)).max_real - reference)
+                  for n in ns]
+        assert_order_in_band([math.pi / (n - 1) for n in ns], errors, 2.9, 3.7)
+
     def test_spectrum_sorted_with_conjugate_pairs_adjacent(self):
         rep = ls.solve_spectrum(ls.assemble_galerkin(4, 100))
         real_parts = rep.eigenvalues.real

@@ -21,7 +21,7 @@ from dropsed.micro_sim import (
     rescaled_velocities,
     uniform_ball_cloud,
 )
-from dropsed.patch_waves import sample_unit_ball
+from dropsed.patch_waves import SplitMix64, sample_unit_ball
 
 import tiled_sum_oracle
 from continuum_field_oracle import continuum_velocity
@@ -290,9 +290,9 @@ class TestClampSkip:
 
     def test_skip_tests_r_not_r2(self):
         # delta^2 is subnormal and rounds down, so a pair exactly delta apart has
-        # r2 = fl(delta^2), which the count does not take for a clamp, and
-        # sqrt(r2) < delta, which the clamp raises to delta; a test of r2 against
-        # delta * delta would skip that clamp
+        # r2 = fl(delta^2) and sqrt(r2) < delta, which the clamp raises to delta
+        # and the count counts; a test of r2 against delta * delta would skip
+        # that clamp and not count it
         delta = 1.2000000000000018e-154
         assert math.sqrt(delta * delta) < delta
         pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, delta]])
@@ -302,9 +302,20 @@ class TestClampSkip:
         oseen_terms(d, d[2] * d[2], delta, inv_r, coef)
         expected = (d * coef).T
         expected[:, 2] += inv_r
-        assert clamps == 0
+        assert clamps == 2
         assert np.array_equal(vel, expected)
         assert not np.array_equal(vel, micro_sim._interaction_sum(pos, 0.0)[0])
+
+    def test_count_takes_the_clamps_test_below_fl_delta_squared(self):
+        # r2 is the float below fl(0.09) but sqrt(r2) rounds to 0.3, so the
+        # clamp changes nothing and nothing is counted, though r2 < 0.3 * 0.3
+        delta = 0.3
+        pos = np.array([[0.0, 0.0, 0.0], [5e-9, 0.0, math.nextafter(delta, 0.0)]])
+        r2 = pos[1] @ pos[1]
+        assert r2 == math.nextafter(delta * delta, 0.0) and math.sqrt(r2) == delta
+        vel, clamps = micro_sim._interaction_sum(pos, delta)
+        assert clamps == 0
+        assert np.array_equal(vel, micro_sim._interaction_sum(pos, 0.0)[0])
 
 
 class TestMeanVelocity:
@@ -418,6 +429,17 @@ class TestContinuumField:
         v, _ = rescaled_velocities(rescaled.positions, rescaled.delta)
         gap = v - continuum_velocity(rescaled.positions)
         assert np.sqrt(np.mean(np.sum(gap * gap, axis=1)) * n) <= 1.5
+
+
+    def test_cli_clouds_match_the_field(self):
+        # the SplitMix64 clouds of the CLI are uniform balls too: RMS * sqrt(N)
+        # was 0.67-1.16 on seeds 0-9
+        n = 2000
+        for seed in range(10):
+            cloud = uniform_ball_cloud(n, 1.0, SplitMix64(seed), particle_radius=A)
+            v, _ = rescaled_velocities(cloud.positions, cloud.delta)
+            gap = v - continuum_velocity(cloud.positions)
+            assert np.sqrt(np.mean(np.sum(gap * gap, axis=1)) * n) <= 1.5, seed
 
 
 class TestEvolveCloud:

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 
 from dropsed.patch_waves import (
     UNIT_BALL_VOLUME,
+    SplitMix64,
     l1_distance,
     monte_carlo_l1,
     overlap_volume,
@@ -180,3 +181,53 @@ class TestMonteCarloHelpers:
         assert r.max() <= 1.0
         # radial cdf r^3: mean of r^3 should be 1/2
         assert np.mean(r**3) == pytest.approx(0.5, abs=5e-3)
+
+
+class TestSplitMix64:
+    def test_seed_0_gives_the_reference_outputs(self):
+        # the first three outputs of the reference splitmix64.c seeded with 0
+        outputs = SplitMix64(0).outputs(3)
+        assert outputs.dtype == np.uint64
+        assert [int(v) for v in outputs] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                                             0x06C45D188009454F]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_draws_continue_one_stream(self, seed):
+        stream = SplitMix64(seed)
+        split = np.concatenate([stream.uniform(size=3), stream.uniform(size=2)])
+        assert np.array_equal(split, SplitMix64(seed).uniform(size=5))
+        assert stream.drawn == 5
+
+    def test_uniforms_lie_in_the_unit_interval(self):
+        u = SplitMix64(1).uniform(size=(100_000, 1))
+        assert u.shape == (100_000, 1) and u.min() >= 0.0 and u.max() < 1.0
+        assert np.mean(u) == pytest.approx(0.5, abs=5e-3)
+
+        class Extremes(SplitMix64):
+            def outputs(self, count):
+                return np.array([0, 2**11 - 1, 2**64 - 1], dtype=np.uint64)[:count]
+
+        # the top 53 bits, so the largest output maps to the float just below 1
+        assert Extremes(0).uniform(size=3).tolist() == [0.0, 0.0, 1.0 - 2.0**-53]
+
+    def test_normals_pair_cosines_then_sines(self):
+        z = SplitMix64(3).normal(size=4)
+        assert np.array_equal(SplitMix64(3).normal(size=3), z[:3])
+        stream = SplitMix64(3)
+        u, v = stream.uniform(size=2), stream.uniform(size=2)
+        r = np.sqrt(-2.0 * np.log1p(-u))
+        assert np.array_equal(z, np.concatenate([r * np.cos(2.0 * math.pi * v),
+                                                 r * np.sin(2.0 * math.pi * v)]))
+        big = SplitMix64(4).normal(size=(50_000, 2))
+        assert np.mean(big) == pytest.approx(0.0, abs=0.01)
+        assert np.var(big) == pytest.approx(1.0, abs=0.02)
+
+    def test_unit_ball_sample_is_uniform(self):
+        r = np.linalg.norm(sample_unit_ball(200_000, SplitMix64(2)), axis=1)
+        assert r.max() <= 1.0
+        assert np.mean(r**3) == pytest.approx(0.5, abs=5e-3)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match=rf"in \[0, 2\*\*64\), got {seed}"):
+            SplitMix64(seed)

