@@ -8,7 +8,7 @@ cloud, and the quadrature/basis machinery underneath them all.
 
 import importlib
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 _SUBMODULES = ("cli", "kernels", "linear_stability", "micro_sim", "patch_waves", "quadrature",
                "surface_evolution")

@@ -78,16 +78,15 @@ class EvolveConfig:
 
 @dataclass
 class MicroConfig:
-    """Oseen particle cloud"""
+    """Oseen particle cloud, in the rescaled frame"""
 
     N: int = 1000
-    T: float = 1.0
+    T: float = field(default=1.0, metadata={
+        "help": "rescaled time, as are dt and snapshot_every: the lab-frame run is "
+                "x(t) = R0 y(s t / R0) + U_S t of the written frames y, with s the "
+                "velocity_scale of mean_velocity.json, R0 = 1 and U_S = -e3 / (6 pi 0.01)"})
     dt: float = 0.01
     delta: float = -1.0  # negative means the default fraction of mean spacing
-    frame: str = field(default="rescaled", metadata={
-        "choices": ("rescaled", "lab", "drift_subtracted"),
-        "help": "T, dt and snapshot_every are rescaled time for rescaled and physical time "
-                "otherwise; lab and drift_subtracted are images of the rescaled run"})
     snapshot_every: float = 0.0  # 0 means T
 
 
@@ -172,19 +171,27 @@ def _check_galerkin_size(K: int, ntheta: int, key: str) -> None:
                          f"{key} <= ntheta, got {key}={K} and ntheta={ntheta}")
 
 
-def _numpy_quiet(runner):
-    """``runner`` with numpy's floating-point warnings off for its whole run.
+def _numpy_runner(runner):
+    """``runner`` with numpy's floating-point warnings off, naming ntheta if memory runs out.
 
     Its finiteness checks report an overflow; numpy's warnings would only
-    precede them.  Only the runners that compute with numpy are wrapped, so
-    ``patch`` never loads it.
+    precede them.  A run with an ``ntheta`` builds n^2 kernel or geometry
+    arrays, so an allocation that fails names that option; numpy's message
+    gives only the bytes.  Only the runners that compute with numpy are
+    wrapped, so ``patch`` never loads it.
     """
     @functools.wraps(runner)
     def run(cfg: dict, out: Path, seed: int) -> int:
         import numpy as np
 
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return runner(cfg, out, seed)
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return runner(cfg, out, seed)
+        except MemoryError as exc:
+            if "ntheta" not in cfg:
+                raise
+            raise MemoryError(f"ntheta={cfg['ntheta']} gives n^2 arrays that cannot be "
+                              f"allocated: {exc}") from exc
     return run
 
 
@@ -225,7 +232,7 @@ def run_patch(cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
-@_numpy_quiet
+@_numpy_runner
 def run_spectrum(cfg: dict, out: Path, seed: int) -> int:
     import numpy as np
 
@@ -324,7 +331,7 @@ def _meridian_svg(profile) -> str:
     )
 
 
-@_numpy_quiet
+@_numpy_runner
 def run_evolve(cfg: dict, out: Path, seed: int) -> int:
     import numpy as np
 
@@ -378,37 +385,24 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
-@_numpy_quiet
+@_numpy_runner
 def run_micro(cfg: dict, out: Path, seed: int) -> int:
     import numpy as np
 
     from . import micro_sim as ms
     from .kernels import stokes_drag_velocity
     from .patch_waves import SplitMix64
-    from .quadrature import snapshot_steps
 
     if cfg["N"] < 1:
         raise ValueError(f"N must be >= 1, got {cfg['N']}")
-    frame, T, dt = cfg["frame"], cfg["T"], cfg["dt"]
-    # checked on the user's numbers, before any rescaled clock is formed
-    frame_times = np.array(snapshot_steps(T, dt, cfg["snapshot_every"])) * dt
     delta = None if cfg["delta"] < 0 else cfg["delta"]
     cloud = ms.uniform_ball_cloud(cfg["N"], 1.0, SplitMix64(seed), particle_radius=1e-2,
                                   delta=delta)
     drag = stokes_drag_velocity(cloud.particle_radius)
 
     rescaled, velocity_scale = ms.rescale_cloud(cloud)
-    # The lab and drift-subtracted runs are images of the rescaled run on the
-    # clock tau = (s / R0) t: x(t) = R0 y(tau), plus U_S t in the lab frame.
-    # A lone particle (s = 0) rests in the rescaled frame, so any clock serves.
-    R0 = cloud.cloud_radius
-    clock = 1.0 if frame == "rescaled" else velocity_scale / R0 or 1.0
-    traj = ms.evolve_cloud(rescaled, clock * T, clock * dt,
-                           snapshot_every=clock * cfg["snapshot_every"] or None)
-    positions = traj.positions
-    if frame != "rescaled":
-        drift = drag if frame == "lab" else np.zeros(3)
-        positions = [R0 * y + t * drift for t, y in zip(frame_times, positions, strict=True)]
+    traj = ms.evolve_cloud(rescaled, cfg["T"], cfg["dt"],
+                           snapshot_every=cfg["snapshot_every"] or None)
     # The t = 0 pair sum gives both means: under the unit force along -e3 the
     # physical interaction velocity is velocity_scale times the rescaled one.
     rescaled_mean = traj.initial_velocity.mean(axis=0)
@@ -426,14 +420,14 @@ def run_micro(cfg: dict, out: Path, seed: int) -> int:
     })
 
     ids = [repr(float(i)) for i in range(cloud.n)]
-    for idx, pos in enumerate(positions):
+    for idx, pos in enumerate(traj.positions):
         _write_csv(out / f"frame_{idx:04d}.csv", "id,x,y,z", pos.tolist(), first_column=ids)
     _write_manifest(out, "micro", cfg, seed, extra={
         "N": cfg["N"],
-        "dt": dt,
-        "T": T,
+        "dt": cfg["dt"],
+        "T": cfg["T"],
         "delta": cloud.delta,
-        "frame_times": [float(t) for t in frame_times],
+        "frame_times": traj.times.tolist(),
         "clamp_events": traj.clamp_events,
     })
     return 0

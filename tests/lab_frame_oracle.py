@@ -1,9 +1,9 @@
 """Direct physical-frame integration of a cloud, the law the rescaled run replaced.
 
-The CLI maps the rescaled run to the lab frame (drag plus interactions) and
-to the drift-subtracted frame (interactions only).  This module integrates
-those two laws directly with the same midpoint rule, so tests compare the
-two routes.
+The rescaled run y maps to the lab frame (drag plus interactions) as
+x(t) = R0 y(s t / R0) + U_S t, and to the drift-subtracted frame
+(interactions only) without the U_S t.  This module integrates those two
+laws directly with the same midpoint rule, so tests compare the two routes.
 """
 
 from __future__ import annotations

@@ -19,10 +19,7 @@ from dropsed import micro_sim as ms
 from dropsed import patch_waves as pw
 from dropsed import surface_evolution as se
 from dropsed.cli import main
-from dropsed.kernels import stokes_drag_velocity
 from dropsed.quadrature import PhiGrid, ThetaGrid
-
-import lab_frame_oracle as oracle
 
 
 # the particle radius of every micro run
@@ -392,46 +389,14 @@ class TestMicroCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["N"] == 1 and manifest["frame_times"][-1] == pytest.approx(1.0)
 
-    def test_single_particle_lab_frame_falls_straight(self, tmp_path):
-        # a lone particle rests in the rescaled frame, so its lab image falls at U_S
-        out = tmp_path / "run"
-        assert main(["micro", "--N", "1", "--T", "1", "--dt", "0.1", "--snapshot-every", "0.5",
-                     "--frame", "lab", "--out", str(out)]) == 0
-        cloud = ms.uniform_ball_cloud(1, 1.0, pw.SplitMix64(0), particle_radius=MICRO_RADIUS)
-        x0 = cloud.positions[0]
-        times = json.loads((out / "manifest.json").read_text())["frame_times"]
-        assert times == [0.0, 0.5, 1.0]
-        for idx, t in enumerate(times):
-            _, data = read_csv(out / f"frame_{idx:04d}.csv")
-            expected = x0 + t * stokes_drag_velocity(MICRO_RADIUS)
-            assert np.allclose(data[0, 1:], expected, rtol=0.0, atol=1e-14)
-
-    @pytest.mark.parametrize("frame", ["lab", "drift_subtracted"])
-    def test_frames_match_physical_oracle(self, tmp_path, frame):
-        # the frames mapped from the rescaled run against a direct integration
-        # of drag plus interactions (lab) or of interactions alone (drift)
-        out = tmp_path / "run"
-        assert main(["micro", "--N", "300", "--T", "0.2", "--dt", "0.01", "--snapshot-every",
-                     "0.05", "--seed", "3", "--frame", frame, "--out", str(out)]) == 0
-        cloud = ms.uniform_ball_cloud(300, 1.0, pw.SplitMix64(3), particle_radius=MICRO_RADIUS)
-        snaps, clamps = oracle.evolve_physical(cloud, 20, 0.01, lab=frame == "lab")
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["clamp_events"] == clamps
-        assert manifest["frame_times"] == [0.0, 0.05, 0.1, 0.15, 0.2]
-        for idx, expected in enumerate([cloud.positions, *snaps[4::5]]):
-            _, data = read_csv(out / f"frame_{idx:04d}.csv")
-            assert np.max(np.abs(data[:, 1:] - expected)) <= 1e-13
-
-    @pytest.mark.parametrize("frame", ["rescaled", "lab", "drift_subtracted"])
     @pytest.mark.parametrize("flags, named", [
         (["--T", "0.06", "--dt", "0.01", "--snapshot-every", "0.015"],
          ["snapshot_every=0.015", "dt=0.01"]),
         (["--T", "nan", "--dt", "0.01"], ["T=nan", "dt=0.01"]),
     ], ids=["ragged-snapshots", "T-nan"])
-    def test_time_grid_errors_name_the_given_values(self, tmp_path, capsys, frame, flags, named):
-        # the lab and drift runs step a rescaled clock; errors still name the user's numbers
+    def test_time_grid_errors_name_the_given_values(self, tmp_path, capsys, flags, named):
         out = tmp_path / "run"
-        assert main(["micro", "--N", "20", *flags, "--frame", frame, "--out", str(out)]) == 1
+        assert main(["micro", "--N", "20", *flags, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and all(value in err for value in named), err
         assert list(out.iterdir()) == []
@@ -476,9 +441,8 @@ class TestMicroCommand:
         assert report["rescaled_mean_speed"] == pytest.approx(1.0, abs=0.05)
 
 
-    @pytest.mark.parametrize("frame, n", [("rescaled", 60), ("lab", 60),
-                                          ("drift_subtracted", 60), ("lab", 1)])
-    def test_initial_pair_sum_computed_once(self, tmp_path, monkeypatch, frame, n):
+    @pytest.mark.parametrize("n", [60, 1])
+    def test_initial_pair_sum_computed_once(self, tmp_path, monkeypatch, n):
         # five midpoint steps take ten pair sums; the t = 0 sum of step 1 also
         # gives both reported means, so no further sum is made.  A lone
         # particle's rescaled velocity is zero without a sum.
@@ -492,7 +456,7 @@ class TestMicroCommand:
         monkeypatch.setattr(ms, "_interaction_sum", counting)
         out = tmp_path / "run"
         assert main(["micro", "--N", str(n), "--T", "0.05", "--dt", "0.01", "--seed", "4",
-                     "--frame", frame, "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         assert len(calls) == (10 if n > 1 else 0)
         report = json.loads((out / "mean_velocity.json").read_text())
         cloud = ms.uniform_ball_cloud(n, 1.0, pw.SplitMix64(4), particle_radius=MICRO_RADIUS)
@@ -505,16 +469,14 @@ class TestMicroCommand:
         assert (np.linalg.norm(np.array(report["rescaled_mean_velocity"]) - rescaled_mean)
                 <= 1e-12 * np.linalg.norm(rescaled_mean))
 
-    @pytest.mark.parametrize("frame, clamps", [("rescaled", 180), ("lab", 180),
-                                               ("drift_subtracted", 180)])
-    def test_clamp_events_pinned(self, tmp_path, frame, clamps):
-        # the seed-3 SplitMix64 cloud integrated by the midpoint rule on the
-        # runner's clocks with tests/tiled_sum_oracle.py's pair sum, whose
-        # counts the clamp's own test sqrt(r2) < delta confirmed at each stage
+    def test_clamp_events_pinned(self, tmp_path):
+        # the seed-3 SplitMix64 cloud integrated by the midpoint rule with
+        # tests/tiled_sum_oracle.py's pair sum, which counts by the clamp's
+        # own test sqrt(r2) < delta
         out = tmp_path / "run"
         assert main(["micro", "--N", "30", "--T", "0.05", "--dt", "0.01", "--delta", "0.3",
-                     "--seed", "3", "--frame", frame, "--out", str(out)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["clamp_events"] == clamps
+                     "--seed", "3", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["clamp_events"] == 180
 
 
 @pytest.mark.parametrize("rows", [[], np.empty((0, 4))], ids=["list", "array"])
@@ -563,9 +525,19 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["patch", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
 
+    def test_micro_frame_key_of_a_0_2_manifest_rejected(self, tmp_path, capsys):
+        # micro writes the rescaled run only, so a 0.2.0 manifest's frame is unknown
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N": 20, "frame": "rescaled"}))
+        out = tmp_path / "run"
+        assert main(["micro", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "dropsed micro: error: unknown config keys for micro: ['frame']\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand, key, value", [
         ("spectrum", "ntheta", 20.9), ("patch", "steps", 2.5), ("evolve", "svg", "false"),
-        ("spectrum", "K", "4"), ("spectrum", "K", True), ("micro", "frame", "labx"),
+        ("spectrum", "K", "4"), ("spectrum", "K", True), ("evolve", "perturb", "all"),
         ("patch", "R", True), ("evolve", "policy", 1), ("evolve", "r0", "const:1"),
     ])
     def test_config_value_checked_against_its_field(self, tmp_path, capsys, subcommand, key, value):
@@ -590,7 +562,7 @@ class TestConfigHandling:
         first = tmp_path / "first"
         assert main(["patch", "--R", "0.8", "--steps", "12", "--out", str(first)]) == 0
         manifest = json.loads((first / "manifest.json").read_text())
-        assert manifest["version"] == dropsed.__version__ == "0.2.0"
+        assert manifest["version"] == dropsed.__version__ == "0.3.0"
         cfg = tmp_path / "replay.json"
         cfg.write_text(json.dumps(manifest["config"]))
         second = tmp_path / "second"
@@ -611,7 +583,6 @@ CONFIG_FLAGS = {
                ("--perturb", str, ("none", "dominant")), ("--eps", float), ("--perturb-K", int),
                ("--eigvec", str), ("--svg", None)],
     "micro": [("--N", int), ("--T", float), ("--dt", float), ("--delta", float),
-              ("--frame", str, ("rescaled", "lab", "drift_subtracted")),
               ("--snapshot-every", float)],
 }
 # (option strings, dest, type, default, choices, const) of the flags every subcommand has
@@ -645,7 +616,7 @@ def test_parser_pins_every_flag():
         fields = {f.name for f in dataclasses.fields(cli._CONFIG_TYPES[name])}
         assert fields == {flag[2:].replace("-", "_") for flag, *_ in flags}
         total += len(actions)
-    assert total == 52
+    assert total == 51
 
 
 def _printed(capsys, parse, argv) -> tuple:
@@ -656,7 +627,8 @@ def _printed(capsys, parse, argv) -> tuple:
 
 
 @pytest.mark.parametrize("argv", [[sub, "--help"] for sub in CONFIG_FLAGS]
-                         + [["--help"], ["bogus"], [], ["micro", "--frame", "side"]])
+                         + [["--help"], ["bogus"], [], ["evolve", "--perturb", "side"],
+                            ["micro", "--frame", "lab"]])
 def test_main_prints_what_the_full_parser_prints(capsys, argv):
     # main adds options only to the subparser its argv names
     full = _printed(capsys, cli.build_parser().parse_args, argv)
@@ -694,6 +666,22 @@ def test_seed_above_64_bits_rejected_naming_the_option(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "dropsed micro: error: --seed must be < 2**64, got 18446744073709551616\n")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv, module, builder", [
+    (["spectrum", "--K", "4"], "linear_stability", "_grid_kernel"),
+    (["evolve", "--T", "0.01"], "surface_evolution", "_advection_geometry"),
+], ids=["spectrum-kernel", "evolve-geometry"])
+def test_failed_grid_allocation_names_ntheta(tmp_path, capsys, monkeypatch, argv, module, builder):
+    # numpy's message gives only the bytes of the n^2 array ntheta asked for
+    def unallocatable(grid):
+        raise MemoryError(f"Unable to allocate {grid.n_theta ** 2 * 8} B")
+
+    monkeypatch.setattr(getattr(dropsed, module), builder, unallocatable)
+    assert main([*argv, "--ntheta", "16", "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == (
+        f"dropsed {argv[0]}: error: ntheta=16 gives n^2 arrays that cannot be allocated: "
+        "Unable to allocate 2048 B\n")
 
 
 def test_threads_refused_once_numpy_is_loaded(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import dropsed
+
+import code_lines
 
 # every module of the package, so a new one cannot escape these checks
 MODULES = tuple(sorted(path.stem for path in Path(dropsed.__file__).parent.glob("*.py")
@@ -114,6 +117,57 @@ def test_every_parameter_is_read():
     found = [name for path in sorted(package.glob("*.py"))
              for name in _unread_parameters(ast.parse(path.read_text()))]
     assert sorted(found) == sorted(BENCHMARK_BOUND_PARAMETERS)
+
+
+def _config_keys_read(tree):
+    """The constant keys ``k`` of every ``cfg[k]`` the tree reads."""
+    return {n.slice.value for n in ast.walk(tree)
+            if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Load)
+            and isinstance(n.value, ast.Name) and n.value.id == "cfg"
+            and isinstance(n.slice, ast.Constant)}
+
+
+def test_every_config_option_is_read():
+    # an option that no runner reads would be accepted, recorded and ignored
+    toy = ast.parse("def run(cfg, other):\n    cfg['b'] = other['c']\n    return cfg['a']\n")
+    assert _config_keys_read(toy) == {"a"}
+    cli = importlib.import_module("dropsed.cli")
+    read = _config_keys_read(ast.parse(Path(cli.__file__).read_text()))
+    unread = [f"{name}.{f.name}" for name, config in cli._CONFIG_TYPES.items()
+              for f in dataclasses.fields(config) if f.name not in read]
+    assert unread == []
+
+
+CODE_LINES_TOY = '''"""Module docstring
+on two lines."""
+
+import os  # a trailing comment
+
+# a comment line
+X = """a string that is
+not a docstring"""
+
+
+class K:
+    """Class docstring."""
+
+    def f(self):
+        \'\'\'Function
+        docstring.\'\'\'
+        """a second string statement
+        is no docstring"""
+        return (os.sep +
+                X)
+'''
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path, capsys):
+    # import 1, X 2, class 1, def 1, the second string 2, return 2
+    assert code_lines.code_lines(CODE_LINES_TOY) == 9
+    (tmp_path / "toy.py").write_text(CODE_LINES_TOY)
+    (tmp_path / "one.py").write_text("A = 1\n\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == ["1", "one.py", "9", "toy.py", "10", "total"]
 
 
 def _reads(node):

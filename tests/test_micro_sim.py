@@ -23,6 +23,7 @@ from dropsed.micro_sim import (
 )
 from dropsed.patch_waves import SplitMix64, sample_unit_ball
 
+import lab_frame_oracle
 import tiled_sum_oracle
 from continuum_field_oracle import continuum_velocity
 from convergence import assert_order_in_band, successive_differences
@@ -230,11 +231,17 @@ class TestTiledPairSum:
 class TestAgainstSubtractTiles:
     """The product planes and BLAS sums against the subtract-and-np.sum tiles they replaced."""
 
-    @pytest.mark.parametrize("n, seed, delta, clamp_count", [(1200, 0, None, 0), (30, 3, 0.3, 16)],
-                             ids=["N-1200", "N-30-clamped"])
-    def test_matches_subtract_oracle(self, n, seed, delta, clamp_count):
-        pos = sample_unit_ball(n, np.random.default_rng(seed))
-        delta = default_regularization(1.0, n) if delta is None else delta
+    @pytest.mark.parametrize("cloud, delta, clamp_count", [
+        ((1200, 0), default_regularization(1.0, 1200), 0),
+        ((30, 3), 0.3, 16),
+        # r2 is the float below fl(0.09) but sqrt(r2) = 0.3: the clamp's test counts none
+        ([[0.0, 0.0, 0.0], [5e-9, 0.0, math.nextafter(0.3, 0.0)]], 0.3, 0),
+        # delta^2 is subnormal and rounds down: a pair delta apart has sqrt(r2) < delta
+        ([[0.0, 0.0, 0.0], [0.0, 0.0, 1.2000000000000018e-154]], 1.2000000000000018e-154, 2),
+    ], ids=["N-1200", "N-30-clamped", "r2-below-fl-delta-squared", "subnormal-delta-squared"])
+    def test_matches_subtract_oracle(self, cloud, delta, clamp_count):
+        pos = (sample_unit_ball(cloud[0], np.random.default_rng(cloud[1]))
+               if isinstance(cloud, tuple) else np.array(cloud))
         vel, clamps = micro_sim._interaction_sum(pos, delta)
         expected, expected_clamps = tiled_sum_oracle.interaction_sum(pos, delta)
         assert clamps == expected_clamps == clamp_count
@@ -476,6 +483,23 @@ class TestEvolveCloud:
         traj = evolve_cloud(rescaled, T=0.5, dt=0.025)
         drop = traj.positions[-1][:, 2].mean() - traj.positions[0][:, 2].mean()
         assert drop == pytest.approx(v0.mean(axis=0)[2] * 0.5, rel=0.1)
+
+    @pytest.mark.parametrize("frame", ["lab", "drift_subtracted"])
+    def test_frames_match_physical_oracle(self, frame):
+        # the rescaled run y mapped by x(t) = R0 y(s t / R0) + U_S t, with U_S
+        # in the lab frame only, against a direct integration of drag plus
+        # interactions (lab) or of interactions alone (drift subtracted)
+        cloud = uniform_ball_cloud(300, 1.0, SplitMix64(3), particle_radius=A)
+        rescaled, s = rescale_cloud(cloud)
+        clock = s / cloud.cloud_radius
+        traj = evolve_cloud(rescaled, clock * 0.2, clock * 0.01, snapshot_every=clock * 0.05)
+        snaps, clamps = lab_frame_oracle.evolve_physical(cloud, 20, 0.01, lab=frame == "lab")
+        drift = stokes_drag_velocity(A) if frame == "lab" else np.zeros(3)
+        assert traj.clamp_events == clamps
+        expected = [cloud.positions, *snaps[4::5]]
+        for k, (y, x) in enumerate(zip(traj.positions, expected, strict=True)):
+            mapped = cloud.cloud_radius * y + (k * 0.05) * drift
+            assert np.max(np.abs(mapped - x)) <= 1e-13
 
     def test_midpoint_rule_is_second_order(self):
         # observed 1.998 / 1.999 on this ladder; the band leaves about 0.1 each side

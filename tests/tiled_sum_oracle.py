@@ -39,7 +39,7 @@ def interaction_sum(positions: np.ndarray, delta: float) -> tuple[np.ndarray, in
             np.einsum("kij,kij->ij", d, d, out=r2)
             if i0 == j0:
                 np.fill_diagonal(r2, np.inf)
-            close = int(np.count_nonzero(r2 < delta * delta))
+            close = int(np.count_nonzero(np.sqrt(r2) < delta))  # the clamp's own test
             clamped_pairs += close if i0 == j0 else 2 * close
             oseen_terms(d, r2, delta, work[3], coef)
             np.multiply(d, coef, out=d)
